@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -42,6 +42,8 @@ from ..workloads.parsec import PARSEC_BENCHMARKS
 
 __all__ = [
     "Calibration",
+    "CalibratedScheme",
+    "CalibrationPoint",
     "DEFAULT_HOLDOUT",
     "WhiteNoiseDVFSScheme",
     "calibrate",
@@ -144,6 +146,51 @@ class Calibration:
         """Average R² of the per-benchmark Figure 6 fits."""
         values = [t.r_squared for t in self.benchmark_transducers.values()]
         return float(np.mean(values)) if values else float("nan")
+
+
+@dataclass(frozen=True)
+class CalibrationPoint:
+    """What a default calibration is a function of: platform, mix, seed.
+
+    Build one with :meth:`of`, which resolves the mix the way
+    :class:`~repro.cmpsim.simulator.Simulation` does, so ``mix=None`` and
+    the explicit default mix name the same point.
+    """
+
+    config: CMPConfig
+    mix: Mix
+    seed: int
+
+    @classmethod
+    def of(
+        cls, config: CMPConfig, mix: Mix | None, seed: int
+    ) -> CalibrationPoint:
+        return cls(config, mix_for_config(config, mix), int(seed))
+
+    def calibration(self) -> Calibration:
+        """The memoized default calibration at this point."""
+        return _cached_calibration(self.config, self.mix, self.seed)
+
+
+@runtime_checkable
+class CalibratedScheme(Protocol):
+    """A power scheme that runs on an offline :class:`Calibration`.
+
+    A caller that runs many simulations (``repro.runner.run_many``) asks
+    each scheme which default calibration its ``bind`` would compute,
+    computes every distinct point once, and hands the result back, so
+    no worker process recalibrates a point another one already did.
+    """
+
+    def calibration_point(
+        self, config: CMPConfig, mix: Mix | None, seed: int
+    ) -> CalibrationPoint | None:
+        """The default calibration a run of (config, mix, seed) needs, or
+        None when the scheme already holds a calibration."""
+
+    def use_calibration(self, calibration: Calibration) -> None:
+        """Adopt ``calibration`` as the default one; a calibration the
+        scheme was constructed with is kept."""
 
 
 def _excitation_run(config: CMPConfig, mix: Mix, seed: int, n_gpm: int):
@@ -258,5 +305,4 @@ def default_calibration(
 ) -> Calibration:
     """Memoized :func:`calibrate` — experiments share one calibration per
     (platform, mix, seed)."""
-    mix = mix_for_config(config, mix)
-    return _cached_calibration(config, mix, seed)
+    return CalibrationPoint.of(config, mix, seed).calibration()

@@ -14,7 +14,8 @@ realizes the architecture end to end:
 Controllers are built from an offline :class:`~repro.core.calibration.
 Calibration` (system gain → pole-placement PID gains; per-island
 transducers); by default the memoized calibration for the simulation's
-platform and mix is used.
+platform and mix is used, unless a caller that precomputed it hands it
+over first (:meth:`CPMScheme.use_calibration`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..pic.controller import PerIslandController
 from ..rng import DEFAULT_SEED
 from ..unit_types import GigaHz, PowerFraction
 from ..workloads.mixes import Mix
-from .calibration import Calibration, default_calibration
+from .calibration import Calibration, CalibrationPoint
 
 __all__ = ["CPMScheme", "run_cpm"]
 
@@ -61,15 +62,29 @@ class CPMScheme:
             raise RuntimeError("scheme not bound yet; calibration unavailable")
         return self._calibration
 
+    def calibration_point(
+        self, config: CMPConfig, mix: Mix | None, seed: int
+    ) -> CalibrationPoint | None:
+        """The default calibration :meth:`bind` would compute for a run of
+        ``(config, mix, seed)``, or None if the scheme already has one."""
+        if self._calibration is not None:
+            return None
+        return CalibrationPoint.of(config, mix, seed)
+
+    def use_calibration(self, calibration: Calibration) -> None:
+        """Adopt a precomputed default calibration; an explicit
+        ``calibration=`` given at construction is never overridden."""
+        if self._calibration is None:
+            self._calibration = calibration
+
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
         if hasattr(self.policy, "reset"):
             self.policy.reset()
-        if self._calibration is None:
-            self._calibration = default_calibration(
-                sim.config, sim.mix, seed=sim.seeds.root_seed
-            )
-        cal = self._calibration
+        point = self.calibration_point(sim.config, sim.mix, sim.seeds.root_seed)
+        if point is not None:
+            self._calibration = point.calibration()
+        cal = self.calibration
         quantized = sim.config.dvfs.mode == "quantized"
         f0 = self.initial_frequency_ghz
         if f0 is None:

@@ -12,7 +12,8 @@ Three roots anchor three guarantees:
 
 * **simulation** (``Simulation.run``) — simulation purity: no hidden
   I/O or wall-clock reads may influence seeded results (EFF003).
-* **parallel** (``runner._execute``, ``runner._supervised_worker``) —
+* **parallel** (``runner._execute``, ``runner._calibrate``,
+  ``runner._supervised_worker``) —
   parallel safety: no shared module state may be mutated inside a
   worker (EFF001).
 * **cache** (``Simulation.__init__`` + ``Simulation.run``) — cache-key
@@ -113,7 +114,11 @@ ROOTS: tuple[Root, ...] = (
     Root(
         label="parallel worker entry (runner.run_many)",
         rule_id="EFF001",
-        suffixes=("runner._execute", "runner._supervised_worker"),
+        suffixes=(
+            "runner._execute",
+            "runner._calibrate",
+            "runner._supervised_worker",
+        ),
         kinds=frozenset({"global-write"}),
     ),
     Root(

@@ -2,7 +2,7 @@
 
 Every figure in the paper is a sweep of mutually independent
 :class:`~repro.cmpsim.simulator.Simulation` runs (budgets × mixes ×
-schemes × seeds).  This module gives the sweep layer three things the
+schemes × seeds).  This module gives the sweep layer four things the
 serial loops it replaces did not have:
 
 * :func:`run_many` — fan a list of :class:`RunRequest`\\ s over a process
@@ -10,6 +10,10 @@ serial loops it replaces did not have:
   scheduling.  Determinism is unchanged: every run's randomness is fixed
   by its request's seed, so ``jobs=4`` returns bit-identical results to
   ``jobs=1``.
+* a calibration wave — before a pooled sweep fans out, every distinct
+  default calibration its runs need (one per platform, mix and seed) is
+  computed once, in parallel, and passed to each run explicitly, so
+  workers never repeat the paper's offline calibration step.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
   name + parameters, budget, seed, horizon).  The cache is shared across
@@ -39,12 +43,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from multiprocessing import connection as mp_connection
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cmpsim.simulator import PowerScheme, Simulation, SimulationResult
 from .config import CMPConfig
+from .core.calibration import Calibration, CalibratedScheme, CalibrationPoint
 from .rng import DEFAULT_SEED, role_seed
 from .unit_types import PowerFraction
 from .workloads.mixes import Mix
@@ -276,18 +281,29 @@ def _cache_store(
 # Execution
 # ----------------------------------------------------------------------
 def _execute(
-    request: RunRequest, cache_dir: str | pathlib.Path | None
+    request: RunRequest,
+    cache_dir: str | pathlib.Path | None,
+    calibration: Calibration | None = None,
 ) -> SimulationResult:
-    """Run one request, consulting the cache (worker-side entry point)."""
+    """Run one request, consulting the cache (worker-side entry point).
+
+    ``calibration`` is the request's default calibration, computed by
+    the sweep's calibration wave; without it the scheme calibrates (or
+    hits the in-process memo) when it binds.
+    """
     directory = resolve_cache_dir(cache_dir)
     key = cache_key(request) if directory is not None else None
     if directory is not None and key is not None:
         cached = _cache_load(directory, key)
         if cached is not None:
             return cached
+    scheme = request.scheme_factory()
+    if calibration is not None:
+        assert isinstance(scheme, CalibratedScheme)
+        scheme.use_calibration(calibration)
     sim = Simulation(
         request.config,
-        request.scheme_factory(),
+        scheme,
         mix=request.mix,
         budget_fraction=request.budget_fraction,
         seed=request.seed,
@@ -298,6 +314,34 @@ def _execute(
     return result
 
 
+def _calibrate(point: CalibrationPoint) -> Calibration:
+    """Compute one default calibration (worker-side entry point)."""
+    return point.calibration()
+
+
+def _calibration_points(
+    requests: Sequence[RunRequest],
+) -> dict[CalibrationPoint, list[int]]:
+    """The distinct default calibrations ``requests`` need, each mapped to
+    the positions of the requests that need it.
+
+    Only schemes that would calibrate in ``bind`` declare a point: a
+    scheme built with an explicit calibration, or one that never
+    calibrates (MaxBIPS, no management), needs none.
+    """
+    points: dict[CalibrationPoint, list[int]] = {}
+    for position, request in enumerate(requests):
+        scheme = request.scheme_factory()
+        if not isinstance(scheme, CalibratedScheme):
+            continue
+        point = scheme.calibration_point(
+            request.config, request.mix, request.seed
+        )
+        if point is not None:
+            points.setdefault(point, []).append(position)
+    return points
+
+
 def run_one(
     request: RunRequest, cache_dir: str | pathlib.Path | None = None
 ) -> SimulationResult:
@@ -306,10 +350,16 @@ def run_one(
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: None or 0 means "all cores"."""
+    """Normalize a ``--jobs`` value: None or 0 means "all cores".
+
+    "All cores" counts the CPUs this process may run on (its affinity
+    mask, which CPU pinning and container limits narrow), not the
+    machine's, so ``--jobs 0`` never oversubscribes a pinned process.
+    """
     if jobs is None or jobs == 0:
-        available = os.cpu_count() or 1
-        return max(1, available)
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
+        return max(1, os.cpu_count() or 1)
     if jobs < 0:
         raise ValueError("jobs must be non-negative")
     return int(jobs)
@@ -347,10 +397,10 @@ def _retry_backoff_s(attempt: int) -> float:
     return min(0.05 * (2.0 ** attempt), 0.5)
 
 
-def _supervised_worker(conn, request: RunRequest, cache_dir) -> None:
+def _supervised_worker(conn, task: Callable, args: tuple) -> None:
     """Entry point of one supervised worker process."""
     try:
-        result = _execute(request, cache_dir)
+        result = task(*args)
         conn.send(("ok", result))
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         try:
@@ -362,37 +412,36 @@ def _supervised_worker(conn, request: RunRequest, cache_dir) -> None:
 
 
 def _run_supervised(
-    request_list: Sequence[RunRequest],
-    pending: Sequence[int],
-    results: list,
-    cache_dir,
+    tasks: dict[int, tuple[Callable, tuple]],
     n_workers: int,
     timeout_s: float | None,
     retries: int,
     on_error: str,
     failures: list[RunFailure],
-) -> None:
-    """Fan ``pending`` over supervised worker processes.
+    label: str = "request",
+) -> dict[int, Any]:
+    """Run ``tasks`` (index -> (function, args)) in supervised processes.
 
     Unlike the :class:`ProcessPoolExecutor` fast path this owns each
-    worker process directly, so a hung run can be ``terminate()``d on
+    worker process directly, so a hung task can be ``terminate()``d on
     deadline and a crashed one relaunched — an executor would poison the
     whole pool instead (``BrokenProcessPool`` aborts every pending
-    future).  Fills ``results`` in place; appends a :class:`RunFailure`
-    per abandoned request.
+    future).  Returns the results by index; appends a
+    :class:`RunFailure` per abandoned task.  ``label`` names what a task
+    index counts in error messages.
     """
     ctx = multiprocessing.get_context()
-    queue = deque(pending)
-    attempts = {i: 0 for i in pending}
-    #: reader-connection -> (request index, process, deadline or None)
+    queue = deque(tasks)
+    attempts = {i: 0 for i in tasks}
+    results: dict[int, Any] = {}
+    #: reader-connection -> (task index, process, deadline or None)
     active: dict = {}
 
     def launch(index: int) -> None:
         reader, writer = ctx.Pipe(duplex=False)
+        task, args = tasks[index]
         proc = ctx.Process(
-            target=_supervised_worker,
-            args=(writer, request_list[index], cache_dir),
-            daemon=True,
+            target=_supervised_worker, args=(writer, task, args), daemon=True
         )
         proc.start()
         writer.close()
@@ -411,7 +460,7 @@ def _run_supervised(
         reader.close()
 
     def settle(index: int, kind: str, message: str) -> None:
-        """A request failed for good, or goes back for another attempt."""
+        """A task failed for good, or goes back for another attempt."""
         retryable = kind in ("crash", "timeout") and attempts[index] <= retries
         if retryable:
             time.sleep(_retry_backoff_s(attempts[index] - 1))
@@ -425,7 +474,7 @@ def _run_supervised(
                 proc.terminate()
                 reap(other_reader)
             raise RuntimeError(
-                f"run_many: request {index} failed ({kind}) after "
+                f"run_many: {label} {index} failed ({kind}) after "
                 f"{attempts[index]} attempt(s): {message or 'no detail'}"
             )
         failures.append(failure)
@@ -463,6 +512,50 @@ def _run_supervised(
                     settle(
                         index, "timeout", f"exceeded {timeout_s:g}s deadline"
                     )
+    return results
+
+
+def _calibrate_supervised(
+    points: dict[CalibrationPoint, list[int]],
+    pending: Sequence[int],
+    n_workers: int,
+    timeout_s: float | None,
+    retries: int,
+    on_error: str,
+    failures: list[RunFailure],
+) -> dict[int, Calibration]:
+    """The hardened calibration wave: each point once, supervised.
+
+    Returns the calibration for each pending position whose point was
+    computed.  A point given up on becomes one :class:`RunFailure` (same
+    kind and attempts) for each request that needed it.
+    """
+    point_failures: list[RunFailure] = []
+    solved = _run_supervised(
+        {k: (_calibrate, (point,)) for k, point in enumerate(points)},
+        n_workers,
+        timeout_s,
+        retries,
+        on_error,
+        point_failures,
+        label="calibration",
+    )
+    users = list(points.values())
+    for failure in point_failures:
+        for position in users[failure.index]:
+            failures.append(
+                dataclasses.replace(
+                    failure,
+                    index=pending[position],
+                    message=f"calibration failed: {failure.message}",
+                )
+            )
+    return {
+        position: solved[k]
+        for k, positions in enumerate(users)
+        if k in solved
+        for position in positions
+    }
 
 
 def run_many(
@@ -478,11 +571,11 @@ def run_many(
     """Execute independent runs, returning results in request order.
 
     ``jobs`` is the number of worker processes (``None``/``0`` = all
-    cores, ``1`` = serial in-process).  Results are bit-identical across
-    ``jobs`` settings: each run's outcome is a pure function of its
-    request.  ``cache_dir`` enables the on-disk result cache (the string
-    ``"auto"`` resolves via :func:`resolve_cache_dir`); workers share it,
-    so duplicate requests in one sweep cost one simulation.
+    usable cores, ``1`` = serial in-process).  Results are bit-identical
+    across ``jobs`` settings: each run's outcome is a pure function of
+    its request.  ``cache_dir`` enables the on-disk result cache (the
+    string ``"auto"`` resolves via :func:`resolve_cache_dir`); workers
+    share it, so duplicate requests in one sweep cost one simulation.
 
     Requests that cannot be pickled (e.g. lambda scheme factories) are
     executed serially with a warning rather than failing.
@@ -491,12 +584,19 @@ def run_many(
     start, so a fully-warm sweep never pays process-pool startup and a
     partially-warm one only fans out the misses.
 
+    With worker processes, the misses first go through a *calibration
+    wave*: every distinct default calibration they need is computed
+    once, in parallel, and handed to each run explicitly, so no worker
+    recalibrates a point another already did.  The serial path relies
+    on the in-process calibration memo instead.
+
     Hardening (all off by default — the fast executor path is unchanged
     when none are requested):
 
     * ``timeout_s`` — per-run wall-clock deadline; a run past it is
       terminated.  Needs worker processes, so it is not enforced on the
-      serial path (a warning is emitted if it would be ignored).
+      serial path (a warning is emitted if it would be ignored).  Each
+      calibration of the wave gets the same deadline.
     * ``retries`` — how many times a crashed or timed-out run is
       relaunched (with bounded exponential backoff) before being given
       up on.  Runs that merely *raise* are not retried: the simulator is
@@ -505,7 +605,8 @@ def run_many(
       abandoned request; ``"quarantine"`` records a
       :class:`RunFailure` in ``failures``, leaves ``None`` in that
       result slot, and keeps going, so one poisoned request no longer
-      costs the whole sweep.
+      costs the whole sweep.  A calibration given up on is a failure of
+      every request that needed it.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
@@ -545,6 +646,8 @@ def run_many(
         )
         n_jobs = 1
     serial = n_jobs <= 1 or (len(pending_requests) <= 1 and not hardened)
+    n_workers = min(n_jobs, len(pending_requests))
+    points = {} if serial else _calibration_points(pending_requests)
     if serial:
         if timeout_s is not None:
             warnings.warn(
@@ -569,25 +672,36 @@ def run_many(
             else:
                 results[i] = _execute(request_list[i], cache_dir)
     elif hardened:
-        _run_supervised(
-            request_list,
-            pending,
-            results,
-            cache_dir,
-            min(n_jobs, len(pending_requests)),
-            timeout_s,
-            retries,
-            on_error,
-            failures,
+        calibrations = _calibrate_supervised(
+            points, pending, n_workers, timeout_s, retries, on_error, failures
         )
+        needed = {p for positions in points.values() for p in positions}
+        tasks = {
+            pending[p]: (_execute, (request, cache_dir, calibrations.get(p)))
+            for p, request in enumerate(pending_requests)
+            if p in calibrations or p not in needed
+        }
+        computed = _run_supervised(
+            tasks, n_workers, timeout_s, retries, on_error, failures
+        )
+        for i, result in computed.items():
+            results[i] = result
     else:
-        n_workers = min(n_jobs, len(pending_requests))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            wave: list[Calibration | None] = [None] * len(pending_requests)
+            for positions, calibration in zip(
+                points.values(), pool.map(_calibrate, points)
+            ):
+                for p in positions:
+                    wave[p] = calibration
             # map() preserves input order regardless of completion order.
-            computed = pool.map(
-                _execute, pending_requests, [cache_dir] * len(pending_requests)
+            in_order = pool.map(
+                _execute,
+                pending_requests,
+                [cache_dir] * len(pending_requests),
+                wave,
             )
-            for i, result in zip(pending, computed):
+            for i, result in zip(pending, in_order):
                 results[i] = result
     return results  # type: ignore[return-value]  # filled unless quarantined
 

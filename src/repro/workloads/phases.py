@@ -192,21 +192,14 @@ class PhaseMachine:
 def _ar1_scan(rho: float, initial: float, innovations: np.ndarray) -> np.ndarray:
     """``y[t] = rho * y[t-1] + e[t]`` with ``y[-1] = initial``.
 
-    Uses :func:`scipy.signal.lfilter` (a first-order IIR filter is exactly
-    this recurrence, and its direct-form-II-transposed update performs the
-    same multiply-add per step) with a pure-Python fallback.  Both paths
-    are bit-identical to the scalar recurrence in :meth:`PhaseMachine.advance`.
+    The same multiply-add per step as :meth:`PhaseMachine.advance`, so the
+    scan is bit-identical to the per-interval path.  Iterating Python
+    floats from ``tolist()`` and converting once at the end is the
+    cheapest exact form of the recurrence (a run has ~1000 steps).
     """
-    try:
-        from scipy.signal import lfilter
-    except ImportError:  # pragma: no cover - scipy is an install requirement
-        lfilter = None
-    if lfilter is None:  # pragma: no cover
-        out = np.empty_like(innovations)
-        value = initial
-        for t, e in enumerate(innovations):
-            value = rho * value + e
-            out[t] = value
-        return out
-    y, _ = lfilter([1.0], [1.0, -rho], innovations, zi=[rho * initial])
-    return np.asarray(y)
+    out = []
+    value = initial
+    for e in innovations.tolist():
+        value = rho * value + e
+        out.append(value)
+    return np.array(out, dtype=innovations.dtype)

@@ -1,6 +1,10 @@
-"""Parallel runner: ordering, bit-identity, and the on-disk result cache."""
+"""Parallel runner: ordering, bit-identity, the calibration wave, and the
+on-disk result cache."""
 
+import hashlib
+import os
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from repro.baselines.maxbips import MaxBIPSScheme
 from repro.baselines.no_management import NoManagementScheme
 from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
+from repro.core.calibration import CalibrationPoint, default_calibration
 from repro.core.cpm import CPMScheme
 from repro.runner import (
+    RunFailure,
     RunRequest,
     cache_key,
     describe_scheme,
@@ -20,6 +26,8 @@ from repro.runner import (
     run_one,
     seed_stream,
 )
+from repro.runner import _calibration_points
+from repro.workloads.mixes import MIX1, MIX2
 
 N_GPM = 3
 
@@ -34,6 +42,13 @@ def request(**overrides):
     )
     defaults.update(overrides)
     return RunRequest(**defaults)
+
+
+def digest(result):
+    h = hashlib.sha256()
+    for name in result.telemetry._SERIES:
+        h.update(np.ascontiguousarray(result.telemetry[name]).tobytes())
+    return h.hexdigest()
 
 
 def assert_results_identical(a, b):
@@ -102,6 +117,103 @@ class TestRunMany:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ValueError):
             resolve_jobs(-1)
+
+    def test_all_cores_means_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert resolve_jobs(0) == resolve_jobs(None) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_jobs(0) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(None) == 1
+
+
+class UncalibratableScheme(CPMScheme):
+    """Declares a default-calibration point that cannot be computed."""
+
+    name = "uncalibratable"
+
+    def calibration_point(self, config, mix, seed):
+        if super().calibration_point(config, mix, seed) is None:
+            return None
+        return CalibrationPoint.of(config, mix, -1)  # a negative seed raises
+
+
+SMALL = DEFAULT_CONFIG.with_islands(4, 2)
+
+
+class TestCalibrationWave:
+    def test_pooled_sweep_bit_identical_to_serial(self):
+        requests = [
+            request(config=config, mix=mix, scheme_factory=factory, seed=seed)
+            for config, mix, seed in (
+                (DEFAULT_CONFIG, MIX1, 7),
+                (DEFAULT_CONFIG, MIX2, 7),
+                (SMALL, None, 3),
+            )
+            for factory in (CPMScheme, MaxBIPSScheme, NoManagementScheme)
+        ]
+        assert len(_calibration_points(requests)) == 3
+        serial = run_many(requests, jobs=1)
+        pooled = run_many(requests, jobs=2)
+        assert [digest(r) for r in pooled] == [digest(r) for r in serial]
+        assert [r.scheme_name for r in pooled] == [
+            "cpm", "maxbips", "no-management"
+        ] * 3
+
+    def test_explicit_calibration_is_kept(self):
+        explicit = default_calibration(DEFAULT_CONFIG, seed=99)
+        pinned = request(scheme_factory=partial(CPMScheme, calibration=explicit))
+        pooled = run_many([pinned, request()], jobs=2)
+        serial = run_one(pinned)
+        assert digest(pooled[0]) == digest(serial)
+        assert digest(pooled[0]) != digest(pooled[1])
+        assert _calibration_points([pinned]) == {}
+
+    def test_points_only_for_schemes_that_calibrate(self):
+        requests = [
+            request(scheme_factory=f, budget_fraction=b)
+            for f in (MaxBIPSScheme, NoManagementScheme)
+            for b in (0.7, 0.9)
+        ]
+        assert _calibration_points(requests) == {}
+
+    def test_one_point_per_distinct_config_mix_seed(self):
+        requests = [
+            request(),                                # 0: 8c4i, default mix
+            request(mix=MIX1, budget_fraction=0.9),   # 1: same point, explicit
+            request(scheme_factory=MaxBIPSScheme),    # 2: needs none
+            request(mix=MIX2),                        # 3
+            request(seed=8),                          # 4
+            request(config=SMALL),                    # 5
+            request(config=SMALL, budget_fraction=0.7),  # 6: same as 5
+        ]
+        points = _calibration_points(requests)
+        assert list(points.values()) == [[0, 1], [3], [4], [5, 6]]
+        assert list(points)[0] == CalibrationPoint(DEFAULT_CONFIG, MIX1, 7)
+
+    @pytest.mark.slow
+    def test_failed_calibration_quarantines_its_requests(self):
+        requests = [
+            request(config=SMALL, scheme_factory=UncalibratableScheme),
+            request(config=SMALL, scheme_factory=MaxBIPSScheme),
+            request(config=SMALL, scheme_factory=UncalibratableScheme,
+                    budget_fraction=0.9),
+            request(config=SMALL),
+        ]
+        failures: list[RunFailure] = []
+        results = run_many(
+            requests, jobs=2, on_error="quarantine", failures=failures
+        )
+        assert [r is not None for r in results] == [False, True, False, True]
+        assert sorted(f.index for f in failures) == [0, 2]
+        for failure in failures:
+            assert failure.kind == "error"
+            assert "calibration failed" in failure.message
+            assert "seed" in failure.message
+        assert_results_identical(results[3], run_one(requests[3]))
 
 
 class TestCacheKey:

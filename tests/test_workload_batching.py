@@ -1,5 +1,10 @@
 """Batched workload advancement is bit-identical to per-tick advancement."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,3 +148,24 @@ class TestSimulationBatching:
             auto.telemetry["chip_power_frac"],
             forced.telemetry["chip_power_frac"],
         )
+
+
+def test_cpm_run_imports_no_scipy():
+    """A full CPM run (calibration included) never imports scipy."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from repro.config import DEFAULT_CONFIG\n"
+        "from repro.core.cpm import CPMScheme\n"
+        "from repro.runner import RunRequest, run_one\n"
+        "run_one(RunRequest(config=DEFAULT_CONFIG, scheme_factory=CPMScheme,"
+        " seed=5, n_gpm_intervals=2))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.workloads.phases import Phase, PhaseMachine
+from repro.workloads.phases import Phase, PhaseMachine, _ar1_scan
 
 PHASES = (
     Phase(alpha=0.9, cpi_base=0.8, l1_mpki=5.0, l2_mpki=0.5),
@@ -97,3 +99,36 @@ class TestPhaseMachine:
             PhaseMachine(PHASES, 10, -0.1, 0.5, rng)
         with pytest.raises(ValueError):
             PhaseMachine(PHASES, 10, 0.01, 1.0, rng)
+
+
+def scalar_ar1(rho, initial, innovations):
+    """The per-interval recurrence of ``PhaseMachine.advance``, verbatim."""
+    out, value = [], initial
+    for e in innovations:
+        value = rho * value + float(e)
+        out.append(value)
+    return out
+
+
+class TestAR1Scan:
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 1000, 6660])
+    def test_bit_identical_to_scalar_recurrence(self, rho, n):
+        rng = np.random.default_rng(n)
+        innovations = rng.normal(0.0, 0.02, size=n)
+        initial = float(rng.normal(0.0, 0.05))
+        scan = _ar1_scan(rho, initial, innovations)
+        assert scan.dtype == innovations.dtype and scan.shape == (n,)
+        assert scan.tolist() == scalar_ar1(rho, initial, innovations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        initial=st.floats(min_value=-1.0, max_value=1.0),
+        innovations=st.lists(
+            st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=200
+        ),
+    )
+    def test_property_matches_scalar_recurrence(self, rho, initial, innovations):
+        scan = _ar1_scan(rho, initial, np.array(innovations))
+        assert scan.tolist() == scalar_ar1(rho, initial, innovations)
