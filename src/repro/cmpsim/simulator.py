@@ -220,6 +220,7 @@ class Simulation:
         self._reset_window()
 
         total_ticks = n_gpm_intervals * pics_per_gpm
+        self.telemetry.reserve(total_ticks)
         if batch_workloads is None:
             batch_workloads = all(
                 hasattr(instance, "advance_block") for instance in self.instances

@@ -1,7 +1,8 @@
 """Per-interval telemetry recording and windowed aggregation.
 
-The simulator appends one record per PIC interval; :meth:`Telemetry.finalize`
-turns the buffers into NumPy arrays the experiments slice.  GPM-window
+The simulator writes one row per PIC interval into per-series NumPy
+columns that the experiments slice directly; :meth:`Telemetry.finalize`
+only trims them to the recorded length.  GPM-window
 aggregation (per-island mean power/BIPS between two GPM invocations) lives
 here too because both the GPM policies and the figures need it.
 """
@@ -89,34 +90,61 @@ class WindowStats:
     duration_s: Seconds
 
 
-@dataclass
 class Telemetry:
-    """Append-only record of a simulation run."""
+    """Per-interval record of a simulation run, one array per series.
 
-    n_islands: int
-    n_cores: int
-    _records: Dict[str, List] = field(default_factory=dict)
-    _windows: List[WindowStats] = field(default_factory=list)
-    _finalized: Dict[str, np.ndarray] | None = None
+    Each series is a preallocated column whose row ``i`` is interval
+    ``i``: ``(T,)`` for chip-level and scalar series, ``(T, n_islands)``
+    or ``(T, n_cores)`` for per-island and per-core ones.  ``record``
+    writes a row in place; :meth:`reserve` sizes the columns up front
+    (the simulator reserves the whole run), and other callers grow them
+    by doubling.  :meth:`finalize` trims the columns to the recorded
+    rows; after it, and in any unpickled copy, ``record`` raises.
+    """
 
-    _SERIES = (
-        "time_s",
-        "island_setpoint_frac",
-        "island_power_frac",
-        "island_sensed_frac",
-        "island_frequency_ghz",
-        "island_utilization",
-        "island_bips",
-        "chip_power_frac",
-        "chip_bips",
-        "core_temperature_c",
-        "core_utilization",
-        "is_gpm_tick",
-    )
+    #: Series name -> (row width attribute or None for a scalar, dtype).
+    _LAYOUT: Dict[str, tuple[str | None, type]] = {
+        "time_s": (None, float),
+        "island_setpoint_frac": ("n_islands", float),
+        "island_power_frac": ("n_islands", float),
+        "island_sensed_frac": ("n_islands", float),
+        "island_frequency_ghz": ("n_islands", float),
+        "island_utilization": ("n_islands", float),
+        "island_bips": ("n_islands", float),
+        "chip_power_frac": (None, float),
+        "chip_bips": (None, float),
+        "core_temperature_c": ("n_cores", float),
+        "core_utilization": ("n_cores", float),
+        "is_gpm_tick": (None, bool),
+    }
+    _SERIES = tuple(_LAYOUT)
 
-    def __post_init__(self) -> None:
-        for key in self._SERIES:
-            self._records[key] = []
+    def __init__(self, n_islands: int, n_cores: int) -> None:
+        self.n_islands = n_islands
+        self.n_cores = n_cores
+        self._windows: List[WindowStats] = []
+        self._rows = 0
+        self._finalized = False
+        self._columns = self._allocate(0)
+
+    def _allocate(self, capacity: int) -> Dict[str, np.ndarray]:
+        """Fresh columns with room for ``capacity`` rows, the recorded
+        rows copied over."""
+        columns: Dict[str, np.ndarray] = {}
+        for key, (width, dtype) in self._LAYOUT.items():
+            shape: tuple[int, ...] = (
+                (capacity,) if width is None else (capacity, getattr(self, width))
+            )
+            column = np.empty(shape, dtype=dtype)
+            if self._rows:
+                column[: self._rows] = self._columns[key][: self._rows]
+            columns[key] = column
+        return columns
+
+    def reserve(self, n_rows: int) -> None:
+        """Make room for ``n_rows`` more intervals without regrowing."""
+        if self._rows + n_rows > len(self._columns["time_s"]):
+            self._columns = self._allocate(self._rows + n_rows)
 
     def record(
         self,
@@ -126,22 +154,26 @@ class Telemetry:
         sensed: np.ndarray,
         is_gpm_tick: bool,
     ) -> None:
-        """Append one interval's worth of data."""
-        if self._finalized is not None:
+        """Write one interval's worth of data as the next row."""
+        if self._finalized:
             raise RuntimeError("telemetry already finalized")
-        rec = self._records
-        rec["time_s"].append(time_s)
-        rec["island_setpoint_frac"].append(np.array(setpoints, dtype=float))
-        rec["island_power_frac"].append(result.island_power_frac.copy())
-        rec["island_sensed_frac"].append(np.array(sensed, dtype=float))
-        rec["island_frequency_ghz"].append(result.island_frequency_ghz.copy())
-        rec["island_utilization"].append(result.island_utilization.copy())
-        rec["island_bips"].append(result.island_bips.copy())
-        rec["chip_power_frac"].append(result.chip_power_frac)
-        rec["chip_bips"].append(result.chip_bips)
-        rec["core_temperature_c"].append(result.core_temperature_c.copy())
-        rec["core_utilization"].append(result.core_utilization.copy())
-        rec["is_gpm_tick"].append(bool(is_gpm_tick))
+        i = self._rows
+        if i == len(self._columns["time_s"]):
+            self._columns = self._allocate(max(16, 2 * i))
+        col = self._columns
+        col["time_s"][i] = time_s
+        col["island_setpoint_frac"][i] = setpoints
+        col["island_power_frac"][i] = result.island_power_frac
+        col["island_sensed_frac"][i] = sensed
+        col["island_frequency_ghz"][i] = result.island_frequency_ghz
+        col["island_utilization"][i] = result.island_utilization
+        col["island_bips"][i] = result.island_bips
+        col["chip_power_frac"][i] = result.chip_power_frac
+        col["chip_bips"][i] = result.chip_bips
+        col["core_temperature_c"][i] = result.core_temperature_c
+        col["core_utilization"][i] = result.core_utilization
+        col["is_gpm_tick"][i] = is_gpm_tick
+        self._rows = i + 1
 
     def push_window(self, window: WindowStats) -> None:
         """Record aggregates for a completed GPM window."""
@@ -153,16 +185,36 @@ class Telemetry:
 
     @property
     def n_intervals(self) -> int:
-        return len(self._records["time_s"])
+        return self._rows
 
     def finalize(self) -> Dict[str, np.ndarray]:
-        """Convert the buffers into arrays (idempotent)."""
-        if self._finalized is None:
-            out: Dict[str, np.ndarray] = {}
-            for key, values in self._records.items():
-                out[key] = np.asarray(values)
-            self._finalized = out
-        return self._finalized
+        """Trim the columns to the recorded rows and stop recording
+        (idempotent)."""
+        if not self._finalized:
+            self._columns = self._trimmed()
+            self._finalized = True
+        return self._columns
+
+    def _trimmed(self) -> Dict[str, np.ndarray]:
+        return {key: column[: self._rows] for key, column in self._columns.items()}
+
+    def __getstate__(self) -> dict:
+        # Only the recorded rows travel: a pickle (cache entry, pool
+        # result) holds one contiguous array per series and the windows.
+        return {
+            "n_islands": self.n_islands,
+            "n_cores": self.n_cores,
+            "columns": self._trimmed(),
+            "windows": self._windows,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.n_islands = state["n_islands"]
+        self.n_cores = state["n_cores"]
+        self._columns = state["columns"]
+        self._windows = state["windows"]
+        self._rows = len(self._columns["time_s"])
+        self._finalized = True
 
     def __getitem__(self, key: str) -> np.ndarray:
         """Array access, finalizing on first use."""

@@ -50,6 +50,11 @@ class CPMScheme:
     ) -> None:
         self.policy = policy or PerformanceAwarePolicy()
         self.manager = GlobalPowerManager(self.policy)
+        #: The calibration given at construction, None for the default
+        #: one of the run's platform, mix and seed.  Public, so it is part
+        #: of the scheme's cache identity; :meth:`use_calibration` never
+        #: changes it.
+        self.explicit_calibration = calibration
         self._calibration = calibration
         self.max_step_ghz = max_step_ghz
         self.initial_frequency_ghz = initial_frequency_ghz

@@ -68,8 +68,9 @@ __all__ = [
 ]
 
 #: Bump to invalidate every existing cache entry (simulation semantics
-#: changed in a way the key cannot see).
-CACHE_VERSION = 1
+#: or the entry layout changed in a way the key cannot see).  2: columnar
+#: telemetry entries, and an explicit calibration enters the key.
+CACHE_VERSION = 2
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _CACHE_DISABLE_ENV = "REPRO_CACHE"

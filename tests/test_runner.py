@@ -238,6 +238,21 @@ class TestCacheKey:
         tight = describe_scheme(lambda: CPMScheme(max_step_ghz=0.5))
         assert loose != tight
 
+    def test_explicit_calibration_enters_the_key(self, tmp_path):
+        explicit = default_calibration(DEFAULT_CONFIG, seed=99)
+        pinned = request(scheme_factory=partial(CPMScheme, calibration=explicit))
+        assert cache_key(pinned) != cache_key(request())
+        cold = run_many([pinned, request()], jobs=1, cache_dir=tmp_path)
+        warm = run_many([pinned, request()], jobs=1, cache_dir=tmp_path)
+        assert [digest(r) for r in warm] == [digest(r) for r in cold]
+        assert digest(warm[0]) != digest(warm[1])
+
+    def test_adopted_calibration_keeps_the_identity(self):
+        scheme = CPMScheme()
+        before = describe_scheme(lambda: scheme)
+        scheme.use_calibration(default_calibration(DEFAULT_CONFIG, seed=99))
+        assert describe_scheme(lambda: scheme) == before
+
 
 class TestDiskCache:
     def test_miss_then_hit(self, tmp_path):

@@ -1,11 +1,22 @@
 """Telemetry helpers and the experiment-result container."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.baselines.maxbips import MaxBIPSScheme
+from repro.baselines.no_management import NoManagementScheme
 from repro.cmpsim.chip import IntervalResult
+from repro.cmpsim.simulator import Simulation
 from repro.cmpsim.telemetry import Telemetry, WindowStats
+from repro.config import DEFAULT_CONFIG
+from repro.core.cpm import CPMScheme
 from repro.experiments.common import ExperimentResult, horizon
+from repro.faults import FaultWindow, TransientSensorDropout, inject
+from repro.resilience import GuardedCPMScheme
+
+SMALL = DEFAULT_CONFIG.with_islands(4, 2)
 
 
 def fake_interval(n_islands=2, n_cores=4, power=0.1) -> IntervalResult:
@@ -82,6 +93,90 @@ class TestTelemetry:
         )
         t.push_window(w)
         assert t.windows == [w]
+
+
+def guarded_under_dropout():
+    return inject(GuardedCPMScheme(), TransientSensorDropout(0, FaultWindow(20, 40)))
+
+
+SCHEMES = {
+    "cpm": CPMScheme,
+    "maxbips": MaxBIPSScheme,
+    "none": NoManagementScheme,
+    "cpm-guarded": guarded_under_dropout,
+}
+
+
+def small_run(make_scheme):
+    sim = Simulation(SMALL, make_scheme(), budget_fraction=0.5, seed=9)
+    return sim.run(6)
+
+
+class TestColumnarLayout:
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_pickle_round_trip_is_bit_identical(self, name):
+        telemetry = small_run(SCHEMES[name]).telemetry
+        loaded = pickle.loads(pickle.dumps(telemetry))
+        assert loaded.n_intervals == telemetry.n_intervals
+        assert len(loaded.windows) == len(telemetry.windows)
+        for key in Telemetry._SERIES:
+            before, after = telemetry[key], loaded[key]
+            assert after.dtype == before.dtype
+            assert after.shape == before.shape
+            assert after.tobytes() == before.tobytes()
+
+    def test_dtypes_and_shapes(self):
+        telemetry = small_run(CPMScheme).telemetry
+        rows = telemetry.n_intervals
+        widths = {"island": SMALL.n_islands, "core": SMALL.n_cores}
+        for key, values in telemetry.finalize().items():
+            prefix = key.split("_")[0]
+            shape = (rows, widths[prefix]) if prefix in widths else (rows,)
+            assert values.shape == shape, key
+            expected = bool if key == "is_gpm_tick" else np.float64
+            assert values.dtype == expected, key
+
+    def test_pickled_state_is_one_array_per_series(self):
+        telemetry = small_run(CPMScheme).telemetry
+        state = telemetry.__getstate__()
+        columns = state["columns"]
+        assert sorted(columns) == sorted(Telemetry._SERIES)
+        for values in columns.values():
+            assert type(values) is np.ndarray
+            assert len(values) == telemetry.n_intervals
+        arrays = [v for v in state.values() if isinstance(v, np.ndarray)]
+        assert arrays == []  # no series outside ``columns``
+
+    def test_record_after_unpickling_rejected(self):
+        t = Telemetry(n_islands=2, n_cores=4)
+        record_ticks(t, [0.1, 0.2])
+        loaded = pickle.loads(pickle.dumps(t))
+        assert loaded.n_intervals == 2
+        with pytest.raises(RuntimeError):
+            record_ticks(loaded, [0.1])
+
+    def test_pickling_leaves_the_original_recordable(self):
+        t = Telemetry(n_islands=2, n_cores=4)
+        record_ticks(t, [0.1])
+        pickle.dumps(t)
+        record_ticks(t, [0.2])
+        assert t["island_power_frac"][:, 0].tolist() == [0.1, 0.2]
+
+    def test_direct_records_past_capacity_keep_every_row(self):
+        t = Telemetry(n_islands=2, n_cores=4)
+        powers = [0.001 * k for k in range(100)]
+        record_ticks(t, powers, gpm_every=7)
+        assert t.n_intervals == 100
+        assert t["island_power_frac"][:, 1].tolist() == powers
+        assert t["island_sensed_frac"][:, 0].tolist() == powers
+        assert t["time_s"].tolist() == [k * 5e-4 for k in range(100)]
+        assert t.gpm_tick_indices().tolist() == list(range(0, 100, 7))
+
+    def test_reserve_sizes_the_run_exactly(self):
+        t = Telemetry(n_islands=2, n_cores=4)
+        t.reserve(5)
+        record_ticks(t, [0.1] * 5)
+        assert t._columns["core_utilization"].shape == (5, 4)  # never grown
 
 
 class TestExperimentResult:
