@@ -1,15 +1,14 @@
-"""End-to-end runtime benchmark: simulator throughput and runner speedup.
+"""End-to-end runtime benchmark: simulator tick cost and runner speedup.
 
-Measures wall-clock throughput in simulated PIC ticks per second for
-8/16/32-core chips, comparing the legacy per-tick workload path
-(``batch_workloads=False``) against the batched path, and times a
+Measures the wall-clock cost of one simulated PIC tick (µs per tick,
+best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i, and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
 parallel (fresh cache), and warm parallel (cache hits).
 
 Writes ``BENCH_runtime.json`` at the repo root (``--out`` overrides).
 The host CPU count is recorded in the output: on single-core runners the
 process-pool fan-out cannot add parallel speedup, so the sweep gains
-come from workload batching and the on-disk result cache.
+come from the on-disk result cache.
 
 Usage::
 
@@ -52,8 +51,8 @@ __all__ = [
 SWEEP_BUDGETS = (0.75, 0.80, 0.85, 0.90)
 CONFIGS = (
     ("8c4i", 8, 4),
-    ("16c4i", 16, 4),
     ("32c8i", 32, 8),
+    ("64c16i", 64, 16),
 )
 
 
@@ -67,66 +66,48 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def _single_run_seconds(config, n_gpm: int, batch: bool, repeats: int):
+def _single_run_seconds(config, n_gpm: int, repeats: int):
     result = {}
 
     def once():
         sim = Simulation(
             config, CPMScheme(), budget_fraction=0.8, seed=DEFAULT_SEED
         )
-        result["run"] = sim.run(n_gpm, batch_workloads=batch)
+        result["run"] = sim.run(n_gpm)
 
     seconds = _time(once, repeats)
     return seconds, result["run"].telemetry.n_intervals
 
 
 def bench_configs(n_gpm: int, repeats: int) -> list[dict]:
+    """µs per tick of a CPM run at each of :data:`CONFIGS`."""
     rows = []
     for name, n_cores, n_islands in CONFIGS:
         config = DEFAULT_CONFIG.with_islands(n_cores, n_islands)
         # Warm the in-process calibration memo so its one-time cost does
-        # not land on whichever variant happens to be timed first.
-        _single_run_seconds(config, 1, True, 1)
-        legacy_s, ticks = _single_run_seconds(config, n_gpm, False, repeats)
-        batched_s, _ = _single_run_seconds(config, n_gpm, True, repeats)
+        # not land on the timed runs.
+        _single_run_seconds(config, 1, 1)
+        seconds, ticks = _single_run_seconds(config, n_gpm, repeats)
         rows.append(
             {
                 "name": name,
                 "n_cores": n_cores,
                 "n_islands": n_islands,
                 "ticks": ticks,
-                "legacy_per_tick": {
-                    "seconds": round(legacy_s, 4),
-                    "ticks_per_s": round(ticks / legacy_s, 1),
-                },
-                "batched": {
-                    "seconds": round(batched_s, 4),
-                    "ticks_per_s": round(ticks / batched_s, 1),
-                },
-                "batched_speedup": round(legacy_s / batched_s, 2),
+                "seconds": round(seconds, 4),
+                "us_per_tick": round(seconds / ticks * 1e6, 1),
+                "ticks_per_s": round(ticks / seconds, 1),
             }
         )
-        print(
-            f"{name}: legacy {ticks / legacy_s:8.0f} ticks/s, "
-            f"batched {ticks / batched_s:8.0f} ticks/s "
-            f"({legacy_s / batched_s:.2f}x)"
-        )
+        print(f"{name}: {seconds / ticks * 1e6:6.1f} us/tick")
     return rows
 
 
 def bench_sweep(n_gpm: int, jobs: int) -> dict:
-    """Time a 4-point budget sweep four ways; all vs the legacy serial loop."""
-    config = DEFAULT_CONFIG
-
-    def legacy_serial():
-        for budget in SWEEP_BUDGETS:
-            Simulation(
-                config, CPMScheme(), budget_fraction=budget, seed=DEFAULT_SEED
-            ).run(n_gpm, batch_workloads=False)
-
+    """Time a 4-point budget sweep three ways; pooled vs serial."""
     requests = [
         RunRequest(
-            config=config,
+            config=DEFAULT_CONFIG,
             scheme_factory=CPMScheme,
             budget_fraction=budget,
             seed=DEFAULT_SEED,
@@ -135,7 +116,6 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
         for budget in SWEEP_BUDGETS
     ]
 
-    legacy_s = _time(legacy_serial, 1)
     serial_s = _time(lambda: run_many(requests, jobs=1), 1)
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
         cold_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
@@ -145,19 +125,16 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
         "budgets": list(SWEEP_BUDGETS),
         "n_gpm_intervals": n_gpm,
         "jobs": jobs,
-        "legacy_serial_s": round(legacy_s, 4),
         "runner_serial_s": round(serial_s, 4),
         f"runner_jobs{jobs}_cold_s": round(cold_s, 4),
         f"runner_jobs{jobs}_warm_s": round(warm_s, 4),
-        "speedup_serial_vs_legacy": round(legacy_s / serial_s, 2),
-        f"speedup_jobs{jobs}_cold_vs_legacy": round(legacy_s / cold_s, 2),
-        f"speedup_jobs{jobs}_warm_vs_legacy": round(legacy_s / warm_s, 2),
+        f"speedup_jobs{jobs}_cold_vs_serial": round(serial_s / cold_s, 2),
+        f"speedup_jobs{jobs}_warm_vs_serial": round(serial_s / warm_s, 2),
     }
     print(
-        f"sweep ({len(SWEEP_BUDGETS)} budgets): legacy {legacy_s:.3f}s, "
-        f"runner serial {serial_s:.3f}s ({legacy_s / serial_s:.2f}x), "
-        f"jobs={jobs} cold {cold_s:.3f}s ({legacy_s / cold_s:.2f}x), "
-        f"warm {warm_s:.3f}s ({legacy_s / warm_s:.2f}x)"
+        f"sweep ({len(SWEEP_BUDGETS)} budgets): serial {serial_s:.3f}s, "
+        f"jobs={jobs} cold {cold_s:.3f}s ({serial_s / cold_s:.2f}x), "
+        f"warm {warm_s:.3f}s ({serial_s / warm_s:.2f}x)"
     )
     return out
 
@@ -172,8 +149,9 @@ def main(argv=None) -> int:
                         help="output JSON path")
     args = parser.parse_args(argv)
 
-    n_gpm = 6 if args.quick else 25
-    repeats = 1 if args.quick else 3
+    tick_gpm = 6 if args.quick else 100
+    sweep_gpm = 6 if args.quick else 25
+    repeats = 1 if args.quick else 5
 
     payload = {
         "benchmark": "bench_runtime",
@@ -182,14 +160,14 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
         },
-        "configs": bench_configs(n_gpm, repeats),
-        "sweep": bench_sweep(n_gpm, args.jobs),
+        "configs": bench_configs(tick_gpm, repeats),
+        "sweep": bench_sweep(sweep_gpm, args.jobs),
         "notes": [
-            "legacy_per_tick is the pre-runner execution model: per-tick "
-            "workload advancement, no batching, no cache.",
-            "speedups are wall-clock ratios vs that legacy serial model "
-            "on this host; with cpu_count=1 the pool adds no parallelism "
-            "and sweep gains come from batching plus the result cache.",
+            "us_per_tick is the best-of-repeats wall time of one serial CPM "
+            "run (calibration warmed) divided by its PIC ticks.",
+            "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
+            "this host; with cpu_count=1 the pool adds no parallelism and "
+            "the warm gain comes from the result cache.",
         ],
     }
     out_path = pathlib.Path(args.out)

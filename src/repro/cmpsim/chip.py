@@ -43,10 +43,29 @@ from ..variation.leakage_variation import (
     uniform_multipliers,
 )
 from ..workloads.benchmark import BenchmarkSpec
-from .core import cpi_stack, utilization_reference
+from .core import utilization_reference
 from .dvfs import DVFSTable
 
-__all__ = ["Chip", "IntervalResult"]
+__all__ = ["Chip", "IntervalResult", "WorkloadTerms"]
+
+
+@dataclass(frozen=True)
+class WorkloadTerms:
+    """The workload-only terms of the chip kernel, one row per tick.
+
+    Built once per run by :meth:`Chip.workload_terms` from the run's
+    ``(T, n_cores)`` workload block; :meth:`Chip.compute_interval` reads
+    row ``t`` at tick ``t``.
+    """
+
+    #: Phase activity as drawn (the CPI stack's IPS numerator).
+    alpha: np.ndarray
+    #: ``clip(alpha, 0, 1)``: the activity the power model sees.
+    activity_alpha: np.ndarray
+    #: Frequency-independent CPI: ``cpi_base + l1_mpki / 1000 * l2_hit_cycles``.
+    onchip_cpi: np.ndarray
+    #: Off-chip CPI per GHz: ``l2_mpki / 1000 * memory_latency_ns``.
+    offchip_cpi_per_ghz: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,6 +138,12 @@ class Chip:
         )
 
         self._init_normalization()
+        # Per-core leakage at the nominal corner (the model's prefactor).
+        self._leakage_prefactor_w = (
+            self.power_model.leakage.nominal_leakage_w
+            * np.asarray(self.leakage_multipliers, dtype=float)
+        )
+        self._checked_dt: Seconds | None = None
 
     # ------------------------------------------------------------------
     # Normalization
@@ -203,45 +228,92 @@ class Chip:
     # ------------------------------------------------------------------
     # Per-interval evaluation
     # ------------------------------------------------------------------
-    def compute_interval(
+    def workload_terms(
         self,
         alpha: np.ndarray,
         cpi_base: np.ndarray,
         l1_mpki: np.ndarray,
         l2_mpki: np.ndarray,
+    ) -> WorkloadTerms:
+        """Derive the kernel's workload-only terms from a workload block.
+
+        Each input is ``(T, n_cores)`` (row ``t`` is tick ``t``) or a
+        single tick's ``(n_cores,)`` vector, treated as ``T = 1``.  The
+        terms are the parts of the CPI stack and the power model that do
+        not depend on frequency or temperature, so a run computes them
+        once instead of once per tick.
+        """
+        arrays = [
+            np.asarray(x, dtype=float) for x in (alpha, cpi_base, l1_mpki, l2_mpki)
+        ]
+        shape, n_cores = arrays[0].shape, self.config.n_cores
+        if (
+            any(arr.shape != shape for arr in arrays)
+            or shape[-1:] != (n_cores,)
+            or len(shape) > 2
+        ):
+            raise ValueError(
+                f"workload arrays must share one (T, {n_cores}) or "
+                f"({n_cores},) shape, got {[arr.shape for arr in arrays]}"
+            )
+        a, base, l1, l2 = (np.atleast_2d(arr) for arr in arrays)
+        memory = self.config.memory
+        # Same expressions, in the same association order, as cpi_stack
+        # and DynamicPowerModel.core_activity: elementwise, so bit-equal.
+        return WorkloadTerms(
+            alpha=a,
+            activity_alpha=np.clip(a, 0.0, 1.0),
+            onchip_cpi=base + l1 / 1000.0 * memory.l2_hit_cycles,
+            offchip_cpi_per_ghz=l2 / 1000.0 * units.to_ns(memory.memory_latency_s),
+        )
+
+    def compute_interval(
+        self,
+        terms: WorkloadTerms,
+        t: int,
         dt: Seconds,
         transitioned_islands: np.ndarray | None = None,
     ) -> IntervalResult:
-        """Evaluate one interval under the current island frequencies.
+        """Evaluate tick ``t`` of ``terms`` under the current island frequencies.
 
         ``transitioned_islands`` flags islands whose V/F changed entering
         this interval; their cores lose the DVFS transition overhead
         (0.5% of CPU time, during which no instructions execute).
+
+        This is the fusion of :func:`~repro.cmpsim.core.cpi_stack`,
+        :meth:`CorePowerModel.power`, :meth:`DynamicPowerModel.core_activity`
+        and :meth:`RCThermalModel.step`, bit for bit: the same elementwise
+        expressions in the same association order, minus their per-call
+        validation.  ``dt`` is validated once per distinct value.
         """
+        if dt != self._checked_dt:  # always true for NaN
+            self.thermal.check_dt(dt)
+            self._checked_dt = dt
         cfg = self.config
-        n_cores = cfg.n_cores
-        for name, arr in (
-            ("alpha", alpha),
-            ("cpi_base", cpi_base),
-            ("l1_mpki", l1_mpki),
-            ("l2_mpki", l2_mpki),
-        ):
-            if np.shape(arr) != (n_cores,):
-                raise ValueError(f"{name} must have one entry per core")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        dynamic = self.power_model.dynamic
+        leakage = self.power_model.leakage
+        cores = self.island_of_core
 
-        freq = self.core_frequencies()
-        volt = np.asarray(self.dvfs.voltage_at(freq))
+        # Operating-point terms on islands (voltage_at keeps its ladder
+        # range check), then one gather each to cores.
+        island_freq = self.island_frequency
+        island_volt = self.dvfs.voltage_at(island_freq)
+        freq = island_freq[cores]
+        dynamic_vf = (dynamic.effective_capacitance * island_volt**2 * island_freq)[
+            cores
+        ]
+        leakage_v = (
+            (island_volt / leakage.nominal_voltage) ** leakage.voltage_exponent
+        )[cores]
 
-        # Ranges are guaranteed upstream: frequencies come off the clamped
-        # ladder, alphas out of the phase machine's clip.
-        perf = cpi_stack(
-            freq, alpha, cpi_base, l1_mpki, l2_mpki, cfg.memory, check=False
-        )
+        # CPI stack.
+        onchip = terms.onchip_cpi[t]
+        cpi = onchip + terms.offchip_cpi_per_ghz[t] * freq
+        busy = onchip / cpi
+        ips = terms.alpha[t] * freq * units.GHZ_TO_HZ / cpi
 
-        if transitioned_islands is not None and np.any(transitioned_islands):
-            mask = np.asarray(transitioned_islands, dtype=bool)[self.island_of_core]
+        if transitioned_islands is not None and transitioned_islands.any():
+            mask = np.asarray(transitioned_islands, dtype=bool)[cores]
             effective_dt = np.where(
                 mask, dt * (1.0 - cfg.dvfs.transition_overhead), dt
             )
@@ -249,45 +321,43 @@ class Chip:
             # Scalar broadcasts identically to np.full(n_cores, dt) and
             # skips two array allocations on the common no-transition path.
             effective_dt = dt
-        instructions = perf.ips * effective_dt
-
-        temperatures = self.thermal.temperatures
-        core_power = self.power_model.power(
-            volt,
-            freq,
-            busy=perf.busy,
-            alpha=alpha,
-            temperature_c=temperatures,
-            leakage_multiplier=self.leakage_multipliers,
-            check=False,
-        )
-        core_power = np.asarray(core_power, dtype=float)
+        instructions = ips * effective_dt
 
         # Utilization = switching-activity-weighted cycle rate relative to
         # the peak cycle rate: the perf-counter quantity the PIC's sensor
         # reads.  Monotone in frequency for every workload class, which is
         # what makes the Figure 6 linear fits tight.
-        activity = self.power_model.dynamic.core_activity(perf.busy, alpha)
-        utilization = np.asarray(activity) * freq / self.dvfs.f_max
-        island_power = island_sums(self.island_of_core, core_power, cfg.n_islands)
-        island_bips = island_sums(
-            self.island_of_core,
-            units.bips(instructions, effective_dt),
-            cfg.n_islands,
+        b = np.minimum(np.maximum(busy, 0.0), 1.0)
+        activity = terms.activity_alpha[t] * b + dynamic.stall_activity * (1.0 - b)
+        utilization = activity * freq / self.dvfs.f_max
+
+        # Power: dynamic through the linear clock-gating floor, plus leakage.
+        floor = dynamic.gating.idle_floor
+        gated = floor + (1.0 - floor) * np.minimum(np.maximum(activity, 0.0), 1.0)
+        thermal = np.exp(
+            leakage.thermal_beta
+            * (self.thermal.temperatures - leakage.nominal_temperature_c)
         )
-        island_util = island_sums(
-            self.island_of_core, utilization, cfg.n_islands
+        core_power = dynamic_vf * (
+            dynamic.fixed_share + dynamic.gate_share * gated
+        ) + self._leakage_prefactor_w * leakage_v * thermal
+
+        n_islands = cfg.n_islands
+        island_power = np.bincount(cores, core_power, n_islands)
+        island_bips = np.bincount(
+            cores, units.bips(instructions, effective_dt, check=False), n_islands
         )
+        island_util = np.bincount(cores, utilization, n_islands)
         island_util /= cfg.cores_per_island
 
         chip_power = float(island_power.sum() + self.uncore_power_w)
 
-        new_temps = self.thermal.step(core_power, dt)
+        new_temps = self.thermal.step(core_power, dt, check=False)
 
         return IntervalResult(
             dt=dt,
-            core_busy=perf.busy,
-            core_ips=perf.ips,
+            core_busy=busy,
+            core_ips=ips,
             core_instructions=instructions,
             core_power_w=core_power,
             core_utilization=utilization,

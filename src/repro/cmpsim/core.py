@@ -75,21 +75,14 @@ def cpi_stack(
     l1_mpki: np.ndarray | float,
     l2_mpki: np.ndarray | float,
     memory: MemoryConfig,
-    check: bool = True,
 ) -> CPIStackResult:
-    """Evaluate the CPI stack; all array arguments must be aligned.
-
-    ``check=False`` skips input validation; for callers that already
-    guarantee the ranges (the simulator's inner loop, which clamps
-    frequencies against the DVFS ladder and alphas in the phase machine).
-    """
+    """Evaluate the CPI stack; all array arguments must be aligned."""
     f = np.asarray(frequency_ghz, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    if check:
-        if np.any(f <= 0):
-            raise ValueError("frequency must be positive")
-        if np.any(a <= 0) or np.any(a > 1):
-            raise ValueError("alpha must be in (0, 1]")
+    if np.any(f <= 0):
+        raise ValueError("frequency must be positive")
+    if np.any(a <= 0) or np.any(a > 1):
+        raise ValueError("alpha must be in (0, 1]")
 
     onchip = np.asarray(cpi_base) + np.asarray(l1_mpki) / 1000.0 * memory.l2_hit_cycles
     offchip = memory_cycles_per_instruction(l2_mpki, f, memory)

@@ -71,9 +71,11 @@ class DVFSTable:
         and silent extrapolation would hide actuator bugs.
         """
         f = np.asarray(frequency, dtype=float)
-        if f.min(initial=self._f_min) < self._f_min - 1e-12 or f.max(
-            initial=self._f_max
-        ) > self._f_max + 1e-12:
+        # The ufunc reductions skip ndarray.min/max's Python wrappers: this
+        # runs once per tick in the chip kernel.
+        lowest = np.minimum.reduce(f, axis=None, initial=self._f_min)
+        highest = np.maximum.reduce(f, axis=None, initial=self._f_max)
+        if lowest < self._f_min - 1e-12 or highest > self._f_max + 1e-12:
             raise ValueError(
                 f"frequency {frequency} outside ladder "
                 f"[{self.f_min}, {self.f_max}] GHz"

@@ -26,10 +26,13 @@ from ..rng import DEFAULT_SEED, SeedSequenceFactory
 from ..unit_types import PowerFraction, Seconds
 from ..workloads.benchmark import BenchmarkInstance
 from ..workloads.mixes import Mix, mix_for_config
-from .chip import Chip, IntervalResult
+from .chip import Chip, IntervalResult, WorkloadTerms
 from .telemetry import Telemetry, WindowStats
 
 __all__ = ["PowerScheme", "Simulation", "SimulationResult"]
+
+#: The per-core workload signals a tick consumes, in workload_terms order.
+_WORKLOAD_FIELDS = ("alpha", "cpi_base", "l1_mpki", "l2_mpki")
 
 
 @runtime_checkable
@@ -84,7 +87,8 @@ class Simulation:
         """``instances`` overrides the default per-core workload
         construction with pre-built ones (e.g. a
         :class:`~repro.workloads.recorded.RecordedWorkload` replay); one
-        entry per core, each exposing ``advance()`` and ``retire()``."""
+        entry per core, each exposing ``advance()`` (or ``advance_block``)
+        and ``retire()``."""
         if not 0.0 < budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
         self.config = config
@@ -195,71 +199,52 @@ class Simulation:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(
-        self, n_gpm_intervals: int, batch_workloads: bool | None = None
-    ) -> SimulationResult:
+    def _workload_terms(self, n_ticks: int) -> WorkloadTerms:
+        """Draw ``n_ticks`` of every core's workload and derive the chip
+        kernel's terms; the raw block is dropped once they exist.
+
+        An instance with ``advance_block`` yields its samples in one
+        vectorized pass; any other gets them from ``n_ticks`` calls to
+        ``advance()``.
+        """
+        # One buffer per field, so none outlives the terms derived from it.
+        raw = [np.empty((n_ticks, self.config.n_cores)) for _ in _WORKLOAD_FIELDS]
+        for core, instance in enumerate(self.instances):
+            if hasattr(instance, "advance_block"):
+                block = instance.advance_block(n_ticks)
+                for field, column in zip(_WORKLOAD_FIELDS, raw):
+                    column[:, core] = getattr(block, field)
+            else:
+                samples = [instance.advance() for _ in range(n_ticks)]
+                for field, column in zip(_WORKLOAD_FIELDS, raw):
+                    column[:, core] = [getattr(s, field) for s in samples]
+        return self.chip.workload_terms(*raw)
+
+    def run(self, n_gpm_intervals: int) -> SimulationResult:
         """Simulate ``n_gpm_intervals`` GPM windows; returns the result.
 
-        ``batch_workloads`` selects how workload samples are produced:
-        ``True`` pre-generates the whole run's samples in one vectorized
-        ``advance_block`` pass per core (exact — workload evolution never
-        observes the control loop), ``False`` calls ``advance()`` per core
-        per tick, and ``None`` (default) batches whenever every instance
-        supports it.  Both paths yield bit-identical telemetry; batching
-        only changes ``retire()`` from one call per tick to one call per
-        run (same totals).
+        The whole run's workload is drawn up front (exact: workload
+        evolution never observes the control loop) and turned into the
+        chip kernel's workload terms once; each tick then evaluates row
+        ``t``.  Instructions are retired once per instance at the end,
+        summed with the same per-tick IEEE adds as one ``retire()`` per
+        tick.
         """
         if n_gpm_intervals < 1:
             raise ValueError("need at least one GPM interval")
         cfg = self.config
         dt = cfg.control.pic_interval_s
         pics_per_gpm = cfg.control.pics_per_gpm
-        n_cores = cfg.n_cores
 
         self.scheme.bind(self)
         self._reset_window()
 
         total_ticks = n_gpm_intervals * pics_per_gpm
         self.telemetry.reserve(total_ticks)
-        if batch_workloads is None:
-            batch_workloads = all(
-                hasattr(instance, "advance_block") for instance in self.instances
-            )
-
-        if batch_workloads:
-            # One (total_ticks, n_cores) array per workload field; row t is
-            # the tick-t per-core vector the serial path would assemble.
-            wl_alpha = np.empty((total_ticks, n_cores))
-            wl_cpi_base = np.empty((total_ticks, n_cores))
-            wl_l1_mpki = np.empty((total_ticks, n_cores))
-            wl_l2_mpki = np.empty((total_ticks, n_cores))
-            for i, instance in enumerate(self.instances):
-                block = instance.advance_block(total_ticks)
-                wl_alpha[:, i] = block.alpha
-                wl_cpi_base[:, i] = block.cpi_base
-                wl_l1_mpki[:, i] = block.l1_mpki
-                wl_l2_mpki[:, i] = block.l2_mpki
-            instruction_totals = np.zeros(n_cores)
-        else:
-            alpha = np.empty(n_cores)
-            cpi_base = np.empty(n_cores)
-            l1_mpki = np.empty(n_cores)
-            l2_mpki = np.empty(n_cores)
+        terms = self._workload_terms(total_ticks)
+        instruction_totals = np.zeros(cfg.n_cores)
 
         for t in range(total_ticks):
-            if batch_workloads:
-                alpha = wl_alpha[t]
-                cpi_base = wl_cpi_base[t]
-                l1_mpki = wl_l1_mpki[t]
-                l2_mpki = wl_l2_mpki[t]
-            else:
-                for i, instance in enumerate(self.instances):
-                    sample = instance.advance()
-                    alpha[i] = sample.alpha
-                    cpi_base[i] = sample.cpi_base
-                    l1_mpki[i] = sample.l1_mpki
-                    l2_mpki[i] = sample.l2_mpki
-
             is_gpm_tick = self.tick % pics_per_gpm == 0
             if is_gpm_tick:
                 self._complete_window()
@@ -271,16 +256,8 @@ class Simulation:
                 np.abs(self.chip.island_frequency - previous_freq) > units.EPS
             )
 
-            result = self.chip.compute_interval(
-                alpha, cpi_base, l1_mpki, l2_mpki, dt, transitioned
-            )
-            if batch_workloads:
-                # Same per-tick IEEE adds as calling retire() every tick,
-                # just into an array; folded into the instances below.
-                instruction_totals += result.core_instructions
-            else:
-                for i, instance in enumerate(self.instances):
-                    instance.retire(float(result.core_instructions[i]))
+            result = self.chip.compute_interval(terms, t, dt, transitioned)
+            instruction_totals += result.core_instructions
 
             self._accumulate_window(result)
             self.telemetry.record(
@@ -290,9 +267,8 @@ class Simulation:
             self.tick += 1
             self.time_s += dt
 
-        if batch_workloads:
-            for i, instance in enumerate(self.instances):
-                instance.retire(float(instruction_totals[i]))
+        for instance, total in zip(self.instances, instruction_totals.tolist()):
+            instance.retire(total)
 
         self._complete_window()
         return SimulationResult(

@@ -183,11 +183,11 @@ class CPMScheme:
     def on_pic(self, sim) -> None:
         if sim.last_result is None:
             return  # nothing measured yet; hold the initial operating point
-        utilization = sim.last_result.island_utilization
+        # One conversion per tick rather than a float() per island.
+        setpoints = sim.setpoints.tolist()
+        utilization = sim.last_result.island_utilization.tolist()
         for island, controller in enumerate(self.controllers):
-            invocation = controller.invoke(
-                float(sim.setpoints[island]), float(utilization[island])
-            )
+            invocation = controller.invoke(setpoints[island], utilization[island])
             sim.chip.set_island_frequency(island, invocation.applied_frequency)
             sim.sensed_power[island] = invocation.sensed_power
 

@@ -100,8 +100,9 @@ class DynamicPowerModel:
         self.stall_activity = stall_activity
         self._shares = np.array([s.capacitance_share for s in STRUCTURES])
         self._gateable = np.array([s.gateable for s in STRUCTURES])
-        self._gate_share = float(self._shares[self._gateable].sum())
-        self._fixed_share = 1.0 - self._gate_share
+        #: Capacitance shares of the gateable and the always-on structures.
+        self.gate_share = float(self._shares[self._gateable].sum())
+        self.fixed_share = 1.0 - self.gate_share
 
     def core_activity(
         self, busy: float | np.ndarray, alpha: float | np.ndarray
@@ -131,7 +132,7 @@ class DynamicPowerModel:
         :meth:`core_activity` through the linear clock-gating floor.
         """
         activity = self.core_activity(busy, alpha)
-        effective = self._fixed_share + self._gate_share * (
+        effective = self.fixed_share + self.gate_share * (
             self.gating.effective_activity(activity)
         )
         if np.isscalar(busy) and np.isscalar(alpha):
@@ -144,16 +145,11 @@ class DynamicPowerModel:
         frequency_ghz: GigaHzLike,
         busy: float | np.ndarray,
         alpha: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Dynamic power in watts.  Accepts scalars or aligned arrays.
-
-        ``check=False`` skips input validation for callers that already
-        guarantee positive operating points (the simulator's inner loop).
-        """
+        """Dynamic power in watts.  Accepts scalars or aligned arrays."""
         v = np.asarray(voltage, dtype=float)
         f = np.asarray(frequency_ghz, dtype=float)
-        if check and (np.any(v <= 0) or np.any(f <= 0)):
+        if np.any(v <= 0) or np.any(f <= 0):
             raise ValueError("voltage and frequency must be positive")
         activity = self.activity_factor(busy, alpha)
         result = self.effective_capacitance * v**2 * f * activity

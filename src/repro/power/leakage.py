@@ -71,20 +71,14 @@ class LeakagePowerModel:
         voltage: VoltsLike,
         temperature_c: CelsiusLike = 60.0,
         process_multiplier: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Static power in watts.  Accepts scalars or aligned arrays.
-
-        ``check=False`` skips input validation for callers that already
-        guarantee positive inputs (the simulator's inner loop).
-        """
+        """Static power in watts.  Accepts scalars or aligned arrays."""
         v = np.asarray(voltage, dtype=float)
         m = np.asarray(process_multiplier, dtype=float)
-        if check:
-            if np.any(v <= 0):
-                raise ValueError("voltage must be positive")
-            if np.any(m <= 0):
-                raise ValueError("process multiplier must be positive")
+        if np.any(v <= 0):
+            raise ValueError("voltage must be positive")
+        if np.any(m <= 0):
+            raise ValueError("process multiplier must be positive")
         t = np.asarray(temperature_c, dtype=float)
         thermal = np.exp(self.thermal_beta * (t - self.nominal_temperature_c))
         result = (

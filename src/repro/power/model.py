@@ -78,17 +78,10 @@ class CorePowerModel:
         alpha: float | np.ndarray = 1.0,
         temperature_c: CelsiusLike = 60.0,
         leakage_multiplier: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Total core power in watts; scalar or vectorized over cores.
-
-        ``check=False`` forwards to both sub-models, skipping their input
-        validation (for the simulator's inner loop).
-        """
-        dyn = self.dynamic.power(voltage, frequency_ghz, busy, alpha, check=check)
-        stat = self.leakage.power(
-            voltage, temperature_c, leakage_multiplier, check=check
-        )
+        """Total core power in watts; scalar or vectorized over cores."""
+        dyn = self.dynamic.power(voltage, frequency_ghz, busy, alpha)
+        stat = self.leakage.power(voltage, temperature_c, leakage_multiplier)
         return dyn + stat
 
     def breakdown(

@@ -42,19 +42,32 @@ class RCThermalModel:
         value = self.config.ambient_c if temperature_c is None else temperature_c
         self.temperatures.fill(value)
 
-    def step(self, core_power_w: WattsArray, dt: Seconds) -> CelsiusArray:
-        """Advance ``dt`` seconds under per-core power; returns temperatures."""
-        p = np.asarray(core_power_w, dtype=float)
-        if p.shape != (self.n_cores,):
-            raise ValueError(f"need one power value per core ({self.n_cores})")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+    def check_dt(self, dt: Seconds) -> None:
+        """Raise unless ``dt`` is a usable explicit-Euler step."""
+        # "not > 0" also rejects NaN, which would poison every node.
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
         cfg = self.config
         stability_limit = cfg.heat_capacity_j_per_k * cfg.vertical_resistance_k_per_w
         if dt >= stability_limit:
             raise ValueError(
                 f"dt={dt} too large for explicit Euler (limit {stability_limit})"
             )
+
+    def step(
+        self, core_power_w: WattsArray, dt: Seconds, check: bool = True
+    ) -> CelsiusArray:
+        """Advance ``dt`` seconds under per-core power; returns temperatures.
+
+        ``check=False`` skips the shape and :meth:`check_dt` validation,
+        for the chip kernel, which validates both once per run.
+        """
+        p = np.asarray(core_power_w, dtype=float)
+        if check:
+            if p.shape != (self.n_cores,):
+                raise ValueError(f"need one power value per core ({self.n_cores})")
+            self.check_dt(dt)
+        cfg = self.config
         t = self.temperatures
         vertical = (t - cfg.ambient_c) / cfg.vertical_resistance_k_per_w
         lateral = (

@@ -157,12 +157,15 @@ def seconds_for_cycles(cycles: float, frequency_ghz: GigaHz) -> Seconds:
     return cycles / (frequency_ghz * GHZ_TO_HZ)
 
 
-def bips(instructions, seconds: SecondsLike) -> BipsLike:
+def bips(instructions, seconds: SecondsLike, check: bool = True) -> BipsLike:
     """Throughput in billions of instructions per second.
 
     Vectorized: either argument may be a scalar or a numpy array (aligned
     shapes), matching the per-core accounting in the simulator.
+    ``check=False`` skips the interval validation, for the chip kernel,
+    which validates its interval once per run.
     """
-    if np.any(np.asarray(seconds) <= 0.0):
+    # Written as "not > 0" so a NaN interval is rejected too.
+    if check and not np.all(np.asarray(seconds) > 0.0):
         raise ValueError(f"interval must be positive, got {seconds}")
     return instructions / seconds / 1e9

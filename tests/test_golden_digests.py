@@ -1,0 +1,147 @@
+"""Golden telemetry digests: the "same behaviour" oracle.
+
+A small matrix of platform × scheme × DVFS mode is simulated for a few
+GPM windows at a fixed seed, and every telemetry series (plus the run's
+total instruction count) is hashed with SHA-256.  The committed digests
+in ``tests/golden/telemetry_digests.json`` pin the simulator bit for bit:
+a refactor that claims to keep behaviour must leave them unchanged, and a
+change that moves them must say so.
+
+The file records the numpy version it was made with.  ``exp`` and
+``pow`` may round differently across numpy releases, so on any other
+version the comparison is skipped rather than failed.
+
+Regenerate (only when a behaviour change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden_digests.py --write
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.baselines.maxbips import MaxBIPSScheme
+from repro.baselines.no_management import NoManagementScheme
+from repro.cmpsim.simulator import Simulation
+from repro.config import DEFAULT_CONFIG, DVFSConfig
+from repro.core.cpm import CPMScheme
+from repro.faults import FaultWindow, TransientSensorDropout, inject
+from repro.resilience import GuardedCPMScheme
+
+__all__ = ["GOLDEN_PATH", "compute_digests"]
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "telemetry_digests.json"
+GOLDEN_SEED = 2010
+GOLDEN_WINDOWS = 5
+BUDGET = 0.8
+SHAPES = {"8c4i": (8, 4), "32c8i": (32, 8)}
+DVFS_MODES = ("continuous", "quantized")
+
+
+def _guarded_under_dropout(config):
+    ticks_per_window = config.control.pics_per_gpm
+    fault = TransientSensorDropout(
+        island=1,
+        window=FaultWindow(2 * ticks_per_window, 3 * ticks_per_window),
+    )
+    return inject(GuardedCPMScheme(), fault)
+
+
+SCHEMES = {
+    "cpm": lambda config: CPMScheme(),
+    "maxbips": lambda config: MaxBIPSScheme(),
+    "none": lambda config: NoManagementScheme(),
+    "cpm-guarded-dropout": _guarded_under_dropout,
+}
+
+
+def _sha256(arr: np.ndarray) -> str:
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}|{arr.shape}|".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _run_digests(config, make_scheme) -> dict[str, str]:
+    result = Simulation(
+        config, make_scheme(config), budget_fraction=BUDGET, seed=GOLDEN_SEED
+    ).run(GOLDEN_WINDOWS)
+    digests = {
+        key: _sha256(values)
+        for key, values in sorted(result.telemetry.finalize().items())
+    }
+    digests["total_instructions"] = _sha256(
+        np.array(result.total_instructions, dtype=float)
+    )
+    return digests
+
+
+def _cases():
+    for shape, (cores, islands) in SHAPES.items():
+        base = DEFAULT_CONFIG.with_islands(cores, islands)
+        for mode in DVFS_MODES:
+            config = dataclasses.replace(base, dvfs=DVFSConfig(mode=mode))
+            for scheme, make_scheme in SCHEMES.items():
+                yield f"{shape}/{scheme}/{mode}", config, make_scheme
+
+
+def compute_digests() -> dict[str, dict[str, str]]:
+    """Digests of every case in the matrix, keyed ``shape/scheme/mode``."""
+    return {
+        case: _run_digests(config, make_scheme)
+        for case, config, make_scheme in _cases()
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    stored = json.loads(GOLDEN_PATH.read_text())
+    if stored["numpy_version"] != np.__version__:
+        pytest.skip(
+            f"golden digests were made with numpy {stored['numpy_version']}; "
+            f"this is numpy {np.__version__}, whose exp/pow bits may differ"
+        )
+    return stored
+
+
+def test_golden_file_covers_the_matrix():
+    stored = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(stored["runs"]) == sorted(case for case, _, _ in _cases())
+    assert stored["seed"] == GOLDEN_SEED
+    assert stored["gpm_windows"] == GOLDEN_WINDOWS
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in _cases()])
+def test_telemetry_matches_golden_digests(golden, case):
+    config, make_scheme = next(
+        (config, make) for name, config, make in _cases() if name == case
+    )
+    assert _run_digests(config, make_scheme) == golden["runs"][case]
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--write"]:
+        print(__doc__)
+        return 2
+    payload = {
+        "numpy_version": np.__version__,
+        "seed": GOLDEN_SEED,
+        "gpm_windows": GOLDEN_WINDOWS,
+        "budget_fraction": BUDGET,
+        "runs": compute_digests(),
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(payload['runs'])} runs to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -47,13 +47,13 @@ class TestChipInvariants:
         for i in range(n_islands):
             chip.set_island_frequency(i, freqs[i % len(freqs)])
         alpha, cpi, l1, l2 = wl
-        result = chip.compute_interval(
+        terms = chip.workload_terms(
             np.full(n_cores, alpha),
             np.full(n_cores, cpi),
             np.full(n_cores, l1),
             np.full(n_cores, l2),
-            dt=5e-4,
         )
+        result = chip.compute_interval(terms, 0, dt=5e-4)
         # Conservation: chip = sum(islands) + uncore.
         assert result.chip_power_w == pytest.approx(
             result.island_power_w.sum() + chip.uncore_power_w, rel=1e-9
@@ -83,8 +83,8 @@ class TestChipInvariants:
         for i in range(n_islands):
             lo_chip.set_island_frequency(i, 1.0)
             hi_chip.set_island_frequency(i, 1.8)
-        lo = lo_chip.compute_interval(*args, dt=5e-4)
-        hi = hi_chip.compute_interval(*args, dt=5e-4)
+        lo = lo_chip.compute_interval(lo_chip.workload_terms(*args), 0, dt=5e-4)
+        hi = hi_chip.compute_interval(hi_chip.workload_terms(*args), 0, dt=5e-4)
         assert hi.chip_power_w > lo.chip_power_w
         assert hi.chip_bips >= lo.chip_bips
 

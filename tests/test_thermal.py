@@ -108,6 +108,14 @@ class TestRCModel:
         with pytest.raises(ValueError):
             m.step(np.zeros(4), dt=1.0)  # way past the Euler limit
 
+    @pytest.mark.parametrize("dt", [0.0, -5e-4, float("nan")])
+    def test_nonpositive_or_nan_dt_rejected(self, dt):
+        """A NaN step raises rather than turning every node NaN."""
+        m = self.model()
+        with pytest.raises(ValueError):
+            m.step(np.full(4, 10.0), dt=dt)
+        np.testing.assert_allclose(m.temperatures, 45.0)
+
     def test_shape_validation(self):
         m = self.model()
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Unit-conversion helpers."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -39,3 +40,9 @@ def test_invalid_frequency_rejected(bad):
 def test_bips_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
         units.bips(1e9, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), np.array([5e-4, float("nan")])])
+def test_bips_rejects_nan_interval(bad):
+    with pytest.raises(ValueError):
+        units.bips(1.0, bad)

@@ -114,15 +114,42 @@ class TestReplayBlock:
             )
 
 
+class PerTickOnly:
+    """A workload instance without ``advance_block``: the simulator must
+    build its block from one ``advance()`` call per tick."""
+
+    def __init__(self, instance) -> None:
+        self._instance = instance
+
+    def advance(self):
+        return self._instance.advance()
+
+    def retire(self, instructions: float) -> None:
+        self._instance.retire(instructions)
+
+    @property
+    def instructions_retired(self) -> float:
+        return self._instance.instructions_retired
+
+
+def per_tick_sim(scheme, cores=None, **kwargs) -> Simulation:
+    """A simulation whose instances (all, or the listed cores) only
+    support per-tick ``advance()``."""
+    sim = Simulation(DEFAULT_CONFIG, scheme, **kwargs)
+    sim.instances = [
+        PerTickOnly(inst) if cores is None or i in cores else inst
+        for i, inst in enumerate(sim.instances)
+    ]
+    return sim
+
+
 class TestSimulationBatching:
     @pytest.mark.parametrize("scheme_factory", [CPMScheme, NoManagementScheme])
     def test_batched_run_bit_identical(self, scheme_factory):
-        serial = Simulation(
-            DEFAULT_CONFIG, scheme_factory(), budget_fraction=0.8, seed=13
-        ).run(6, batch_workloads=False)
+        serial = per_tick_sim(scheme_factory(), budget_fraction=0.8, seed=13).run(6)
         batched = Simulation(
             DEFAULT_CONFIG, scheme_factory(), budget_fraction=0.8, seed=13
-        ).run(6, batch_workloads=True)
+        ).run(6)
         for name in serial.telemetry._SERIES:
             np.testing.assert_array_equal(
                 serial.telemetry[name],
@@ -132,21 +159,19 @@ class TestSimulationBatching:
         assert serial.total_instructions == batched.total_instructions
 
     def test_batched_retires_identical_instruction_counts(self):
-        serial = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=13)
+        serial = per_tick_sim(CPMScheme(), seed=13)
         batched = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=13)
-        serial.run(4, batch_workloads=False)
-        batched.run(4, batch_workloads=True)
+        serial.run(4)
+        batched.run(4)
         for s, b in zip(serial.instances, batched.instances):
             assert s.instructions_retired == b.instructions_retired
 
-    def test_auto_batching_matches_forced(self):
-        auto = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=1).run(4)
-        forced = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=1).run(
-            4, batch_workloads=True
-        )
+    def test_mixed_instances_match_batched(self):
+        mixed = per_tick_sim(CPMScheme(), cores={0, 3, 5}, seed=1).run(4)
+        batched = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=1).run(4)
         np.testing.assert_array_equal(
-            auto.telemetry["chip_power_frac"],
-            forced.telemetry["chip_power_frac"],
+            mixed.telemetry["chip_power_frac"],
+            batched.telemetry["chip_power_frac"],
         )
 
 
