@@ -3,7 +3,9 @@
 Measures the wall-clock cost of one simulated PIC tick (µs per tick,
 best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i, and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
-parallel (fresh cache), and warm parallel (cache hits).
+parallel (fresh cache), cold parallel with a per-run deadline
+(``timeout_s``, which should cost no more than without), and warm
+parallel (cache hits).
 
 Writes ``BENCH_runtime.json`` at the repo root (``--out`` overrides).
 The host CPU count is recorded in the output: on single-core runners the
@@ -104,7 +106,7 @@ def bench_configs(n_gpm: int, repeats: int) -> list[dict]:
 
 
 def bench_sweep(n_gpm: int, jobs: int) -> dict:
-    """Time a 4-point budget sweep three ways; pooled vs serial."""
+    """Time a 4-point budget sweep four ways; pooled vs serial."""
     requests = [
         RunRequest(
             config=DEFAULT_CONFIG,
@@ -120,6 +122,13 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
         cold_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
         warm_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
+    with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
+        supervised_s = _time(
+            lambda: run_many(
+                requests, jobs=jobs, cache_dir=cache, timeout_s=600.0
+            ),
+            1,
+        )
 
     out = {
         "budgets": list(SWEEP_BUDGETS),
@@ -127,6 +136,7 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
         "jobs": jobs,
         "runner_serial_s": round(serial_s, 4),
         f"runner_jobs{jobs}_cold_s": round(cold_s, 4),
+        f"runner_jobs{jobs}_supervised_cold_s": round(supervised_s, 4),
         f"runner_jobs{jobs}_warm_s": round(warm_s, 4),
         f"speedup_jobs{jobs}_cold_vs_serial": round(serial_s / cold_s, 2),
         f"speedup_jobs{jobs}_warm_vs_serial": round(serial_s / warm_s, 2),
@@ -134,6 +144,7 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
     print(
         f"sweep ({len(SWEEP_BUDGETS)} budgets): serial {serial_s:.3f}s, "
         f"jobs={jobs} cold {cold_s:.3f}s ({serial_s / cold_s:.2f}x), "
+        f"supervised cold {supervised_s:.3f}s, "
         f"warm {warm_s:.3f}s ({serial_s / warm_s:.2f}x)"
     )
     return out
@@ -168,6 +179,9 @@ def main(argv=None) -> int:
             "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
             "this host; with cpu_count=1 the pool adds no parallelism and "
             "the warm gain comes from the result cache.",
+            "runner_jobsN_supervised_cold_s is the cold sweep with "
+            "timeout_s=600: a deadline only changes the failure policy on "
+            "the same worker pool, so it should read like the cold line.",
         ],
     }
     out_path = pathlib.Path(args.out)

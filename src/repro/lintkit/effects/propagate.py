@@ -13,7 +13,7 @@ Three roots anchor three guarantees:
 * **simulation** (``Simulation.run``) — simulation purity: no hidden
   I/O or wall-clock reads may influence seeded results (EFF003).
 * **parallel** (``runner._execute``, ``runner._calibrate``,
-  ``runner._supervised_worker``) —
+  ``runner._worker_loop``) —
   parallel safety: no shared module state may be mutated inside a
   worker (EFF001).
 * **cache** (``Simulation.__init__`` + ``Simulation.run``) — cache-key
@@ -117,7 +117,7 @@ ROOTS: tuple[Root, ...] = (
         suffixes=(
             "runner._execute",
             "runner._calibrate",
-            "runner._supervised_worker",
+            "runner._worker_loop",
         ),
         kinds=frozenset({"global-write"}),
     ),

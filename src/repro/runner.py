@@ -5,15 +5,17 @@ Every figure in the paper is a sweep of mutually independent
 schemes × seeds).  This module gives the sweep layer four things the
 serial loops it replaces did not have:
 
-* :func:`run_many` — fan a list of :class:`RunRequest`\\ s over a process
-  pool, with results returned **in request order** regardless of worker
-  scheduling.  Determinism is unchanged: every run's randomness is fixed
-  by its request's seed, so ``jobs=4`` returns bit-identical results to
-  ``jobs=1``.
-* a calibration wave — before a pooled sweep fans out, every distinct
-  default calibration its runs need (one per platform, mix and seed) is
-  computed once, in parallel, and passed to each run explicitly, so
-  workers never repeat the paper's offline calibration step.
+* :func:`run_many` — run a list of :class:`RunRequest`\\ s on a pool of
+  long-lived worker processes (or in this process), with results
+  returned **in request order** regardless of worker scheduling, under
+  one failure policy: per-run deadlines, retry of crashed runs, and
+  quarantine of failed ones.  Determinism is unchanged: every run's
+  randomness is fixed by its request's seed, so ``jobs=4`` returns
+  bit-identical results to ``jobs=1``.
+* a calibration wave — before the runs, every distinct default
+  calibration they need (one per platform, mix and seed) is computed
+  once and passed to each run explicitly, so workers never repeat the
+  paper's offline calibration step.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
   name + parameters, budget, seed, horizon).  The cache is shared across
@@ -31,6 +33,7 @@ corrupt or truncated entry is deleted and recomputed, never crashed on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import multiprocessing
@@ -40,7 +43,6 @@ import pickle
 import time
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable, Sequence
@@ -94,10 +96,6 @@ class RunRequest:
     budget_fraction: PowerFraction = 0.8
     seed: int = DEFAULT_SEED
     n_gpm_intervals: int = 25
-    #: Overrides the scheme identity in the cache key.  Set this when the
-    #: factory's introspected parameters do not capture everything that
-    #: matters (or to share cache entries between equivalent factories).
-    scheme_key: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.budget_fraction <= 1.0:
@@ -168,17 +166,12 @@ def describe_scheme(factory: Callable[[], PowerScheme]) -> str:
 
 def cache_key(request: RunRequest) -> str:
     """Content hash of everything that determines the run's outcome."""
-    scheme_desc = (
-        request.scheme_key
-        if request.scheme_key is not None
-        else describe_scheme(request.scheme_factory)
-    )
     payload = "|".join(
         (
             f"v{CACHE_VERSION}",
             _stable(request.config),
             _stable(request.mix),
-            scheme_desc,
+            describe_scheme(request.scheme_factory),
             repr(float(request.budget_fraction)),
             repr(int(request.seed)),
             repr(int(request.n_gpm_intervals)),
@@ -285,12 +278,15 @@ def _execute(
     request: RunRequest,
     cache_dir: str | pathlib.Path | None,
     calibration: Calibration | None = None,
+    scheme: PowerScheme | None = None,
 ) -> SimulationResult:
     """Run one request, consulting the cache (worker-side entry point).
 
     ``calibration`` is the request's default calibration, computed by
     the sweep's calibration wave; without it the scheme calibrates (or
-    hits the in-process memo) when it binds.
+    hits the in-process memo) when it binds.  ``scheme`` is the
+    request's scheme if the caller already built it, so an in-process
+    sweep calls each factory once per run.
     """
     directory = resolve_cache_dir(cache_dir)
     key = cache_key(request) if directory is not None else None
@@ -298,7 +294,8 @@ def _execute(
         cached = _cache_load(directory, key)
         if cached is not None:
             return cached
-    scheme = request.scheme_factory()
+    if scheme is None:
+        scheme = request.scheme_factory()
     if calibration is not None:
         assert isinstance(scheme, CalibratedScheme)
         scheme.use_calibration(calibration)
@@ -322,17 +319,21 @@ def _calibrate(point: CalibrationPoint) -> Calibration:
 
 def _calibration_points(
     requests: Sequence[RunRequest],
+    schemes: Sequence[PowerScheme] | None = None,
 ) -> dict[CalibrationPoint, list[int]]:
     """The distinct default calibrations ``requests`` need, each mapped to
     the positions of the requests that need it.
 
     Only schemes that would calibrate in ``bind`` declare a point: a
     scheme built with an explicit calibration, or one that never
-    calibrates (MaxBIPS, no management), needs none.
+    calibrates (MaxBIPS, no management), needs none.  ``schemes`` are
+    the requests' schemes if already built.
     """
     points: dict[CalibrationPoint, list[int]] = {}
     for position, request in enumerate(requests):
-        scheme = request.scheme_factory()
+        scheme = (
+            request.scheme_factory() if schemes is None else schemes[position]
+        )
         if not isinstance(scheme, CalibratedScheme):
             continue
         point = scheme.calibration_point(
@@ -375,7 +376,7 @@ def _picklable(requests: Sequence[RunRequest]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Hardened execution: timeouts, retry, quarantine
+# Executors and the failure policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunFailure:
@@ -398,165 +399,184 @@ def _retry_backoff_s(attempt: int) -> float:
     return min(0.05 * (2.0 ** attempt), 0.5)
 
 
-def _supervised_worker(conn, task: Callable, args: tuple) -> None:
-    """Entry point of one supervised worker process."""
-    try:
-        result = task(*args)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
+#: One finished task, as an executor reports it: (task index, kind,
+#: value, message).  ``kind`` is ``"ok"`` (value: the result), ``"error"``
+#: (value: the exception raised), ``"crash"`` or ``"timeout"``.
+_Outcome = tuple[int, str, Any, str]
+
+
+class _InProcess:
+    """Runs each task in this process as it is submitted: the executor
+    for ``jobs=1``, a lone unsupervised miss, and requests that cannot
+    be pickled."""
+
+    slots = 1
+
+    def __init__(self) -> None:
+        self._done: list[_Outcome] = []
+
+    def submit(self, index: int, task: Callable, args: tuple) -> None:
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # lint: ignore[CTL002] - pipe gone; exit = crash
-            pass
-    finally:
-        conn.close()
+            outcome = (index, "ok", task(*args), "")
+        except Exception as exc:  # noqa: BLE001 - the failure policy decides
+            outcome = (index, "error", exc, f"{type(exc).__name__}: {exc}")
+        self._done.append(outcome)
+
+    def collect(self) -> list[_Outcome]:
+        done, self._done = self._done, []
+        return done
+
+    def close(self) -> None:
+        pass
 
 
-def _run_supervised(
-    tasks: dict[int, tuple[Callable, tuple]],
-    n_workers: int,
-    timeout_s: float | None,
-    retries: int,
-    on_error: str,
-    failures: list[RunFailure],
-    label: str = "request",
-) -> dict[int, Any]:
-    """Run ``tasks`` (index -> (function, args)) in supervised processes.
-
-    Unlike the :class:`ProcessPoolExecutor` fast path this owns each
-    worker process directly, so a hung task can be ``terminate()``d on
-    deadline and a crashed one relaunched — an executor would poison the
-    whole pool instead (``BrokenProcessPool`` aborts every pending
-    future).  Returns the results by index; appends a
-    :class:`RunFailure` per abandoned task.  ``label`` names what a task
-    index counts in error messages.
-    """
-    ctx = multiprocessing.get_context()
-    queue = deque(tasks)
-    attempts = {i: 0 for i in tasks}
-    results: dict[int, Any] = {}
-    #: reader-connection -> (task index, process, deadline or None)
-    active: dict = {}
-
-    def launch(index: int) -> None:
-        reader, writer = ctx.Pipe(duplex=False)
-        task, args = tasks[index]
-        proc = ctx.Process(
-            target=_supervised_worker, args=(writer, task, args), daemon=True
-        )
-        proc.start()
-        writer.close()
-        attempts[index] += 1
-        deadline = None
-        if timeout_s is not None:
-            deadline = time.monotonic() + timeout_s  # lint: ignore[DET003]
-        active[reader] = (index, proc, deadline)
-
-    def reap(reader) -> None:
-        index, proc, _ = active.pop(reader)
-        proc.join(timeout=1.0)
-        if proc.is_alive():  # pragma: no cover - stuck in interpreter exit
-            proc.kill()
-            proc.join()
-        reader.close()
-
-    def settle(index: int, kind: str, message: str) -> None:
-        """A task failed for good, or goes back for another attempt."""
-        retryable = kind in ("crash", "timeout") and attempts[index] <= retries
-        if retryable:
-            time.sleep(_retry_backoff_s(attempts[index] - 1))
-            queue.append(index)
-            return
-        failure = RunFailure(
-            index=index, kind=kind, attempts=attempts[index], message=message
-        )
-        if on_error == "raise":
-            for other_reader, (_, proc, _) in list(active.items()):
-                proc.terminate()
-                reap(other_reader)
-            raise RuntimeError(
-                f"run_many: {label} {index} failed ({kind}) after "
-                f"{attempts[index]} attempt(s): {message or 'no detail'}"
-            )
-        failures.append(failure)
-
-    while queue or active:
-        while queue and len(active) < n_workers:
-            launch(queue.popleft())
-        if not active:
-            continue
-        wait_s = 0.1
-        if timeout_s is not None:
-            now = time.monotonic()  # lint: ignore[DET003]
-            soonest = min(d for (_, _, d) in active.values() if d is not None)
-            wait_s = max(0.0, min(wait_s, soonest - now))
-        ready = mp_connection.wait(list(active), timeout=wait_s)
-        for reader in ready:
-            index, proc, _ = active[reader]
+def _worker_loop(conn) -> None:
+    """Entry point of one pool worker: run ``(task, args)`` messages from
+    ``conn`` until the stop message (None), replying ``(kind, value,
+    message)`` to each."""
+    with conn, contextlib.suppress(EOFError):  # EOF: the parent is gone
+        for task, args in iter(conn.recv, None):
             try:
-                status, payload = reader.recv()
+                reply = ("ok", task(*args), "")
+            except Exception as exc:  # noqa: BLE001 - the parent decides
+                message = f"{type(exc).__name__}: {exc}"
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # lint: ignore[ROB001] - sent as its message
+                    exc = RuntimeError(message)
+                reply = ("error", exc, message)
+            conn.send(reply)
+
+
+class _Pool:
+    """Up to ``slots`` long-lived worker processes, started on demand and
+    fed one task at a time by pipe.
+
+    The parent watches every busy worker with one ``wait``: a crash
+    reads as end-of-file, an overdue task gets its worker terminated.
+    Only such a worker is replaced.  :meth:`close` has healthy workers
+    return from :func:`_worker_loop`, so their exit handlers run.
+    """
+
+    def __init__(self, slots: int, timeout_s: float | None) -> None:
+        self.slots = slots
+        self._timeout_s = timeout_s
+        self._idle: list[tuple[Any, Any]] = []  # (process, connection)
+        #: connection -> (process, task index, deadline or None)
+        self._busy: dict[Any, tuple[Any, int, float | None]] = {}
+
+    def submit(self, index: int, task: Callable, args: tuple) -> None:
+        if self._idle:
+            proc, conn = self._idle.pop()
+        else:
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_worker_loop, args=(child,), daemon=True
+            )
+            proc.start()
+            child.close()
+        deadline = None
+        if self._timeout_s is not None:
+            deadline = time.monotonic() + self._timeout_s  # lint: ignore[DET003]
+        with contextlib.suppress(OSError):  # died idle: reads as a crash
+            conn.send((task, args))
+        self._busy[conn] = (proc, index, deadline)
+
+    def collect(self) -> list[_Outcome]:
+        """Wait for finished or overdue tasks and report each one."""
+        wait_s = None
+        if self._timeout_s is not None:
+            soonest = min(d for _, _, d in self._busy.values())
+            wait_s = max(0.0, soonest - time.monotonic())  # lint: ignore[DET003]
+        done: list[_Outcome] = []
+        for conn in mp_connection.wait(list(self._busy), wait_s):
+            proc, index, _ = self._busy.pop(conn)
+            try:
+                done.append((index, *conn.recv()))
+                self._idle.append((proc, conn))
             except (EOFError, OSError):
-                reap(reader)
-                settle(index, "crash", f"worker exited with {proc.exitcode}")
-                continue
-            reap(reader)
-            if status == "ok":
-                results[index] = payload
-            else:
-                settle(index, "error", str(payload))
-        if timeout_s is not None:
+                _reap(proc, conn)
+                message = f"worker exited with {proc.exitcode}"
+                done.append((index, "crash", None, message))
+        if self._timeout_s is not None:
             now = time.monotonic()  # lint: ignore[DET003]
-            for reader, (index, proc, deadline) in list(active.items()):
-                if deadline is not None and now >= deadline:
+            for conn, (proc, index, deadline) in list(self._busy.items()):
+                if now >= deadline:
+                    del self._busy[conn]
                     proc.terminate()
-                    reap(reader)
-                    settle(
-                        index, "timeout", f"exceeded {timeout_s:g}s deadline"
-                    )
-    return results
+                    _reap(proc, conn)
+                    message = f"exceeded {self._timeout_s:g}s deadline"
+                    done.append((index, "timeout", None, message))
+        return done
+
+    def close(self) -> None:
+        """Terminate workers whose tasks were abandoned; stop the rest."""
+        for conn, (proc, _, _) in self._busy.items():
+            proc.terminate()
+            _reap(proc, conn)
+        for _, conn in self._idle:
+            with contextlib.suppress(OSError):  # already gone
+                conn.send(None)
+        for proc, conn in self._idle:
+            _reap(proc, conn)
 
 
-def _calibrate_supervised(
-    points: dict[CalibrationPoint, list[int]],
-    pending: Sequence[int],
-    n_workers: int,
-    timeout_s: float | None,
+def _reap(proc, conn) -> None:
+    """Join a worker that is exiting (killing it if it hangs there)."""
+    proc.join(timeout=5.0)
+    if proc.is_alive():  # pragma: no cover - stuck in interpreter exit
+        proc.kill()
+        proc.join()
+    conn.close()
+
+
+def _run_tasks(
+    executor: _InProcess | _Pool,
+    tasks: dict[int, tuple[Callable, tuple]],
     retries: int,
     on_error: str,
     failures: list[RunFailure],
-) -> dict[int, Calibration]:
-    """The hardened calibration wave: each point once, supervised.
+    label: str,
+) -> dict[int, Any]:
+    """Run ``tasks`` (index -> (function, args)) on ``executor`` under the
+    one failure policy; return the results by index.
 
-    Returns the calibration for each pending position whose point was
-    computed.  A point given up on becomes one :class:`RunFailure` (same
-    kind and attempts) for each request that needed it.
+    A crashed or timed-out task goes back in the queue, after a backoff,
+    until it has had ``retries`` retries.  A task given up on appends a
+    :class:`RunFailure` to ``failures`` under ``on_error="quarantine"``.
+    Under ``"raise"`` a task that raised re-raises its own exception,
+    and a crash or timeout raises a RuntimeError naming the ``label``,
+    index, kind and attempts.
     """
-    point_failures: list[RunFailure] = []
-    solved = _run_supervised(
-        {k: (_calibrate, (point,)) for k, point in enumerate(points)},
-        n_workers,
-        timeout_s,
-        retries,
-        on_error,
-        point_failures,
-        label="calibration",
-    )
-    users = list(points.values())
-    for failure in point_failures:
-        for position in users[failure.index]:
-            failures.append(
-                dataclasses.replace(
-                    failure,
-                    index=pending[position],
-                    message=f"calibration failed: {failure.message}",
+    queue = deque(tasks)
+    attempts = dict.fromkeys(tasks, 0)
+    results: dict[int, Any] = {}
+    running = 0
+    while queue or running:
+        while queue and running < executor.slots:
+            index = queue.popleft()
+            attempts[index] += 1
+            executor.submit(index, *tasks[index])
+            running += 1
+        for index, kind, value, message in executor.collect():
+            running -= 1
+            if kind == "ok":
+                results[index] = value
+            elif kind != "error" and attempts[index] <= retries:
+                time.sleep(_retry_backoff_s(attempts[index] - 1))
+                queue.append(index)
+            elif on_error == "quarantine":
+                failures.append(
+                    RunFailure(index, kind, attempts[index], message)
                 )
-            )
-    return {
-        position: solved[k]
-        for k, positions in enumerate(users)
-        if k in solved
-        for position in positions
-    }
+            elif kind == "error":
+                raise value
+            else:
+                raise RuntimeError(
+                    f"run_many: {label} {index} failed ({kind}) after "
+                    f"{attempts[index]} attempt(s): {message}"
+                )
+    return results
 
 
 def run_many(
@@ -572,42 +592,38 @@ def run_many(
     """Execute independent runs, returning results in request order.
 
     ``jobs`` is the number of worker processes (``None``/``0`` = all
-    usable cores, ``1`` = serial in-process).  Results are bit-identical
+    usable cores, ``1`` = in this process).  Results are bit-identical
     across ``jobs`` settings: each run's outcome is a pure function of
     its request.  ``cache_dir`` enables the on-disk result cache (the
     string ``"auto"`` resolves via :func:`resolve_cache_dir`); workers
     share it, so duplicate requests in one sweep cost one simulation.
 
-    Requests that cannot be pickled (e.g. lambda scheme factories) are
-    executed serially with a warning rather than failing.
+    Every sweep follows one plan on one executor (this process, or a
+    pool of ``min(jobs, misses)`` long-lived workers): resolve cache hits
+    here, so a fully-warm sweep never starts a worker; compute each
+    distinct default calibration the misses need once (the *calibration
+    wave*) and hand it to each run; run the misses.  Requests that
+    cannot be pickled (e.g. lambda scheme factories) run in this process
+    with a warning rather than failing.
 
-    Cache hits are resolved in the calling process before any workers
-    start, so a fully-warm sweep never pays process-pool startup and a
-    partially-warm one only fans out the misses.
-
-    With worker processes, the misses first go through a *calibration
-    wave*: every distinct default calibration they need is computed
-    once, in parallel, and handed to each run explicitly, so no worker
-    recalibrates a point another already did.  The serial path relies
-    on the in-process calibration memo instead.
-
-    Hardening (all off by default — the fast executor path is unchanged
-    when none are requested):
+    One failure policy covers both executors.  A deadline, a retry or
+    quarantine sends even a single miss to a worker when ``jobs > 1``:
 
     * ``timeout_s`` — per-run wall-clock deadline; a run past it is
-      terminated.  Needs worker processes, so it is not enforced on the
-      serial path (a warning is emitted if it would be ignored).  Each
+      terminated.  Needs worker processes, so it is not enforced in
+      this process (a warning is emitted if it would be ignored).  Each
       calibration of the wave gets the same deadline.
     * ``retries`` — how many times a crashed or timed-out run is
       relaunched (with bounded exponential backoff) before being given
       up on.  Runs that merely *raise* are not retried: the simulator is
       deterministic, so a clean exception would only repeat.
     * ``on_error`` — ``"raise"`` (default) aborts the sweep on the first
-      abandoned request; ``"quarantine"`` records a
-      :class:`RunFailure` in ``failures``, leaves ``None`` in that
-      result slot, and keeps going, so one poisoned request no longer
-      costs the whole sweep.  A calibration given up on is a failure of
-      every request that needed it.
+      abandoned request with the run's own exception (a RuntimeError
+      with its message if it cannot be pickled), or a RuntimeError for
+      a crash or timeout; ``"quarantine"`` records a :class:`RunFailure`
+      in ``failures``, leaves ``None`` in that result slot, and keeps
+      going.  A calibration given up on is a failure of every request
+      that needed it.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
@@ -617,93 +633,71 @@ def run_many(
         raise ValueError("timeout_s must be positive")
     if failures is None:
         failures = []
-    hardened = (
-        timeout_s is not None or retries > 0 or on_error == "quarantine"
-    )
     request_list = list(requests)
-    n_jobs = resolve_jobs(jobs)
-    results: list[SimulationResult | None] = [None] * len(request_list)
-    pending = list(range(len(request_list)))
     directory = resolve_cache_dir(cache_dir)
-    if directory is not None:
-        pending = []
-        for i, request in enumerate(request_list):
-            cached = _cache_load(directory, cache_key(request))
-            if cached is not None:
-                results[i] = cached
-            else:
-                pending.append(i)
+    results: list[SimulationResult | None] = [
+        None if directory is None else _cache_load(directory, cache_key(r))
+        for r in request_list
+    ]
+    pending = [i for i, result in enumerate(results) if result is None]
     pending_requests = [request_list[i] for i in pending]
-    if (
-        n_jobs > 1
-        and len(pending_requests) > 1
-        and not _picklable(pending_requests)
-    ):
+    n_jobs = resolve_jobs(jobs)
+    supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
+    in_process = n_jobs <= 1 or (len(pending) <= 1 and not supervised)
+    if not in_process and not _picklable(pending_requests):
         warnings.warn(
             "run_many: requests are not picklable (lambda or local scheme "
             "factory?); falling back to serial execution",
             RuntimeWarning,
             stacklevel=2,
         )
-        n_jobs = 1
-    serial = n_jobs <= 1 or (len(pending_requests) <= 1 and not hardened)
-    n_workers = min(n_jobs, len(pending_requests))
-    points = {} if serial else _calibration_points(pending_requests)
-    if serial:
-        if timeout_s is not None:
-            warnings.warn(
-                "run_many: timeout_s requires jobs > 1; running serially "
-                "without a deadline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        for i in pending:
-            if on_error == "quarantine":
-                try:
-                    results[i] = _execute(request_list[i], cache_dir)
-                except Exception as exc:  # noqa: BLE001 - quarantined
-                    failures.append(
-                        RunFailure(
-                            index=i,
-                            kind="error",
-                            attempts=1,
-                            message=f"{type(exc).__name__}: {exc}",
-                        )
+        in_process = True
+    if in_process and timeout_s is not None:
+        warnings.warn(
+            "run_many: timeout_s requires jobs > 1; running serially "
+            "without a deadline",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    schemes = [request.scheme_factory() for request in pending_requests]
+    points = _calibration_points(pending_requests, schemes)
+    point_of = {p: k for k, ps in enumerate(points.values()) for p in ps}
+    executor = (
+        _InProcess() if in_process else _Pool(min(n_jobs, len(pending)), timeout_s)
+    )
+    try:
+        point_failures: list[RunFailure] = []
+        solved = _run_tasks(
+            executor,
+            {k: (_calibrate, (point,)) for k, point in enumerate(points)},
+            retries, on_error, point_failures, "calibration",
+        )
+        failed = {f.index: f for f in point_failures}
+        tasks: dict[int, tuple[Callable, tuple]] = {}
+        for p, i in enumerate(pending):
+            k = point_of.get(p)
+            if k in failed:
+                failures.append(
+                    dataclasses.replace(
+                        failed[k],
+                        index=i,
+                        message=f"calibration failed: {failed[k].message}",
                     )
+                )
             else:
-                results[i] = _execute(request_list[i], cache_dir)
-    elif hardened:
-        calibrations = _calibrate_supervised(
-            points, pending, n_workers, timeout_s, retries, on_error, failures
+                # A worker builds its own scheme from the pickled factory.
+                scheme = schemes[p] if in_process else None
+                tasks[i] = (
+                    _execute,
+                    (request_list[i], cache_dir, solved.get(k), scheme),
+                )
+        computed = _run_tasks(
+            executor, tasks, retries, on_error, failures, "request"
         )
-        needed = {p for positions in points.values() for p in positions}
-        tasks = {
-            pending[p]: (_execute, (request, cache_dir, calibrations.get(p)))
-            for p, request in enumerate(pending_requests)
-            if p in calibrations or p not in needed
-        }
-        computed = _run_supervised(
-            tasks, n_workers, timeout_s, retries, on_error, failures
-        )
-        for i, result in computed.items():
-            results[i] = result
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            wave: list[Calibration | None] = [None] * len(pending_requests)
-            for positions, calibration in zip(
-                points.values(), pool.map(_calibrate, points)
-            ):
-                for p in positions:
-                    wave[p] = calibration
-            # map() preserves input order regardless of completion order.
-            in_order = pool.map(
-                _execute,
-                pending_requests,
-                [cache_dir] * len(pending_requests),
-                wave,
-            )
-            for i, result in zip(pending, in_order):
-                results[i] = result
+    finally:
+        executor.close()
+    for i, result in computed.items():
+        results[i] = result
     return results  # type: ignore[return-value]  # filled unless quarantined
 
 

@@ -1,7 +1,7 @@
 """Seeded effect-violation fixture for the effects-analysis tests.
 
 A two-module mirror of the real runner/simulator shape: ``runner.py``
-defines the worker entry points (``_execute``/``_supervised_worker``)
+defines the worker entry points (``_execute``/``_worker_loop``)
 and ``simulator.py`` a ``Simulation`` class, so the effect analysis'
 suffix-matched roots bind to this package exactly as they bind to the
 real tree.  Every planted violation carries an ``# expect: EFFxxx``

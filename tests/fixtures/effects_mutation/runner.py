@@ -19,7 +19,7 @@ def _execute(request: dict) -> float:
     return out
 
 
-def _supervised_worker(queue) -> float:
+def _worker_loop(queue) -> float:
     return _execute(queue.get())
 
 

@@ -48,7 +48,7 @@ def _execute(request):
     sim = Simulation(request["seed"])
     return sim.run()
 
-def _supervised_worker(queue):
+def _worker_loop(queue):
     return _execute(queue.get())
 """
 
@@ -781,6 +781,12 @@ class TestRepositoryTree:
         ]
         program = summarize(modules)
         for root in ROOTS:
+            for suffix in root.suffixes:
+                # Every suffix must bind, not just one per root: a stale
+                # entry would otherwise hide behind a live sibling.
+                assert _reach(program, (suffix,)), (
+                    f"root {root.rule_id} suffix {suffix!r} bound no function"
+                )
             reached = _reach(program, root.suffixes)
             assert reached, f"root {root.rule_id} bound no entry point"
             assert len(reached) > 100, (

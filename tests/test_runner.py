@@ -196,6 +196,13 @@ class TestCalibrationWave:
 
     @pytest.mark.slow
     def test_failed_calibration_quarantines_its_requests(self):
+        self._check_calibration_quarantine(jobs=2)
+
+    @pytest.mark.slow
+    def test_failed_calibration_quarantines_its_requests_in_process(self):
+        self._check_calibration_quarantine(jobs=1)
+
+    def _check_calibration_quarantine(self, jobs):
         requests = [
             request(config=SMALL, scheme_factory=UncalibratableScheme),
             request(config=SMALL, scheme_factory=MaxBIPSScheme),
@@ -205,13 +212,14 @@ class TestCalibrationWave:
         ]
         failures: list[RunFailure] = []
         results = run_many(
-            requests, jobs=2, on_error="quarantine", failures=failures
+            requests, jobs=jobs, on_error="quarantine", failures=failures
         )
         assert [r is not None for r in results] == [False, True, False, True]
         assert sorted(f.index for f in failures) == [0, 2]
         for failure in failures:
             assert failure.kind == "error"
-            assert "calibration failed" in failure.message
+            assert failure.attempts == 1
+            assert failure.message.startswith("calibration failed: ValueError")
             assert "seed" in failure.message
         assert_results_identical(results[3], run_one(requests[3]))
 

@@ -9,6 +9,7 @@ raises a deterministic exception (error — never retried).
 import os
 import pickle
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -59,6 +60,39 @@ class RaisingScheme(CPMScheme):
         if sim.tick > 0:
             raise ValueError("boom")
         super().on_gpm(sim)
+
+
+class UnpicklableError(Exception):
+    """Pickles, but cannot be rebuilt: ``__init__`` needs two arguments."""
+
+    def __init__(self, detail, code):
+        super().__init__(f"{detail} (code {code})")
+
+
+class UnpicklableRaisingScheme(CPMScheme):
+    """Raises an exception that cannot cross a process boundary."""
+
+    name = "unpicklable-raising"
+
+    def on_gpm(self, sim):
+        if sim.tick > 0:
+            raise UnpicklableError("bad", 3)
+        super().on_gpm(sim)
+
+
+class PidRecordingScheme(CPMScheme):
+    """Appends the pid of each process that runs it to ``log_path``."""
+
+    name = "pid-recording"
+
+    def __init__(self, log_path):
+        super().__init__()
+        self.log_path = str(log_path)
+
+    def bind(self, sim):
+        with open(self.log_path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        super().bind(sim)
 
 
 def request(scheme_factory=CPMScheme, **overrides):
@@ -163,6 +197,52 @@ class TestQuarantine:
         )
         assert results[0] is None and results[1] is not None
         assert failures[0].kind == "error" and failures[0].index == 0
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(jobs=1), dict(jobs=2), dict(jobs=2, timeout_s=30.0)],
+        ids=["in-process", "pool", "pool-with-deadline"],
+    )
+    def test_raising_run_surfaces_its_own_exception(self, options):
+        with pytest.raises(ValueError, match="^boom$"):
+            run_many(
+                [request(RaisingScheme), request()], on_error="raise",
+                **options,
+            )
+
+    def test_unpicklable_exception_becomes_runtime_error(self):
+        with pytest.raises(RuntimeError, match="UnpicklableError: bad"):
+            run_many(
+                [request(UnpicklableRaisingScheme), request()], jobs=2,
+                on_error="raise",
+            )
+
+    def test_pool_reuses_its_workers(self, tmp_path):
+        log = tmp_path / "pids"
+        reqs = [
+            request(partial(PidRecordingScheme, log), budget_fraction=b)
+            for b in (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+        ]
+        results = run_many(reqs, jobs=2, timeout_s=60.0)
+        assert all(r is not None for r in results)
+        pids = log.read_text().split()
+        assert len(pids) == 6
+        assert str(os.getpid()) not in pids
+        assert len(set(pids)) <= 2
+
+    def test_healthy_requests_complete_after_a_crash(self):
+        reqs = [request(CrashingScheme)] + [
+            request(seed=s) for s in (11, 12, 13)
+        ]
+        failures: list[RunFailure] = []
+        results = run_many(
+            reqs, jobs=2, timeout_s=60.0, on_error="quarantine",
+            failures=failures,
+        )
+        assert [(f.index, f.kind) for f in failures] == [(0, "crash")]
+        assert results[0] is None
+        for req, result in zip(reqs[1:], results[1:]):
+            assert_results_identical(result, run_one(req))
 
     def test_supervised_healthy_sweep_bit_identical_to_serial(self):
         reqs = [request(seed=s) for s in (21, 22, 23)]
