@@ -29,10 +29,24 @@ import pytest
 
 from repro.baselines.maxbips import MaxBIPSScheme
 from repro.baselines.no_management import NoManagementScheme
+from repro.baselines.static_uniform import StaticUniformScheme
 from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG, DVFSConfig
 from repro.core.cpm import CPMScheme
-from repro.faults import FaultWindow, TransientSensorDropout, inject
+from repro.faults import (
+    BiasedTransducer,
+    FaultWindow,
+    GainError,
+    LaggedActuator,
+    MissedGPMFault,
+    NoisySensor,
+    ScheduledStuckSensor,
+    StuckActuatorFault,
+    StuckSensor,
+    TransientSensorDropout,
+    inject,
+)
+from repro.gpm import EnergyAwarePolicy, ThermalAwarePolicy, VariationAwarePolicy
 from repro.resilience import GuardedCPMScheme
 
 __all__ = ["GOLDEN_PATH", "compute_digests"]
@@ -54,11 +68,51 @@ def _guarded_under_dropout(config):
     return inject(GuardedCPMScheme(), fault)
 
 
+#: A fault window inside the golden horizon: it opens after the first
+#: GPM window and clears a window before the end, so both the fault and
+#: the recovery land in the digests.
+FAULT_WINDOW = FaultWindow(15, 35)
+
+
+def _faulty(*faults, scheme=CPMScheme):
+    return lambda config: inject(scheme(), *faults)
+
+
 SCHEMES = {
     "cpm": lambda config: CPMScheme(),
     "maxbips": lambda config: MaxBIPSScheme(),
     "none": lambda config: NoManagementScheme(),
     "cpm-guarded-dropout": _guarded_under_dropout,
+    "cpm-gain-error": _faulty(GainError(1.3)),
+    "cpm-biased-transducer": _faulty(BiasedTransducer(0.01)),
+    "cpm-noisy-sensor": _faulty(NoisySensor(0.02, seed=1)),
+    "cpm-stuck-sensor": _faulty(StuckSensor(island=1, stick_after=15)),
+    "cpm-lagged-actuator": _faulty(LaggedActuator()),
+    "cpm-scheduled-stuck-sensor": _faulty(
+        ScheduledStuckSensor(island=1, window=FAULT_WINDOW)
+    ),
+    "cpm-stuck-actuator": _faulty(
+        StuckActuatorFault(island=1, window=FAULT_WINDOW, frequency_ghz=99.0)
+    ),
+    "cpm-missed-gpm": _faulty(MissedGPMFault(window=FAULT_WINDOW)),
+    # Pins the order in which stacked sensor faults run.
+    "cpm-composed-faults": _faulty(
+        GainError(1.2),
+        NoisySensor(0.02, seed=1),
+        StuckSensor(island=1, stick_after=15),
+    ),
+    "cpm-guarded-scheduled-stuck-sensor": _faulty(
+        ScheduledStuckSensor(island=1, window=FAULT_WINDOW),
+        scheme=GuardedCPMScheme,
+    ),
+    "cpm-guarded-stuck-actuator": _faulty(
+        StuckActuatorFault(island=1, window=FAULT_WINDOW, frequency_ghz=99.0),
+        scheme=GuardedCPMScheme,
+    ),
+    "static-uniform": lambda config: StaticUniformScheme(),
+    "cpm-thermal": lambda config: CPMScheme(policy=ThermalAwarePolicy()),
+    "cpm-variation": lambda config: CPMScheme(policy=VariationAwarePolicy()),
+    "cpm-energy": lambda config: CPMScheme(policy=EnergyAwarePolicy()),
 }
 
 
