@@ -1,7 +1,8 @@
 """End-to-end runtime benchmark: simulator tick cost and runner speedup.
 
 Measures the wall-clock cost of one simulated PIC tick (µs per tick,
-best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i, and times a
+best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i and of a
+fault-free guarded CPM run at 32c8i (``guarded_32c8i``), and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
 parallel (fresh cache), cold parallel with a per-run deadline
 (``timeout_s``, which should cost no more than without), and warm
@@ -38,6 +39,7 @@ except ImportError:  # running from a checkout without an installed package
 from repro.config import DEFAULT_CONFIG
 from repro.cmpsim.simulator import Simulation
 from repro.core.cpm import CPMScheme
+from repro.resilience import GuardedCPMScheme
 from repro.rng import DEFAULT_SEED
 from repro.runner import RunRequest, run_many
 
@@ -51,10 +53,12 @@ __all__ = [
 ]
 
 SWEEP_BUDGETS = (0.75, 0.80, 0.85, 0.90)
+#: (name, cores, islands, scheme class) of each µs-per-tick line.
 CONFIGS = (
-    ("8c4i", 8, 4),
-    ("32c8i", 32, 8),
-    ("64c16i", 64, 16),
+    ("8c4i", 8, 4, CPMScheme),
+    ("32c8i", 32, 8, CPMScheme),
+    ("64c16i", 64, 16, CPMScheme),
+    ("guarded_32c8i", 32, 8, GuardedCPMScheme),
 )
 
 
@@ -68,12 +72,12 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def _single_run_seconds(config, n_gpm: int, repeats: int):
+def _single_run_seconds(config, scheme, n_gpm: int, repeats: int):
     result = {}
 
     def once():
         sim = Simulation(
-            config, CPMScheme(), budget_fraction=0.8, seed=DEFAULT_SEED
+            config, scheme(), budget_fraction=0.8, seed=DEFAULT_SEED
         )
         result["run"] = sim.run(n_gpm)
 
@@ -82,17 +86,18 @@ def _single_run_seconds(config, n_gpm: int, repeats: int):
 
 
 def bench_configs(n_gpm: int, repeats: int) -> list[dict]:
-    """µs per tick of a CPM run at each of :data:`CONFIGS`."""
+    """µs per tick of the run at each of :data:`CONFIGS`."""
     rows = []
-    for name, n_cores, n_islands in CONFIGS:
+    for name, n_cores, n_islands, scheme in CONFIGS:
         config = DEFAULT_CONFIG.with_islands(n_cores, n_islands)
         # Warm the in-process calibration memo so its one-time cost does
         # not land on the timed runs.
-        _single_run_seconds(config, 1, 1)
-        seconds, ticks = _single_run_seconds(config, n_gpm, repeats)
+        _single_run_seconds(config, scheme, 1, 1)
+        seconds, ticks = _single_run_seconds(config, scheme, n_gpm, repeats)
         rows.append(
             {
                 "name": name,
+                "scheme": scheme.name,
                 "n_cores": n_cores,
                 "n_islands": n_islands,
                 "ticks": ticks,
@@ -174,8 +179,9 @@ def main(argv=None) -> int:
         "configs": bench_configs(tick_gpm, repeats),
         "sweep": bench_sweep(sweep_gpm, args.jobs),
         "notes": [
-            "us_per_tick is the best-of-repeats wall time of one serial CPM "
-            "run (calibration warmed) divided by its PIC ticks.",
+            "us_per_tick is the best-of-repeats wall time of one serial run "
+            "(calibration warmed) divided by its PIC ticks; guarded_32c8i is "
+            "GuardedCPMScheme with no fault, so it prices the sensor guard.",
             "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
             "this host; with cpu_count=1 the pool adds no parallelism and "
             "the warm gain comes from the result cache.",

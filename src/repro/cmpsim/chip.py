@@ -221,6 +221,14 @@ class Chip:
         self.island_frequency[island] = f
         return float(f)
 
+    def set_island_frequencies(self, frequencies: Sequence[float]) -> None:
+        """Apply one frequency request per island at once, with
+        :meth:`set_island_frequency`'s clamp and quantize semantics."""
+        f = self.dvfs.clamp(np.asarray(frequencies, dtype=float))
+        if self.config.dvfs.mode == "quantized":
+            f = self.dvfs.quantize(f)
+        self.island_frequency[:] = f
+
     def core_frequencies(self) -> GigaHzArray:
         """Per-core frequency vector implied by island settings."""
         return self.island_frequency[self.island_of_core]

@@ -53,7 +53,9 @@ class DiscretePID:
         gains: PIDGains,
         output_limits: tuple[float, float] | None = None,
     ) -> None:
-        if output_limits is not None and output_limits[0] >= output_limits[1]:
+        # ``not low < high`` also rejects NaN limits, which would
+        # silently disable the clamp.
+        if output_limits is not None and not output_limits[0] < output_limits[1]:
             raise ValueError(f"invalid output limits {output_limits}")
         self.gains = gains
         self.output_limits = output_limits

@@ -6,8 +6,8 @@
   pole-placement PID design and the stability-margin analysis
   (Equations 12–13).
 * :mod:`repro.core.cpm` — :class:`CPMScheme`, wiring a
-  :class:`~repro.gpm.manager.GlobalPowerManager` over per-island
-  :class:`~repro.pic.controller.PerIslandController` instances into the
+  :class:`~repro.gpm.manager.GlobalPowerManager` over a
+  :class:`~repro.pic.bank.PICBank` of per-island controllers into the
   simulator's two-rate cadence, plus the :func:`run_cpm` convenience
   entry point.
 * :mod:`repro.core.metrics` — performance degradation against the

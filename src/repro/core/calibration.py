@@ -102,9 +102,13 @@ class WhiteNoiseDVFSScheme:
 
     def on_pic(self, sim) -> None:
         table = sim.chip.dvfs
-        for island in range(sim.config.n_islands):
-            current = float(sim.chip.island_frequency[island])
-            step = float(self._rng.normal(0.0, self.step_sigma_ghz))
+        # One draw per tick: the same numbers, in island order, as one
+        # scalar draw per island.
+        steps = self._rng.normal(
+            0.0, self.step_sigma_ghz, size=sim.config.n_islands
+        ).tolist()
+        proposals = []
+        for current, step in zip(sim.chip.island_frequency.tolist(), steps):
             proposal = (
                 current
                 + self.reversion * (self.center_ghz - current)
@@ -115,7 +119,8 @@ class WhiteNoiseDVFSScheme:
                 proposal = 2 * table.f_max - proposal
             elif proposal < table.f_min:
                 proposal = 2 * table.f_min - proposal
-            sim.chip.set_island_frequency(island, proposal)
+            proposals.append(proposal)
+        sim.chip.set_island_frequencies(proposals)
         if sim.last_result is not None:
             sim.sensed_power = sim.last_result.island_power_frac.copy()
 

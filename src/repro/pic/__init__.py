@@ -1,12 +1,17 @@
 """PIC — the local Per-Island Controller tier (second tier of CPM).
 
-Each island gets one :class:`~repro.pic.controller.PerIslandController`:
-a pole-placement-designed PID that tracks the GPM-provisioned power
-set-point by scaling the island's voltage/frequency, observing power
-indirectly through the utilization transducer of Figure 6.
+Each island runs a pole-placement-designed PID that tracks the
+GPM-provisioned power set-point by scaling the island's
+voltage/frequency, observing power indirectly through the utilization
+transducer of Figure 6.  The run path advances every island at once in
+a :class:`~repro.pic.bank.PICBank`; the per-island
+:class:`~repro.pic.controller.PerIslandController` (and its guarded
+form) is the same law for one island, for standalone loops and as the
+bank's test oracle.
 """
 
 from .actuator import DVFSActuator
+from .bank import PICBank
 from .controller import PerIslandController, PICInvocation
 from .guard import GuardedPerIslandController, SensorGuardConfig
 from .sensor import CallbackSensor
@@ -15,6 +20,7 @@ __all__ = [
     "CallbackSensor",
     "DVFSActuator",
     "GuardedPerIslandController",
+    "PICBank",
     "PerIslandController",
     "PICInvocation",
     "SensorGuardConfig",

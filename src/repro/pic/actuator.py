@@ -8,6 +8,8 @@ when its command was cut short.
 
 from __future__ import annotations
 
+import math
+
 from ..cmpsim.dvfs import DVFSTable
 from ..unit_types import GigaHz
 
@@ -23,6 +25,8 @@ class DVFSActuator:
         quantized: bool = False,
         initial_frequency: GigaHz | None = None,
     ) -> None:
+        if initial_frequency is not None and not math.isfinite(initial_frequency):
+            raise ValueError(f"initial frequency {initial_frequency} is not finite")
         self.table = table
         self.quantized = quantized
         f0 = table.f_max if initial_frequency is None else table.clamp(initial_frequency)

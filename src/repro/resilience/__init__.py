@@ -4,7 +4,9 @@ The paper assumes sensors and actuators behave; this package supplies
 the guard/watchdog discipline a production power manager needs when they
 do not:
 
-* :class:`~repro.pic.guard.GuardedPerIslandController` — validates each
+* the sensor guard (:class:`~repro.pic.guard.SensorGuardConfig`, armed
+  on every island of a :class:`~repro.pic.bank.PICBank`; per island,
+  :class:`~repro.pic.guard.GuardedPerIslandController`) — validates each
   utilization reading (NaN / out-of-range / stuck), holds last-known-good
   input with a frozen integrator, clamps to a fail-safe frequency floor
   after persistent faults, and re-arms automatically;

@@ -14,8 +14,8 @@ from __future__ import annotations
 from ..cmpsim.telemetry import ResilienceLog
 from ..core.cpm import CPMScheme
 from ..gpm.guard import GPMGuard, GPMGuardConfig
-from ..pic.actuator import DVFSActuator
-from ..pic.guard import GuardedPerIslandController, SensorGuardConfig
+from ..pic.bank import PICBank
+from ..pic.guard import SensorGuardConfig
 from ..unit_types import GigaHz
 
 __all__ = ["GuardedCPMScheme"]
@@ -52,7 +52,7 @@ class GuardedCPMScheme(CPMScheme):
     def bind(self, sim) -> None:
         # Fresh log per bind: re-running the same scheme object must not
         # accumulate events across runs.  Must happen before super().bind
-        # because _make_controller hands the log to each guard.
+        # because _make_bank hands the log to the sensor guard.
         self.log = ResilienceLog()
         super().bind(sim)
         assert self._context_static is not None
@@ -64,18 +64,8 @@ class GuardedCPMScheme(CPMScheme):
             self_constrained=getattr(self.policy, "self_constrained", False),
         )
 
-    def _make_controller(
-        self, island: int, gains, transducer, actuator: DVFSActuator
-    ) -> GuardedPerIslandController:
-        return GuardedPerIslandController(
-            gains=gains,
-            transducer=transducer,
-            actuator=actuator,
-            max_step_ghz=self.max_step_ghz,
-            guard=self.sensor_guard,
-            log=self.log,
-            island=island,
-        )
+    def _make_bank(self, **kwargs) -> PICBank:
+        return PICBank(guard=self.sensor_guard, log=self.log, **kwargs)
 
     # ------------------------------------------------------------------
     def on_gpm(self, sim) -> None:

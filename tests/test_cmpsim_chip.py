@@ -79,6 +79,19 @@ class TestActuation:
         with pytest.raises(IndexError):
             chip.set_island_frequency(4, 1.0)
 
+    @pytest.mark.parametrize("mode", ["continuous", "quantized"])
+    def test_vector_set_equals_one_call_per_island(self, mode):
+        import dataclasses
+
+        cfg = dataclasses.replace(DEFAULT_CONFIG, dvfs=DVFSConfig(mode=mode))
+        # Out of range both ways, a tie between two rungs, and NaN.
+        requests = [5.0, 0.1, 1.3, float("nan")]
+        vector, scalar = make_chip(cfg), make_chip(cfg)
+        vector.set_island_frequencies(requests)
+        for island, f in enumerate(requests):
+            scalar.set_island_frequency(island, f)
+        assert vector.island_frequency.tobytes() == scalar.island_frequency.tobytes()
+
 
 class TestComputeInterval:
     def test_power_conservation(self):

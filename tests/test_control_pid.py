@@ -1,5 +1,7 @@
 """Discrete PID: term behaviour, anti-windup, z-domain form."""
 
+from math import nan
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestAntiWindup:
     def test_invalid_limits(self):
         with pytest.raises(ValueError):
             DiscretePID(PIDGains(1, 1, 1), output_limits=(1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "limits", [(nan, nan), (nan, 1.0), (-1.0, nan)], ids=["both", "low", "high"]
+    )
+    def test_nan_limits_rejected(self, limits):
+        # A NaN limit compares false both ways, so the clamp would pass
+        # any output through unclamped.
+        with pytest.raises(ValueError):
+            DiscretePID(PIDGains(1, 1, 1), output_limits=limits)
 
 
 class TestState:

@@ -40,6 +40,11 @@ class TestDVFSActuator:
         applied = act.apply(1.33)
         assert applied == pytest.approx(1.4)
 
+    @pytest.mark.parametrize("f0", [float("nan"), float("inf")])
+    def test_non_finite_initial_frequency_rejected(self, f0):
+        with pytest.raises(ValueError):
+            DVFSActuator(DVFSTable(), initial_frequency=f0)
+
     def test_reset(self):
         act = DVFSActuator(DVFSTable())
         act.apply(0.8)
@@ -162,6 +167,8 @@ class TestPerIslandController:
     def test_validation(self):
         with pytest.raises(ValueError):
             self.controller(max_step_ghz=0.0)
+        with pytest.raises(ValueError):
+            self.controller(max_step_ghz=float("nan"))
         with pytest.raises(ValueError):
             PerIslandController(
                 gains=PIDGains(1, 1, 1),

@@ -397,6 +397,17 @@ class TestFaultySchemeWrapper:
         )
         assert_results_identical(second, fresh)
 
+    def test_surviving_bank_is_not_faulted_twice(self):
+        inner = CPMScheme()
+        wrapped = inject(inner, ScheduledStuckSensor(0, FaultWindow(5, 9)))
+        sim = Simulation(SMALL, wrapped, budget_fraction=BUDGET, seed=9)
+        wrapped.bind(sim)
+        bank = inner.bank
+        assert len(bank.sensor_hooks) == 1
+        inner.bind = lambda sim: None  # an inner scheme that keeps its bank
+        wrapped.bind(sim)
+        assert inner.bank is bank and len(bank.sensor_hooks) == 1
+
     def test_missed_gpm_suppresses_provisioning(self):
         class Probe(CPMScheme):
             gpm_ticks: list = []
