@@ -9,17 +9,17 @@ to carry, and lets all of them share the fast implementation:
 ``np.add.at`` whose generalized ufunc dispatch is notoriously slow for
 exactly this shape of problem.
 
-Both functions sum elements in ascending index order per output slot, so
+The sum visits elements in ascending index order per output slot, so
 for the library's contiguous, ascending ``island_of_core`` maps the
 floating-point result is bit-identical to the ``np.add.at`` formulation
-they replace.
+it replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["island_mean", "island_sums"]
+__all__ = ["island_sums"]
 
 
 def island_sums(
@@ -37,13 +37,3 @@ def island_sums(
     return np.bincount(
         island_of_core, weights=values, minlength=n_islands
     ).astype(float, copy=False)
-
-
-def island_mean(
-    island_of_core: np.ndarray, values: np.ndarray, n_islands: int
-) -> np.ndarray:
-    """Average ``values`` (per-core) within each island."""
-    counts = np.bincount(island_of_core, minlength=n_islands)
-    if np.any(counts == 0):
-        raise ValueError("every island must own at least one core")
-    return island_sums(island_of_core, values, n_islands) / counts

@@ -11,31 +11,29 @@ the standard library's :mod:`ast`::
     python -m repro.lintkit src/ --format json   # machine-readable output
     python -m repro.lintkit --list-rules         # the rule catalogue
 
-Findings can be silenced three ways, in order of preference: fix the
-code, suppress one site with an inline ``# lint: ignore[RULE-ID]``
-comment (justify it next to the comment), or grandfather existing debt in
-the committed ``lint-baseline.json`` via ``--update-baseline``.  See
-``docs/INVARIANTS.md`` for the catalogue of rule ids and rationale.
+One pipeline runs every analysis: :func:`lint_paths` lints files and
+:func:`lint_sources` lints an in-memory ``{path: source}`` mapping the
+same way.  A finding is silenced one of two ways: fix the code, or
+suppress that one site with an inline ``# lint: ignore[RULE-ID]``
+comment (justify it next to the comment).  See ``docs/INVARIANTS.md``
+for the catalogue of rule ids and rationale.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
-from .dimensions import DimensionAnalysis, analyze_sources
-from .engine import ALL_ANALYSES, LintReport, lint_paths, lint_source
+from .dimensions import DimensionAnalysis
+from .engine import ALL_ANALYSES, LintReport, lint_paths, lint_sources
 from .findings import Finding
 from .rules import LintRule, ModuleInfo, all_rules
 
 __all__ = [
     "ALL_ANALYSES",
-    "Baseline",
     "DimensionAnalysis",
     "Finding",
     "LintReport",
     "LintRule",
     "ModuleInfo",
     "all_rules",
-    "analyze_sources",
     "lint_paths",
-    "lint_source",
+    "lint_sources",
 ]

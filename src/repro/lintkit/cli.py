@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro.lintkit src/`` (or ``repro-lint``).
 
-Exit codes: 0 — clean (no findings beyond the baseline); 1 — new
-findings; 2 — usage error (argparse) or unreadable path/baseline.
+Exit codes: 0 — clean (no findings); 1 — findings; 2 — usage error
+(argparse), a missing path, or an unwritable ``--output`` file.
 """
 
 from __future__ import annotations
@@ -9,18 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .dimensions import DIM_RULES
 from .effects import EFF_RULES
 from .engine import ALL_ANALYSES, lint_paths
 from .rules import all_rules
 from .sarif import render_sarif
 
-__all__ = ["DEFAULT_BASELINE", "build_parser", "main"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,21 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to tolerate all current findings, then exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -95,14 +78,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -110,33 +85,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_list_rules())
         return 0
 
-    try:
-        baseline = (
-            Baseline() if args.no_baseline else Baseline.load(args.baseline)
-        )
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: invalid baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
-
     analyses = ALL_ANALYSES if args.analysis == "all" else (args.analysis,)
     try:
-        report = lint_paths(args.paths, baseline=baseline, analyses=analyses)
+        report = lint_paths(args.paths, analyses=analyses)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        Baseline.from_findings(list(report.raw_findings)).save(args.baseline)
-        print(
-            f"baseline {args.baseline} updated with "
-            f"{len(report.raw_findings)} finding(s)"
-        )
-        return 0
-
     if args.format == "json":
-        _emit(json.dumps(report.as_dict(), indent=2), args.output)
+        text = json.dumps(report.as_dict(), indent=2)
     elif args.format == "sarif":
-        _emit(render_sarif(report), args.output)
+        text = render_sarif(report)
     else:
-        _emit(report.render_text(), args.output)
+        text = report.render_text()
+    if args.output is None:
+        print(text)
+    else:
+        try:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(
+                f"error: cannot write {args.output}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     return 0 if report.ok else 1

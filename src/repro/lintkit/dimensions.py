@@ -45,18 +45,15 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .findings import Finding
+from .modgraph import ModuleInfo, follow_exports, qualified_name
 from .modgraph import dotted as _dotted
 from .modgraph import module_aliases as _module_aliases
 from .modgraph import module_identity as _module_identity
-from .modgraph import modules_from_sources
-from .rules.base import ModuleInfo
-from .suppress import is_suppressed, suppressions_for
 
 __all__ = [
     "DIM_RULES",
     "Dim",
     "DimensionAnalysis",
-    "analyze_sources",
 ]
 
 #: Rule catalogue for ``--list-rules`` and the documentation table.
@@ -285,16 +282,7 @@ class _Program:
 
     def resolve(self, fq: str) -> str:
         """Follow re-export chains to a canonical defining name."""
-        seen = set()
-        while fq not in self.functions and fq not in self.classes:
-            if fq in seen:
-                break
-            seen.add(fq)
-            target = self.exports.get(fq)
-            if target is None:
-                break
-            fq = target
-        return fq
+        return follow_exports(fq, self.exports, self.functions, self.classes)
 
     def callable_at(self, fq: str) -> "_FuncSig | _ClassSig | None":
         fq = self.resolve(fq)
@@ -341,8 +329,7 @@ def _annotation_info(
     symbol = _VOCABULARY.get(tail)
     if symbol is not None:
         return Dim.from_symbol(symbol), None
-    head = aliases.get(parts[0], parts[0])
-    return None, ".".join([head] + parts[1:])
+    return None, qualified_name(node, aliases)
 
 
 def _is_none_ann(node: ast.AST) -> bool:
@@ -508,12 +495,9 @@ def _harvest_init_attrs(
                 elif param.class_fq is not None:
                     sig.field_classes.setdefault(name, param.class_fq)
             elif isinstance(value, ast.Call):
-                parts = _dotted(value.func)
-                if parts:
-                    head = aliases.get(parts[0], parts[0])
-                    sig.field_classes.setdefault(
-                        name, _qualify(".".join([head] + parts[1:]), modname)
-                    )
+                fq = qualified_name(value.func, aliases)
+                if fq is not None:
+                    sig.field_classes.setdefault(name, _qualify(fq, modname))
 
 
 def _is_self_attr(node: ast.AST) -> bool:
@@ -542,15 +526,13 @@ class _ModuleChecker:
     # -- reporting ----------------------------------------------------------
 
     def _report(self, node: ast.AST, rule_id: str, message: str) -> None:
-        line = getattr(node, "lineno", 1)
         self.findings.append(
             Finding(
                 path=self.module.path,
-                line=line,
+                line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
                 rule_id=rule_id,
                 message=message,
-                source_line=self.module.line_text(line),
             )
         )
 
@@ -1102,21 +1084,3 @@ class DimensionAnalysis:
             findings.extend(_ModuleChecker(program, module).check())
         return sorted(set(findings))
 
-
-def analyze_sources(sources: Mapping[str, str]) -> list[Finding]:
-    """Run the dimensions pass over in-memory sources (test entry point).
-
-    ``sources`` maps display paths (e.g. ``src/repro/foo.py``) to source
-    text; inline ``# lint: ignore[...]`` suppressions are honoured.
-    """
-    modules = modules_from_sources(sources)
-    findings = DimensionAnalysis().run(modules)
-    kept: list[Finding] = []
-    by_path: dict[str, dict[int, set[str]]] = {
-        m.path: suppressions_for(m.source) for m in modules
-    }
-    for finding in findings:
-        suppressions = by_path.get(finding.path, {})
-        if not is_suppressed(suppressions, finding.line, finding.rule_id):
-            kept.append(finding)
-    return kept

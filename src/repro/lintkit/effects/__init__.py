@@ -5,18 +5,13 @@ to its local effects and outgoing calls; :mod:`propagate` walks the
 resulting call graph from three roots (simulation purity, parallel
 safety, cache-key soundness) and turns violating effects into EFF001 -
 EFF005 findings.  Plugged into the engine as one more entry of
-``ALL_ANALYSES`` so suppressions, baselines, SARIF and the CLI all work
+``ALL_ANALYSES``, so inline suppressions, SARIF, the CLI and the
+in-memory entry point :func:`repro.lintkit.lint_sources` all work
 unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Mapping as _Mapping
-
-from ..findings import Finding as _Finding
-from ..modgraph import modules_from_sources as _modules_from_sources
-from ..suppress import is_suppressed as _is_suppressed
-from ..suppress import suppressions_for as _suppressions_for
 from .propagate import EFF_RULES, ROOTS, EffectAnalysis
 from .summaries import Effect, EffectProgram, FunctionSummary, summarize
 
@@ -27,24 +22,5 @@ __all__ = [
     "EffectProgram",
     "FunctionSummary",
     "ROOTS",
-    "analyze_sources_effects",
     "summarize",
 ]
-
-
-def analyze_sources_effects(sources: _Mapping[str, str]) -> list[_Finding]:
-    """Run the effects pass over in-memory sources (test entry point).
-
-    ``sources`` maps display paths (e.g. ``src/repro/foo.py``) to source
-    text; inline ``# lint: ignore[...]`` suppressions are honoured.
-    """
-    modules = _modules_from_sources(sources)
-    findings = EffectAnalysis().run(modules)
-    by_path = {m.path: _suppressions_for(m.source) for m in modules}
-    return [
-        finding
-        for finding in findings
-        if not _is_suppressed(
-            by_path.get(finding.path, {}), finding.line, finding.rule_id
-        )
-    ]

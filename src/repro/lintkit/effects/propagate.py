@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..findings import Finding
-from ..modgraph import matches_suffix
-from ..rules.base import ModuleInfo
+from ..modgraph import ModuleInfo, matches_suffix
 from .summaries import Effect, EffectProgram, FunctionSummary, summarize
 
 __all__ = [
@@ -233,12 +232,6 @@ def _short(fq: str) -> str:
     return ".".join(parts[-2:]) if len(parts) > 1 else fq
 
 
-def _source_line(module: ModuleInfo | None, line: int) -> str:
-    if module is None or not (1 <= line <= len(module.lines)):
-        return ""
-    return module.lines[line - 1]
-
-
 def _written_globals(program: EffectProgram) -> set[str]:
     """Symbols some function in the program actually mutates."""
     written: set[str] = set()
@@ -260,7 +253,6 @@ def _root_findings(
     )
     for fq in parents:
         summary = program.functions[fq]
-        module = program.modules.get(summary.path)
         for effect in summary.effects:
             if effect.kind not in root.kinds:
                 continue
@@ -279,7 +271,6 @@ def _root_findings(
                         f"{effect.detail} — reachable from {root.label}"
                         f" via {chain}"
                     ),
-                    source_line=_source_line(module, effect.line),
                 )
             )
     return findings
@@ -291,7 +282,6 @@ def _local_findings(
     """EFF004 everywhere (minus the RNG layer); EFF005 where reachable."""
     findings: list[Finding] = []
     for fq, summary in program.functions.items():
-        module = program.modules.get(summary.path)
         basename = summary.path.rsplit("/", 1)[-1]
         for effect in summary.effects:
             if effect.kind == "rng-aliased":
@@ -309,7 +299,6 @@ def _local_findings(
                     col=effect.col,
                     rule_id=rule_id,
                     message=f"{effect.detail} (in {_short(fq)})",
-                    source_line=_source_line(module, effect.line),
                 )
             )
     return findings

@@ -18,8 +18,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..modgraph import dotted, module_aliases, module_identity
-from ..rules.base import ModuleInfo
+from ..modgraph import (
+    ModuleInfo,
+    dotted,
+    follow_exports,
+    module_aliases,
+    module_identity,
+)
 
 __all__ = [
     "Effect",
@@ -180,28 +185,16 @@ class EffectProgram:
     exports: dict[str, str] = field(default_factory=dict)
     #: Module-level *data* bindings (assignments, not defs/classes).
     data_globals: set[str] = field(default_factory=set)
-    #: path -> ModuleInfo, for finding construction in pass 2.
-    modules: dict[str, ModuleInfo] = field(default_factory=dict)
 
     def resolve(self, fq: str) -> str:
         """Follow import/re-export chains to a canonical defining name."""
-        seen = set()
-        while fq not in self.functions and fq not in self.classes:
-            if fq in seen:
-                break
-            seen.add(fq)
-            target = self.exports.get(fq)
-            if target is None:
-                break
-            fq = target
-        return fq
+        return follow_exports(fq, self.exports, self.functions, self.classes)
 
 
 def summarize(modules: Sequence[ModuleInfo]) -> EffectProgram:
     """Run the summary pass over every module."""
     program = EffectProgram()
     for module in modules:
-        program.modules[module.path] = module
         _summarize_module(program, module)
     return program
 

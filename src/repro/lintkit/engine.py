@@ -1,24 +1,26 @@
-"""The lint engine: files -> parsed modules -> rules -> filtered report.
+"""The lint engine: sources -> parsed modules -> analyses -> report.
 
-The pipeline per file is: parse (a syntax error becomes an ``E000``
-finding rather than a crash), run every applicable rule, drop findings
-suppressed by an inline ``# lint: ignore[RULE]`` comment, then split the
-remainder against the committed baseline.  Only *new* findings fail the
-build.
+One private pipeline serves both entry points, :func:`lint_paths` (files
+on disk) and :func:`lint_sources` (an in-memory ``{path: source}``
+mapping): parse every module (a syntax error becomes an ``E000`` finding
+rather than a crash), run the selected analyses, and drop the findings
+suppressed by an inline ``# lint: ignore[RULE]`` comment.  Every finding
+that survives fails the build.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .baseline import Baseline
 from .dimensions import DimensionAnalysis
 from .effects import EffectAnalysis
 from .findings import Finding
-from .rules import LintRule, ModuleInfo, all_rules
+from .modgraph import ModuleInfo
+from .rules import LintRule, all_rules
 from .suppress import is_suppressed, suppressions_for
 
 __all__ = [
@@ -29,7 +31,7 @@ __all__ = [
     "display_path",
     "iter_python_files",
     "lint_paths",
-    "lint_source",
+    "lint_sources",
     "load_module",
 ]
 
@@ -45,17 +47,23 @@ PARSE_ERROR_ID = "E000"
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
+#: A parsed module with its inline-suppression map (line -> rule ids).
+_Parsed = tuple[ModuleInfo, dict[int, set[str]]]
+
 
 @dataclass(frozen=True)
 class LintReport:
     """Outcome of one lint run."""
 
     findings: tuple[Finding, ...]
-    baselined: tuple[Finding, ...] = ()
     suppressed: int = 0
     files_checked: int = 0
-    #: Every pre-baseline finding, for --update-baseline.
-    raw_findings: tuple[Finding, ...] = field(default=(), repr=False)
+
+    @property
+    def raw_findings(self) -> tuple[Finding, ...]:
+        """Alias of :attr:`findings`; perfbench's ``lint_tree`` workload
+        counts findings through it."""
+        return self.findings
 
     @property
     def ok(self) -> bool:
@@ -65,8 +73,7 @@ class LintReport:
         lines = [f.render() for f in self.findings]
         summary = (
             f"{len(self.findings)} finding(s) in {self.files_checked} file(s)"
-            f" ({self.suppressed} suppressed inline,"
-            f" {len(self.baselined)} baselined)"
+            f" ({self.suppressed} suppressed inline)"
         )
         return "\n".join(lines + [summary])
 
@@ -75,7 +82,6 @@ class LintReport:
             "findings": [f.as_dict() for f in self.findings],
             "count": len(self.findings),
             "suppressed": self.suppressed,
-            "baselined": len(self.baselined),
             "files_checked": self.files_checked,
             "ok": self.ok,
         }
@@ -108,10 +114,10 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
 
 
 #: Parsed-module cache shared by every analysis and every lint_paths
-#: call in one process: resolved path -> (signature, module, suppression
-#: map).  The (mtime_ns, size) signature invalidates stale entries, and
-#: the display path is part of the key because it depends on the cwd.
-_MODULE_CACHE: dict[tuple[str, str], tuple[tuple[int, int], ModuleInfo, dict[int, set[str]]]] = {}
+#: call in one process: (resolved path, cwd) -> (signature, parse).  The
+#: (mtime_ns, size) signature invalidates stale entries, and the cwd is
+#: part of the key because the display path depends on it.
+_MODULE_CACHE: dict[tuple[str, str], tuple[tuple[int, int], _Parsed]] = {}
 
 
 def clear_module_cache() -> None:
@@ -119,21 +125,16 @@ def clear_module_cache() -> None:
     _MODULE_CACHE.clear()
 
 
+def _module(path: str, source: str) -> ModuleInfo:
+    return ModuleInfo(path=path, source=source, tree=ast.parse(source, path))
+
+
 def load_module(path: Path) -> ModuleInfo:
     """Parse ``path``; raises SyntaxError for the caller to report."""
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
-    return ModuleInfo(
-        path=display_path(path),
-        source=source,
-        tree=tree,
-        lines=tuple(source.splitlines()),
-    )
+    return _module(display_path(path), path.read_text(encoding="utf-8"))
 
 
-def _load_module_cached(
-    path: Path,
-) -> tuple[ModuleInfo, dict[int, set[str]]]:
+def _load_module_cached(path: Path) -> _Parsed:
     """``load_module`` plus its suppression map, memoized per process.
 
     The three passes (and repeated lint runs in one test session) share
@@ -147,116 +148,104 @@ def _load_module_cached(
         signature = (-1, -1)
     cached = _MODULE_CACHE.get(key)
     if cached is not None and cached[0] == signature:
-        return cached[1], cached[2]
+        return cached[1]
     module = load_module(path)
-    suppressions = suppressions_for(module.source)
-    _MODULE_CACHE[key] = (signature, module, suppressions)
-    return module, suppressions
+    parsed = (module, suppressions_for(module.source))
+    _MODULE_CACHE[key] = (signature, parsed)
+    return parsed
 
 
-def _check_module(
-    module: ModuleInfo,
-    rules: Iterable[LintRule],
-    suppressions: dict[int, set[str]],
-) -> tuple[list[Finding], int]:
-    """(active findings, inline-suppressed count) for one module."""
-    active: list[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if not rule.applies_to(module):
+def _parse_source(path: str, source: str) -> _Parsed:
+    return _module(path, source), suppressions_for(source)
+
+
+def _lint(
+    loaders: Sequence[tuple[str, Callable[[], _Parsed]]],
+    rules: Iterable[LintRule] | None,
+    analyses: Sequence[str],
+) -> LintReport:
+    """The one pipeline: ``loaders`` pairs each display path with the
+    call that parses it."""
+    unknown = set(analyses) - set(ALL_ANALYSES)
+    if unknown:
+        raise ValueError(f"unknown analyses: {sorted(unknown)}")
+    findings: list[Finding] = []
+    modules: list[ModuleInfo] = []
+    suppressions: dict[str, dict[int, set[str]]] = {}
+    for path, load in loaders:
+        try:
+            module, suppressions[path] = load()
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule_id=PARSE_ERROR_ID,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
             continue
-        for finding in rule.check(module):
-            if is_suppressed(suppressions, finding.line, finding.rule_id):
-                suppressed += 1
-            else:
-                active.append(finding)
-    return active, suppressed
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Iterable[LintRule] | None = None,
-) -> list[Finding]:
-    """Lint a source string (the test-suite entry point).
-
-    Inline suppressions are honoured; no baseline is applied.
-    """
-    tree = ast.parse(source, filename=path)
-    module = ModuleInfo(
-        path=path, source=source, tree=tree, lines=tuple(source.splitlines())
+        modules.append(module)
+    candidates: list[Finding] = []
+    if "rules" in analyses:
+        rule_list = list(rules) if rules else all_rules()
+        for module in modules:
+            for rule in rule_list:
+                if rule.applies_to(module):
+                    candidates.extend(rule.check(module))
+    for analysis_cls in _WHOLE_PROGRAM_ANALYSES:
+        if analysis_cls.name in analyses:
+            candidates.extend(analysis_cls().run(modules))
+    suppressed = 0
+    for finding in candidates:
+        if is_suppressed(
+            suppressions.get(finding.path, {}), finding.line, finding.rule_id
+        ):
+            suppressed += 1
+        else:
+            findings.append(finding)
+    return LintReport(
+        findings=tuple(sorted(findings)),
+        suppressed=suppressed,
+        files_checked=len(loaders),
     )
-    findings, _ = _check_module(
-        module,
-        list(rules) if rules else all_rules(),
-        suppressions_for(module.source),
-    )
-    return sorted(findings)
 
 
 def lint_paths(
     paths: Sequence[str | Path],
     rules: Iterable[LintRule] | None = None,
-    baseline: Baseline | None = None,
     analyses: Sequence[str] = ALL_ANALYSES,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and return the report.
 
     ``analyses`` selects what runs: ``"rules"`` — the per-module rule
-    catalogue; ``"dimensions"`` and ``"effects"`` — the whole-program
-    passes (which need every module parsed before any is checked).
+    catalogue (``rules``, default all of it); ``"dimensions"`` and
+    ``"effects"`` — the whole-program passes (which need every module
+    parsed before any is checked).
     """
-    unknown = set(analyses) - set(ALL_ANALYSES)
-    if unknown:
-        raise ValueError(f"unknown analyses: {sorted(unknown)}")
-    rule_list = list(rules) if rules else all_rules()
-    raw: list[Finding] = []
-    suppressed_total = 0
-    files = iter_python_files(paths)
-    modules: list[ModuleInfo] = []
-    suppression_maps: dict[str, dict[int, set[str]]] = {}
-    for file_path in files:
-        try:
-            module, suppressions = _load_module_cached(file_path)
-        except SyntaxError as exc:
-            raw.append(
-                Finding(
-                    path=display_path(file_path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule_id=PARSE_ERROR_ID,
-                    message=f"syntax error: {exc.msg}",
-                    source_line=(exc.text or "").rstrip("\n"),
-                )
-            )
-            continue
-        modules.append(module)
-        suppression_maps[module.path] = suppressions
-    if "rules" in analyses:
-        for module in modules:
-            findings, suppressed = _check_module(
-                module, rule_list, suppression_maps[module.path]
-            )
-            raw.extend(findings)
-            suppressed_total += suppressed
-    for analysis_cls in _WHOLE_PROGRAM_ANALYSES:
-        if analysis_cls.name not in analyses:
-            continue
-        for finding in analysis_cls().run(modules):
-            if is_suppressed(
-                suppression_maps.get(finding.path, {}),
-                finding.line,
-                finding.rule_id,
-            ):
-                suppressed_total += 1
-            else:
-                raw.append(finding)
-    raw.sort()
-    new, old = (baseline or Baseline()).partition(raw)
-    return LintReport(
-        findings=tuple(new),
-        baselined=tuple(old),
-        suppressed=suppressed_total,
-        files_checked=len(files),
-        raw_findings=tuple(raw),
+    return _lint(
+        [
+            (display_path(path), partial(_load_module_cached, path))
+            for path in iter_python_files(paths)
+        ],
+        rules,
+        analyses,
     )
+
+
+def lint_sources(
+    sources: Mapping[str, str],
+    rules: Iterable[LintRule] | None = None,
+    analyses: Sequence[str] = ALL_ANALYSES,
+) -> LintReport:
+    """Lint in-memory modules, exactly as :func:`lint_paths` lints files.
+
+    ``sources`` maps display paths (e.g. ``src/repro/foo.py``) to source
+    text; the paths decide module names and rule exemptions.
+    """
+    loaders = [
+        (path, partial(_parse_source, path, text))
+        for path, text in sources.items()
+    ]
+    return _lint(loaders, rules, analyses)

@@ -1,15 +1,12 @@
 """The unit of lintkit output: one finding at one source location.
 
-A finding is a value: rules yield them, the engine filters them against
-inline suppressions and the committed baseline, and the CLI renders the
-survivors.  The *baseline key* deliberately excludes the line number so a
-grandfathered finding does not churn the baseline file every time code
-above it moves.
+A finding is a value: analyses yield them, the engine drops those
+suppressed inline, and the CLI renders the survivors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Finding"]
 
@@ -29,9 +26,6 @@ class Finding:
         Identifier of the rule that fired, e.g. ``UNIT001``.
     message:
         Human-readable explanation, including the suggested fix.
-    source_line:
-        The physical source line the finding points at (used for display
-        and for the movement-tolerant baseline key).
     """
 
     path: str
@@ -39,12 +33,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    source_line: str = field(default="", compare=False)
-
-    @property
-    def baseline_key(self) -> str:
-        """Stable identity used by the baseline file (no line number)."""
-        return f"{self.path}::{self.rule_id}::{self.source_line.strip()}"
 
     def render(self) -> str:
         """One-line ``path:line:col: RULE message`` rendering."""

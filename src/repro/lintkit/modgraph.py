@@ -1,30 +1,54 @@
-"""Shared whole-program plumbing for the interprocedural analyses.
+"""The parsed-module record and the one name resolver every analysis uses.
 
-Both multi-module passes — :mod:`repro.lintkit.dimensions` (physical
-units) and :mod:`repro.lintkit.effects` (purity/effects) — need the same
-three ingredients before they can reason across files: a dotted module
-name for every display path, an import-alias table resolving local names
-to canonical dotted targets (including relative imports and package
-re-exports), and a reader for dotted attribute chains.  They live here
-so the two analyses cannot drift apart on how a name resolves.
+The per-module rules and both multi-module passes —
+:mod:`repro.lintkit.dimensions` (physical units) and
+:mod:`repro.lintkit.effects` (purity/effects) — need the same
+ingredients before they can reason about a name: a dotted module name
+for every display path, an import-alias table resolving local names to
+canonical dotted targets (including relative imports), a reader for
+dotted attribute chains, and a walk along package re-export chains.
+They live here so no two analyses can drift apart on how a name
+resolves.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Mapping
-
-from .rules.base import ModuleInfo
+from typing import Container, Mapping
 
 __all__ = [
+    "ModuleInfo",
     "dotted",
+    "follow_exports",
     "matches_suffix",
     "module_aliases",
     "module_identity",
-    "modules_from_sources",
+    "qualified_name",
     "relative_base",
 ]
+
+
+@dataclass(frozen=True)
+class ModuleInfo:
+    """Everything an analysis may inspect about one parsed module."""
+
+    path: str  # display path, POSIX separators
+    source: str
+    tree: ast.Module
+
+    @property
+    def basename(self) -> str:
+        return PurePosixPath(self.path).name
+
+    @property
+    def parts(self) -> tuple[str, ...]:
+        return PurePosixPath(self.path).parts
+
+    @property
+    def is_package_init(self) -> bool:
+        return self.basename == "__init__.py"
 
 
 def module_identity(path: str) -> tuple[str, bool]:
@@ -94,6 +118,41 @@ def dotted(node: ast.AST) -> list[str] | None:
     return None
 
 
+def qualified_name(node: ast.AST, aliases: Mapping[str, str]) -> str | None:
+    """``node``'s dotted name with its head resolved through ``aliases``.
+
+    ``np.random.default_rng`` under ``import numpy as np`` is
+    ``numpy.random.default_rng``; None for non-name expressions.
+    """
+    parts = dotted(node)
+    if parts is None:
+        return None
+    head = aliases.get(parts[0], parts[0])
+    return ".".join([head] + parts[1:])
+
+
+def follow_exports(
+    fq: str,
+    exports: Mapping[str, str],
+    functions: Container[str],
+    classes: Container[str],
+) -> str:
+    """Follow re-export chains from ``fq`` to a defining name.
+
+    ``exports`` maps ``module.local`` to the import target bound there;
+    the walk stops at the first name in ``functions`` or ``classes``, at
+    a dead end, or on a cycle.
+    """
+    seen = set()
+    while fq not in functions and fq not in classes and fq not in seen:
+        seen.add(fq)
+        target = exports.get(fq)
+        if target is None:
+            break
+        fq = target
+    return fq
+
+
 def matches_suffix(fq: str, suffix: str) -> bool:
     """True when ``fq`` is ``suffix`` or ends with ``.suffix``.
 
@@ -102,23 +161,3 @@ def matches_suffix(fq: str, suffix: str) -> bool:
     and to the mirror fixtures under ``tests/fixtures/``.
     """
     return fq == suffix or fq.endswith("." + suffix)
-
-
-def modules_from_sources(sources: Mapping[str, str]) -> list[ModuleInfo]:
-    """Parse in-memory sources into :class:`ModuleInfo` records.
-
-    ``sources`` maps display paths (e.g. ``src/repro/foo.py``) to source
-    text — the shared entry point for the analyses' test harnesses.
-    """
-    modules = []
-    for path, source in sources.items():
-        tree = ast.parse(source, filename=path)
-        modules.append(
-            ModuleInfo(
-                path=path,
-                source=source,
-                tree=tree,
-                lines=tuple(source.splitlines()),
-            )
-        )
-    return modules

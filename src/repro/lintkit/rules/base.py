@@ -1,50 +1,14 @@
-"""Rule plumbing: the module snapshot rules see, and the Rule base class."""
+"""Rule plumbing: the Rule base class (rules see a :class:`ModuleInfo`)."""
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import PurePosixPath
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..findings import Finding
+from ..modgraph import ModuleInfo
 
-__all__ = [
-    "LintRule",
-    "ModuleInfo",
-    "dotted_name",
-    "import_aliases",
-    "iter_findings",
-    "resolve_call_target",
-]
-
-
-@dataclass(frozen=True)
-class ModuleInfo:
-    """Everything a rule may inspect about one parsed module."""
-
-    path: str  # display path, POSIX separators
-    source: str
-    tree: ast.Module
-    lines: tuple[str, ...]
-
-    @property
-    def basename(self) -> str:
-        return PurePosixPath(self.path).name
-
-    @property
-    def parts(self) -> tuple[str, ...]:
-        return PurePosixPath(self.path).parts
-
-    @property
-    def is_package_init(self) -> bool:
-        return self.basename == "__init__.py"
-
-    def line_text(self, lineno: int) -> str:
-        """The physical source line at 1-based ``lineno`` (or '')."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
+__all__ = ["LintRule", "ModuleInfo"]
 
 
 class LintRule:
@@ -68,72 +32,10 @@ class LintRule:
 
     def finding(self, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             path=module.path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             message=message,
-            source_line=module.line_text(line),
         )
-
-
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map each locally-bound import name to the dotted path it refers to.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy import
-    random`` maps ``random -> numpy.random``; ``from time import time``
-    maps ``time -> time.time``.  Relative imports are prefixed with dots
-    so they can never collide with a stdlib/third-party dotted path.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    first = alias.name.split(".")[0]
-                    aliases[first] = first
-        elif isinstance(node, ast.ImportFrom):
-            prefix = "." * node.level + (node.module or "")
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                aliases[bound] = f"{prefix}.{alias.name}" if prefix else alias.name
-    return aliases
-
-
-def dotted_name(node: ast.AST) -> list[str] | None:
-    """``a.b.c`` as ``["a", "b", "c"]``; None for non-name expressions."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
-def resolve_call_target(
-    func: ast.AST, aliases: dict[str, str]
-) -> str | None:
-    """Fully-qualified dotted name a call expression refers to, if static."""
-    parts = dotted_name(func)
-    if parts is None:
-        return None
-    head = aliases.get(parts[0], parts[0])
-    return ".".join([head] + parts[1:])
-
-
-def iter_findings(
-    rule: LintRule, module: ModuleInfo
-) -> Iterator[Finding]:
-    """All findings of ``rule`` for ``module`` (applying the exemption)."""
-    if not rule.applies_to(module):
-        return
-    yield from rule.check(module)

@@ -13,7 +13,8 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
-from .base import LintRule, ModuleInfo, dotted_name
+from ..modgraph import dotted
+from .base import LintRule, ModuleInfo
 
 __all__ = ["FrozenConfigRule", "MutableDefaultRule"]
 
@@ -37,7 +38,7 @@ def _dataclass_decorator(
     """(decorator node, frozen=True present) for a dataclass, else (None, False)."""
     for dec in cls.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        parts = dotted_name(target)
+        parts = dotted(target)
         if parts is None or parts[-1] != "dataclass":
             continue
         frozen = False
@@ -119,6 +120,6 @@ class MutableDefaultRule(LintRule):
         if isinstance(node, _MUTABLE_NODES):
             return True
         if isinstance(node, ast.Call):
-            parts = dotted_name(node.func)
+            parts = dotted(node.func)
             return parts is not None and parts[-1] in _MUTABLE_CALLS
         return False

@@ -15,7 +15,8 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
-from .base import LintRule, ModuleInfo, dotted_name
+from ..modgraph import dotted
+from .base import LintRule, ModuleInfo
 
 __all__ = ["SilentExceptRule", "UnboundedPIDRule"]
 
@@ -42,7 +43,7 @@ class UnboundedPIDRule(LintRule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            parts = dotted_name(node.func)
+            parts = dotted(node.func)
             if parts is None:
                 continue
             spec = _BOUNDED_CONSTRUCTORS.get(parts[-1])
@@ -99,7 +100,7 @@ class SilentExceptRule(LintRule):
 
     @staticmethod
     def _is_broad(type_node: ast.AST) -> bool:
-        parts = dotted_name(type_node)
+        parts = dotted(type_node)
         return parts is not None and parts[-1] in ("Exception", "BaseException")
 
     @staticmethod

@@ -11,10 +11,11 @@ independent and addressable.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..findings import Finding
-from .base import LintRule, ModuleInfo, import_aliases, resolve_call_target
+from ..modgraph import module_aliases, module_identity, qualified_name
+from .base import LintRule, ModuleInfo
 
 __all__ = ["RandomModuleImportRule", "RngConstructionRule", "WallClockRule"]
 
@@ -33,6 +34,16 @@ _WALL_CLOCK_CALLS = {
 }
 
 
+def _calls(module: ModuleInfo) -> Iterator[tuple[ast.Call, str]]:
+    """Every call with a static target, as (node, resolved dotted name)."""
+    aliases = module_aliases(module.tree, *module_identity(module.path))
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            target = qualified_name(node.func, aliases)
+            if target is not None:
+                yield node, target
+
+
 class RngConstructionRule(LintRule):
     """DET001 — no ``numpy.random`` entry points outside ``rng.py``."""
 
@@ -49,13 +60,7 @@ class RngConstructionRule(LintRule):
         return module.basename != _RNG_MODULE
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, aliases)
-            if target is None:
-                continue
+        for node, target in _calls(module):
             if target == "numpy.random" or target.startswith("numpy.random."):
                 yield self.finding(
                     module,
@@ -115,11 +120,7 @@ class WallClockRule(LintRule):
         return module.basename != _RNG_MODULE
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, aliases)
+        for node, target in _calls(module):
             if target in _WALL_CLOCK_CALLS:
                 yield self.finding(
                     module,

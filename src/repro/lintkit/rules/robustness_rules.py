@@ -23,7 +23,8 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
-from .base import LintRule, ModuleInfo, dotted_name
+from ..modgraph import dotted
+from .base import LintRule, ModuleInfo
 
 __all__ = ["SwallowedExceptionRule"]
 
@@ -34,7 +35,7 @@ def _is_broad(type_node: ast.AST) -> bool:
         type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
     )
     for node in nodes:
-        parts = dotted_name(node)
+        parts = dotted(node)
         if parts is not None and parts[-1] in ("Exception", "BaseException"):
             return True
     return False

@@ -65,7 +65,6 @@ __all__ = [
     "hz",
     "ms",
     "ns",
-    "seconds_for_cycles",
     "to_ms",
     "to_nj",
     "to_ns",
@@ -148,13 +147,6 @@ def cycles_at(latency_seconds: Seconds, frequency_ghz: GigaHz) -> float:
     if frequency_ghz <= 0.0:
         raise ValueError(f"frequency must be positive, got {frequency_ghz}")
     return latency_seconds * frequency_ghz * GHZ_TO_HZ
-
-
-def seconds_for_cycles(cycles: float, frequency_ghz: GigaHz) -> Seconds:
-    """Wall-clock time taken by ``cycles`` core cycles at ``frequency_ghz``."""
-    if frequency_ghz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return cycles / (frequency_ghz * GHZ_TO_HZ)
 
 
 def bips(instructions, seconds: SecondsLike, check: bool = True) -> BipsLike:

@@ -11,7 +11,7 @@ simulation interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "MEMORY_BOUND",
     "MemoryBehavior",
     "WorkloadSample",
-    "make_instances",
 ]
 
 #: Classification letters used by Table III ("C" cpu-bound, "M" memory-bound).
@@ -186,17 +185,3 @@ class BenchmarkInstance:
             raise ValueError("cannot retire a negative instruction count")
         self.instructions_retired += instructions
 
-
-def make_instances(
-    specs: Sequence[BenchmarkSpec], rng_factory, prefix: str = "workload"
-) -> list[BenchmarkInstance]:
-    """Create one instance per spec, each with an independent stream.
-
-    ``rng_factory`` is a :class:`repro.rng.SeedSequenceFactory`; streams are
-    addressed as ``{prefix}/core{i}/{name}`` so runs are replayable.
-    """
-    instances = []
-    for i, spec in enumerate(specs):
-        rng = rng_factory.generator(f"{prefix}/core{i}/{spec.name}")
-        instances.append(BenchmarkInstance(spec, rng))
-    return instances

@@ -2,9 +2,9 @@
 
 Each rule is exercised with inline fixture snippets, positive (the rule
 must fire) and negative (clean or exempt code must stay silent).  The
-engine-level behaviours — inline suppressions, the movement-tolerant
-baseline, parse-error reporting — and the CLI's exit codes / JSON output
-are covered at the bottom.  The final test lints the actual repository
+engine-level behaviours — inline suppressions, parse-error reporting,
+one pipeline behind both entry points — and the CLI's exit codes / JSON
+output are covered at the bottom.  The final test lints the actual repository
 tree, which is the acceptance criterion for the whole subsystem.
 """
 
@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import Baseline, Finding, all_rules, lint_paths, lint_source
+from repro.lintkit import Finding, all_rules, lint_paths, lint_sources
 from repro.lintkit.cli import main
-from repro.lintkit.engine import PARSE_ERROR_ID
+from repro.lintkit.engine import PARSE_ERROR_ID, display_path
 from repro.lintkit.rules.api_rules import DeclaredAllRule, StaleAllRule
 from repro.lintkit.rules.config_rules import FrozenConfigRule, MutableDefaultRule
 from repro.lintkit.rules.control_rules import SilentExceptRule, UnboundedPIDRule
@@ -34,9 +34,15 @@ from repro.lintkit.suppress import parse_comment
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def lint_rules(source: str, rules, path: str = "<string>") -> list[Finding]:
+    """The findings of ``rules`` on one in-memory module."""
+    report = lint_sources({path: source}, rules=rules, analyses=("rules",))
+    return list(report.findings)
+
+
 def run_rule(rule, source: str, path: str = "mod.py") -> list[Finding]:
     """Lint a dedented snippet with exactly one rule."""
-    return lint_source(textwrap.dedent(source), path=path, rules=[rule])
+    return lint_rules(textwrap.dedent(source), [rule], path=path)
 
 
 def rule_ids(findings) -> list[str]:
@@ -172,6 +178,19 @@ class TestWallClockRule:
             """,
         )
         assert rule_ids(findings) == ["DET003"]
+
+    def test_relative_module_named_time_is_not_the_stdlib(self):
+        # Relative imports resolve inside the package: repro.time.time.
+        findings = run_rule(
+            WallClockRule(),
+            """
+            from .time import time
+
+            stamp = time()
+            """,
+            path="src/repro/stamps.py",
+        )
+        assert findings == []
 
     def test_time_sleep_is_clean(self):
         findings = run_rule(
@@ -499,13 +518,13 @@ class TestSwallowedExceptionRule:
             assert run_rule(SwallowedExceptionRule(), snippet) == []
 
     def test_inline_suppression_silences(self):
-        findings = lint_source(
+        findings = lint_rules(
             "try:\n"
             "    step()\n"
             "except Exception:  # lint: ignore[ROB001] - deliberate\n"
             "    value = fallback()\n",
+            [SwallowedExceptionRule()],
             path="mod.py",
-            rules=[SwallowedExceptionRule()],
         )
         assert findings == []
 
@@ -620,23 +639,23 @@ class TestStaleAllRule:
 
 class TestSuppressions:
     def test_matching_rule_id_suppresses(self):
-        findings = lint_source(
+        findings = lint_rules(
             "x = value * 1e9  # lint: ignore[UNIT001] display-only\n",
-            rules=[MagicUnitLiteralRule()],
+            [MagicUnitLiteralRule()],
         )
         assert findings == []
 
     def test_wrong_rule_id_does_not_suppress(self):
-        findings = lint_source(
+        findings = lint_rules(
             "x = value * 1e9  # lint: ignore[DET001]\n",
-            rules=[MagicUnitLiteralRule()],
+            [MagicUnitLiteralRule()],
         )
         assert rule_ids(findings) == ["UNIT001"]
 
     def test_bare_ignore_suppresses_every_rule_on_the_line(self):
-        findings = lint_source(
+        findings = lint_rules(
             "def f(x=[], y=1e9):  # lint: ignore\n    return x, y\n",
-            rules=[MutableDefaultRule(), MagicUnitLiteralRule()],
+            [MutableDefaultRule(), MagicUnitLiteralRule()],
         )
         assert findings == []
 
@@ -645,12 +664,12 @@ class TestSuppressions:
             "a = 1e9  # lint: ignore[UNIT001]\n"
             "b = 1e9\n"
         )
-        findings = lint_source(src, rules=[MagicUnitLiteralRule()])
+        findings = lint_rules(src, [MagicUnitLiteralRule()])
         assert [(f.rule_id, f.line) for f in findings] == [("UNIT001", 2)]
 
     def test_ignore_text_inside_string_does_not_suppress(self):
         src = 'msg = "# lint: ignore[UNIT001]"\nx = 1e9\n'
-        findings = lint_source(src, rules=[MagicUnitLiteralRule()])
+        findings = lint_rules(src, [MagicUnitLiteralRule()])
         assert rule_ids(findings) == ["UNIT001"]
 
     def test_parse_comment_multiple_ids(self):
@@ -659,63 +678,6 @@ class TestSuppressions:
             "DET001",
         }
         assert parse_comment("# just a comment") is None
-
-
-# ---------------------------------------------------------------------------
-# Baseline mechanism
-# ---------------------------------------------------------------------------
-
-
-def _finding(line: int, source_line: str = "x = 1e9") -> Finding:
-    return Finding(
-        path="src/mod.py",
-        line=line,
-        col=4,
-        rule_id="UNIT001",
-        message="magic literal",
-        source_line=source_line,
-    )
-
-
-class TestBaseline:
-    def test_partition_absorbs_grandfathered_counts(self):
-        baseline = Baseline.from_findings([_finding(3)])
-        new, old = baseline.partition([_finding(3)])
-        assert (new, len(old)) == ([], 1)
-
-    def test_extra_identical_finding_is_new(self):
-        # The same violation appearing one more time than tolerated fails.
-        baseline = Baseline.from_findings([_finding(3)])
-        new, old = baseline.partition([_finding(3), _finding(9)])
-        assert (len(new), len(old)) == (1, 1)
-
-    def test_key_is_movement_tolerant(self):
-        # A finding that moved lines (code inserted above) still matches.
-        baseline = Baseline.from_findings([_finding(3)])
-        new, old = baseline.partition([_finding(42)])
-        assert (new, len(old)) == ([], 1)
-
-    def test_different_source_line_is_new(self):
-        baseline = Baseline.from_findings([_finding(3)])
-        new, _ = baseline.partition([_finding(3, source_line="y = 1e9")])
-        assert len(new) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        baseline = Baseline.from_findings([_finding(3), _finding(8)])
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == baseline.entries
-        assert json.loads(path.read_text())["version"] == 1
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-    def test_invalid_counts_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 1, "findings": {"k": 0}}')
-        with pytest.raises(ValueError):
-            Baseline.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +692,54 @@ class TestEngine:
         report = lint_paths([bad])
         assert rule_ids(report.findings) == [PARSE_ERROR_ID]
         assert not report.ok
+
+    def test_in_memory_and_file_entry_points_agree(self, tmp_path):
+        # One suppressed finding per analysis, one live finding and one
+        # unparsable file: both entry points run the same pipeline.
+        sources = {
+            "src/mini/convert.py": textwrap.dedent(
+                """
+                from repro.unit_types import GigaHz, Watts
+
+                __all__ = ["scale", "total"]
+
+                def total(p: Watts, f: GigaHz) -> float:
+                    return p + f  # lint: ignore[DIM001] fixture
+
+                def scale(x):
+                    return x * 1e9  # lint: ignore[UNIT001] fixture
+                """
+            ),
+            "src/mini/noise.py": textwrap.dedent(
+                """
+                import numpy as np
+
+                __all__ = ["make_noise"]
+
+                def make_noise(seed, n):
+                    rng = np.random.default_rng(seed)
+                    out = []
+                    for _ in range(n):
+                        out.append(_sample(rng))  # lint: ignore[EFF004] fixture
+                    return out
+
+                def _sample(rng):
+                    return float(rng.normal())
+                """
+            ),
+            "src/mini/broken.py": "def f(:\n",
+        }
+        for rel, text in sources.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        from_files = lint_paths([tmp_path / "src"])
+        in_memory = lint_sources(
+            {display_path(tmp_path / rel): text for rel, text in sources.items()}
+        )
+        assert from_files.findings == in_memory.findings
+        assert from_files.suppressed == in_memory.suppressed == 3
+        assert from_files.files_checked == in_memory.files_checked == 3
+        assert sorted(rule_ids(in_memory.findings)) == ["DET001", PARSE_ERROR_ID]
 
     def test_pycache_is_skipped(self, tmp_path):
         (tmp_path / "__pycache__").mkdir()
@@ -750,11 +760,11 @@ class TestEngine:
                 return 2 * x
             """
         )
-        assert lint_source(src, rules=all_rules()) == []
+        assert lint_rules(src, all_rules()) == []
 
 
 # ---------------------------------------------------------------------------
-# CLI: exit codes, JSON output, --update-baseline
+# CLI: exit codes, JSON output
 # ---------------------------------------------------------------------------
 
 
@@ -774,34 +784,35 @@ CLEAN_SRC = (
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN_SRC)
-        code = main([str(tmp_path), "--no-baseline"])
+        code = main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 finding(s) in 1 file(s)" in out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(VIOLATION_SRC)
-        code = main([str(tmp_path), "--no-baseline"])
+        code = main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "DET001" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        code = main([str(tmp_path / "nowhere"), "--no-baseline"])
+        code = main([str(tmp_path / "nowhere")])
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN_SRC)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"findings": {"k": -3}}')
-        code = main([str(tmp_path), "--baseline", str(baseline)])
+        target = tmp_path / "missing-dir" / "report.txt"
+        code = main([str(tmp_path), "--output", str(target)])
         assert code == 2
-        assert "invalid baseline" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
 
     def test_json_output_shape(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(VIOLATION_SRC)
-        code = main([str(tmp_path), "--no-baseline", "--format", "json"])
+        code = main([str(tmp_path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["count"] == 1
@@ -811,27 +822,6 @@ class TestCli:
         assert finding["rule"] == "DET001"
         assert finding["line"] == 3
         assert set(finding) == {"path", "line", "col", "rule", "message"}
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(VIOLATION_SRC)
-        baseline = tmp_path / "baseline.json"
-
-        code = main(
-            [str(tmp_path), "--baseline", str(baseline), "--update-baseline"]
-        )
-        assert code == 0
-        assert baseline.exists()
-
-        # Grandfathered: same tree now lints clean.
-        code = main([str(tmp_path), "--baseline", str(baseline)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "1 baselined" in out
-
-        # A second, new violation still fails.
-        (tmp_path / "worse.py").write_text(VIOLATION_SRC.replace("0", "1"))
-        code = main([str(tmp_path), "--baseline", str(baseline)])
-        assert code == 1
 
     def test_list_rules_covers_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -847,14 +837,7 @@ class TestCli:
 
 class TestRepositoryTree:
     def test_src_tree_has_no_findings(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        report = lint_paths([REPO_ROOT / "src"], baseline=baseline)
+        report = lint_paths([REPO_ROOT / "src"])
         assert report.files_checked > 50
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"lintkit findings in src/:\n{rendered}"
-
-    def test_committed_baseline_is_empty(self):
-        # The whole tree was brought into compliance; the baseline should
-        # carry no grandfathered debt.  If a future change legitimately
-        # needs one, delete this test alongside justifying the entry.
-        assert len(Baseline.load(REPO_ROOT / "lint-baseline.json")) == 0

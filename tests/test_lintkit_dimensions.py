@@ -1,9 +1,9 @@
 """Tests for ``repro.lintkit.dimensions`` — the unit/dimension checker.
 
 Organized bottom-up: each DIM rule on minimal in-memory programs
-(:func:`analyze_sources`), then the propagation machinery (cross-module
-imports, dataclass fields, conservatism), then the engine/CLI/SARIF
-integration, and finally the seeded-mutation fixture
+(:func:`~repro.lintkit.lint_sources`), then the propagation machinery
+(cross-module imports, dataclass fields, conservatism), then the
+engine/CLI/SARIF integration, and finally the seeded-mutation fixture
 ``tests/fixtures/dim_mutation.py`` whose ``# expect: DIMxxx`` markers
 must match the analysis output exactly.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import ALL_ANALYSES, analyze_sources, lint_paths
+from repro.lintkit import ALL_ANALYSES, lint_paths, lint_sources
 from repro.lintkit.cli import main
 from repro.lintkit.dimensions import DIM_RULES
 from repro.lintkit.sarif import SARIF_SCHEMA, SARIF_VERSION, sarif_payload
@@ -35,7 +35,12 @@ def analyze(
     header: str = HEADER,
 ):
     """Run the dimensions pass over one dedented in-memory module."""
-    return analyze_sources({path: header + textwrap.dedent(source)})
+    return dimension_findings({path: header + textwrap.dedent(source)})
+
+
+def dimension_findings(sources: dict[str, str]):
+    """The dimensions pass's findings over in-memory modules."""
+    return list(lint_sources(sources, analyses=("dimensions",)).findings)
 
 
 def rule_ids(findings) -> list[str]:
@@ -276,7 +281,7 @@ class TestDim005ManualConversion:
 
 class TestPropagation:
     def test_cross_module_call_boundary(self):
-        findings = analyze_sources(
+        findings = dimension_findings(
             {
                 "src/repro/timerlib.py": textwrap.dedent(
                     """
@@ -365,7 +370,7 @@ class TestPropagation:
         assert findings == []
 
     def test_units_module_itself_is_exempt(self):
-        findings = analyze_sources(
+        findings = dimension_findings(
             {
                 "src/repro/units.py": textwrap.dedent(
                     """

@@ -1,7 +1,7 @@
 """Tests for ``repro.lintkit.effects`` — the interprocedural effect pass.
 
 Organized bottom-up: each EFF rule on minimal in-memory mini-programs
-(:func:`analyze_sources_effects`), then the propagation machinery (root
+(:func:`~repro.lintkit.lint_sources`), then the propagation machinery (root
 binding, CHA dispatch, re-export chains, chain rendering), then the
 engine/CLI integration and the shared parsed-module cache, and finally
 the seeded-mutation fixture ``tests/fixtures/effects_mutation/`` whose
@@ -18,9 +18,9 @@ import re
 import textwrap
 from pathlib import Path
 
-from repro.lintkit import lint_paths
+from repro.lintkit import lint_paths, lint_sources
 from repro.lintkit.cli import main
-from repro.lintkit.effects import EFF_RULES, ROOTS, analyze_sources_effects
+from repro.lintkit.effects import EFF_RULES, ROOTS
 from repro.lintkit.engine import clear_module_cache, _MODULE_CACHE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -65,7 +65,12 @@ def analyze(
     }
     for path, text in (extra or {}).items():
         sources[path] = textwrap.dedent(text)
-    return analyze_sources_effects(sources)
+    return effect_findings(sources)
+
+
+def effect_findings(sources: dict[str, str]):
+    """The effects pass's findings over in-memory modules."""
+    return list(lint_sources(sources, analyses=("effects",)).findings)
 
 
 def rule_ids(findings) -> list[str]:
@@ -353,6 +358,104 @@ class TestEff003SimulationPurity:
             }
         )
         assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# Overlapping rule pairs: each rule catches a case its partner misses
+# ---------------------------------------------------------------------------
+
+
+class TestRuleOverlap:
+    """DET003/EFF003 both police the wall clock and DET001/EFF004 both
+    police RNG streams; each case here is caught by one rule of a pair
+    and missed by the other, which is why both rules stay."""
+
+    @staticmethod
+    def fired(
+        extra: dict[str, str], simulator: str = CLEAN_SIMULATOR
+    ) -> set[str]:
+        sources = {
+            SIM_PATH: textwrap.dedent(simulator),
+            RUN_PATH: textwrap.dedent(CLEAN_RUNNER),
+        }
+        for path, text in extra.items():
+            sources[path] = textwrap.dedent(text)
+        report = lint_sources(sources, analyses=("rules", "effects"))
+        return set(rule_ids(report.findings))
+
+    def test_det003_only_clock_nothing_reaches(self):
+        fired = self.fired(
+            {
+                "src/mini/report.py": """
+                import time
+
+                def stamp():
+                    return time.time()
+                """
+            }
+        )
+        assert "DET003" in fired
+        assert "EFF003" not in fired
+
+    def test_eff003_only_clock_in_rng_module(self):
+        fired = self.fired(
+            {
+                "src/mini/rng.py": """
+                import time
+
+                def entropy():
+                    return time.time()
+                """
+            },
+            simulator="""
+            from .rng import entropy
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return float(self.seed) * entropy()
+            """,
+        )
+        assert "EFF003" in fired
+        assert "DET003" not in fired
+
+    def test_det001_only_private_generator(self):
+        fired = self.fired(
+            {
+                "src/mini/noise.py": """
+                import numpy as np
+
+                def make_noise(seed):
+                    rng = np.random.default_rng(seed)
+                    return float(rng.normal())
+                """
+            }
+        )
+        assert "DET001" in fired
+        assert "EFF004" not in fired
+
+    def test_eff004_only_shared_stream_from_repro_rng(self):
+        fired = self.fired(
+            {
+                "src/mini/noise.py": """
+                from repro.rng import derive
+
+                def make_noise(seed, n):
+                    rng = derive(seed, "noise")
+                    out = []
+                    for _ in range(n):
+                        out.append(_sample(rng))
+                    return out
+
+                def _sample(rng):
+                    return float(rng.normal())
+                """
+            }
+        )
+        assert "EFF004" in fired
+        assert "DET001" not in fired
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +755,7 @@ class TestCacheUnsoundRegression:
         )
 
     def test_effects_pass_catches_it(self):
-        findings = analyze_sources_effects(self.PLANTED)
+        findings = effect_findings(self.PLANTED)
         eff2 = [f for f in findings if f.rule_id == "EFF002"]
         assert len(eff2) == 1
         assert eff2[0].path == "src/mini/tuning.py"
@@ -668,7 +771,7 @@ class TestCacheUnsoundRegression:
 class TestEngineAndCli:
     def test_cli_exit_one_on_fixture_findings(self):
         assert (
-            main([str(FIXTURE_DIR), "--analysis", "effects", "--no-baseline"])
+            main([str(FIXTURE_DIR), "--analysis", "effects"])
             == 1
         )
 
@@ -676,7 +779,7 @@ class TestEngineAndCli:
         target = tmp_path / "clean.py"
         target.write_text('"""Clean."""\n\n__all__: list[str] = []\n')
         assert (
-            main([str(target), "--analysis", "effects", "--no-baseline"]) == 0
+            main([str(target), "--analysis", "effects"]) == 0
         )
         capsys.readouterr()
 

@@ -156,7 +156,6 @@ class TestCliRoundTrip:
                 str(FIXTURES / "effects_mutation"),
                 "--analysis",
                 "effects",
-                "--no-baseline",
                 "--format",
                 "sarif",
                 "--output",

@@ -19,11 +19,6 @@ def test_cycles_at_scales_with_frequency():
     assert units.cycles_at(100e-9, 1.0) == pytest.approx(100.0)
 
 
-def test_cycles_roundtrip():
-    seconds = units.seconds_for_cycles(200.0, 2.0)
-    assert units.cycles_at(seconds, 2.0) == pytest.approx(200.0)
-
-
 def test_bips():
     assert units.bips(2e9, 1.0) == pytest.approx(2.0)
     assert units.bips(1e9, 0.5) == pytest.approx(2.0)
@@ -33,8 +28,6 @@ def test_bips():
 def test_invalid_frequency_rejected(bad):
     with pytest.raises(ValueError):
         units.cycles_at(1e-9, bad)
-    with pytest.raises(ValueError):
-        units.seconds_for_cycles(100, bad)
 
 
 def test_bips_rejects_nonpositive_interval():

@@ -13,7 +13,7 @@ from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme
 from repro.rng import SeedSequenceFactory
-from repro.workloads.benchmark import make_instances
+from repro.workloads.benchmark import BenchmarkInstance
 from repro.workloads.mixes import MIX1
 from repro.workloads.phases import Phase, PhaseMachine
 from repro.workloads.recorded import record
@@ -23,6 +23,14 @@ PHASES = (
     Phase(alpha=0.6, cpi_base=1.2, l1_mpki=30.0, l2_mpki=10.0),
     Phase(alpha=0.3, cpi_base=2.0, l1_mpki=50.0, l2_mpki=20.0),
 )
+
+
+def instances(specs, seeds):
+    """One instance per spec, on the streams the simulator gives them."""
+    return [
+        BenchmarkInstance(spec, seeds.generator(f"workload/core{i}/{spec.name}"))
+        for i, spec in enumerate(specs)
+    ]
 
 
 def machine(seed, phases=PHASES):
@@ -88,8 +96,8 @@ class TestPhaseMachineBlock:
 
 class TestBenchmarkInstanceBlock:
     def test_delegates_to_machine(self):
-        serial = make_instances(MIX1.specs(), SeedSequenceFactory(4))
-        batched = make_instances(MIX1.specs(), SeedSequenceFactory(4))
+        serial = instances(MIX1.specs(), SeedSequenceFactory(4))
+        batched = instances(MIX1.specs(), SeedSequenceFactory(4))
         for s, b in zip(serial, batched):
             samples = [s.advance() for _ in range(60)]
             block = b.advance_block(60)

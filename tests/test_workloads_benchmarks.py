@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.rng import SeedSequenceFactory
 from repro.workloads.benchmark import (
     BenchmarkInstance,
     BenchmarkSpec,
     CPU_BOUND,
     MEMORY_BOUND,
     MemoryBehavior,
-    make_instances,
 )
 from repro.workloads.parsec import PARSEC_BENCHMARKS, SHORT_NAMES, parsec_benchmark
 from repro.workloads.spec import SPEC_BENCHMARKS, spec_benchmark
@@ -101,13 +99,6 @@ class TestInstances:
         assert inst.instructions_retired == pytest.approx(3e6)
         with pytest.raises(ValueError):
             inst.retire(-1.0)
-
-    def test_make_instances_independent_streams(self):
-        specs = [parsec_benchmark("x264")] * 2
-        instances = make_instances(specs, SeedSequenceFactory(1))
-        a = [instances[0].advance().alpha for _ in range(50)]
-        b = [instances[1].advance().alpha for _ in range(50)]
-        assert a != b
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
