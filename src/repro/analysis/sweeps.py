@@ -2,9 +2,9 @@
 
 Most of the paper's figures are sweeps: run a scheme across budgets, or
 several schemes at one budget, always against the paired no-management
-reference.  This module centralizes that pattern so experiments, the
-CLI and user notebooks share one implementation with memoized
-references.
+reference.  This module centralizes that pattern so the CLI and user
+notebooks share one implementation; each sweep runs its reference in
+the same :func:`~repro.runner.run_many` call as its points.
 
 Example::
 
@@ -19,6 +19,7 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
@@ -27,8 +28,8 @@ import numpy as np
 
 from ..cmpsim.simulator import PowerScheme, SimulationResult
 from ..config import CMPConfig, DEFAULT_CONFIG
+from ..baselines.no_management import NoManagementScheme
 from ..core.metrics import performance_degradation
-from ..experiments.common import reference_run
 from ..reporting import format_table
 from ..rng import DEFAULT_SEED
 from ..runner import RunRequest, run_many
@@ -96,13 +97,23 @@ class SweepResult:
         return np.array([p.mean_power for p in self.points])
 
 
-def _to_points(
+def _sweep(
+    title: str,
     labels: Sequence[str],
     requests: Sequence[RunRequest],
-    results: Sequence[SimulationResult],
-    reference: SimulationResult,
-) -> list[SweepPoint]:
-    return [
+    jobs: int | None,
+    cache_dir: str | pathlib.Path | None,
+) -> SweepResult:
+    """Run ``requests`` and their no-management reference (the first
+    request's platform, mix, seed and horizon at a 100% budget) in one
+    :func:`~repro.runner.run_many` call."""
+    reference_request = dataclasses.replace(
+        requests[0], scheme_factory=NoManagementScheme, budget_fraction=1.0
+    )
+    reference, *results = run_many(
+        [reference_request, *requests], jobs=jobs, cache_dir=cache_dir
+    )
+    points = [
         SweepPoint(
             label=label,
             budget_fraction=request.budget_fraction,
@@ -111,6 +122,7 @@ def _to_points(
         )
         for label, request, result in zip(labels, requests, results)
     ]
+    return SweepResult(title=title, points=points)
 
 
 def budget_sweep(
@@ -132,26 +144,12 @@ def budget_sweep(
     """
     if not budgets:
         raise ValueError("need at least one budget")
-    for budget in budgets:
-        if not 0.0 < budget <= 1.0:
-            raise ValueError(f"budget {budget} out of (0, 1]")
-    reference = reference_run(config, mix, seed=seed, n_gpm=n_gpm_intervals)
     requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=scheme_factory,
-            mix=mix,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm_intervals,
-        )
+        RunRequest(config, scheme_factory, mix, budget, seed, n_gpm_intervals)
         for budget in budgets
     ]
-    results = run_many(requests, jobs=jobs, cache_dir=cache_dir)
     labels = [f"budget {budget:.2f}" for budget in budgets]
-    return SweepResult(
-        title=title, points=_to_points(labels, requests, results, reference)
-    )
+    return _sweep(title, labels, requests, jobs, cache_dir)
 
 
 def scheme_sweep(
@@ -171,24 +169,9 @@ def scheme_sweep(
     """
     if not scheme_factories:
         raise ValueError("need at least one scheme")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"budget {budget} out of (0, 1]")
-    reference = reference_run(config, mix, seed=seed, n_gpm=n_gpm_intervals)
     requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=factory,
-            mix=mix,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm_intervals,
-        )
+        RunRequest(config, factory, mix, budget, seed, n_gpm_intervals)
         for factory in scheme_factories.values()
     ]
-    results = run_many(requests, jobs=jobs, cache_dir=cache_dir)
-    return SweepResult(
-        title=title or f"schemes @ budget {budget:.2f}",
-        points=_to_points(
-            list(scheme_factories), requests, results, reference
-        ),
-    )
+    title = title or f"schemes @ budget {budget:.2f}"
+    return _sweep(title, list(scheme_factories), requests, jobs, cache_dir)

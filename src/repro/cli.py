@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import inspect
 import sys
 from typing import Sequence
 
@@ -32,7 +31,6 @@ import numpy as np
 from .baselines.maxbips import MaxBIPSScheme
 from .baselines.no_management import NoManagementScheme
 from .baselines.static_uniform import StaticUniformScheme
-from .cmpsim.simulator import Simulation
 from .config import CMPConfig, DEFAULT_CONFIG
 from .core.cpm import CPMScheme
 from .core.metrics import performance_degradation
@@ -45,6 +43,7 @@ from .gpm import (
 )
 from .reporting import as_percent, format_series, format_table
 from .rng import DEFAULT_SEED
+from .runner import RunRequest, run_many, run_one
 from . import units
 
 __all__ = [
@@ -94,13 +93,39 @@ def _scheme_from_names(scheme: str, policy: str):
     return NoManagementScheme()
 
 
-def _build_scheme(args: argparse.Namespace):
-    return _scheme_from_names(args.scheme, args.policy)
+def _checked(convert, accept, what: str):
+    """An argparse type: ``convert``, then reject (exit 2) unless ``accept``."""
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{raw} is not {what}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _budget_range(raw: str) -> list[float]:
+    """Parse ``start:stop:step`` into budgets, stop included."""
+    start, stop, step = map(float, raw.split(":"))
+    if not (0.0 < start <= stop <= 1.0 and step > 0.0):
+        message = f"{raw}: need 0 < start <= stop <= 1 and step > 0"
+        raise argparse.ArgumentTypeError(message)
+    return [round(b, 6) for b in np.arange(start, stop + units.EPS, step)]
+
+
+_budget_range.__name__ = "start:stop:step"  # argparse: "invalid start:stop:step value"
 
 
 def _jobs_value(raw: str) -> int | None:
     """Parse ``--jobs``: a worker count, or ``all`` for every core."""
-    return None if raw == "all" else int(raw)
+    return None if raw == "all" else _count(raw)
 
 
 def _add_platform_args(parser: argparse.ArgumentParser) -> None:
@@ -109,13 +134,15 @@ def _add_platform_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
+def _request(args: argparse.Namespace, scheme_factory, budget: float) -> RunRequest:
+    config = _build_config(args)
+    return RunRequest(config, scheme_factory, None, budget, args.seed, args.intervals)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    scheme = _build_scheme(args)
-    sim = Simulation(
-        config, scheme, budget_fraction=args.budget, seed=args.seed
-    )
-    result = sim.run(args.intervals)
+    scheme = functools.partial(_scheme_from_names, args.scheme, args.policy)
+    result = run_one(_request(args, scheme, args.budget))
 
     chip = result.telemetry["chip_power_frac"]
     print(
@@ -166,32 +193,19 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    reference = Simulation(
-        config, NoManagementScheme(), budget_fraction=1.0, seed=args.seed
-    ).run(args.intervals)
-    rows = [
-        [
-            "no-management",
-            as_percent(reference.mean_chip_power_frac),
-            as_percent(0.0),
-        ]
-    ]
-    for name, scheme in (
-        ("cpm (performance-aware)", CPMScheme()),
-        ("maxbips", MaxBIPSScheme()),
-        ("static-uniform", StaticUniformScheme()),
-    ):
-        result = Simulation(
-            config, scheme, budget_fraction=args.budget, seed=args.seed
-        ).run(args.intervals)
-        rows.append(
-            [
-                name,
-                as_percent(result.mean_chip_power_frac),
-                as_percent(performance_degradation(result, reference)),
-            ]
-        )
+    schemes = {
+        "cpm (performance-aware)": CPMScheme,
+        "maxbips": MaxBIPSScheme,
+        "static-uniform": StaticUniformScheme,
+    }
+    reference, *results = run_many(
+        [_request(args, NoManagementScheme, 1.0)]
+        + [_request(args, factory, args.budget) for factory in schemes.values()]
+    )
+    rows = []
+    for name, result in zip(["no-management", *schemes], [reference, *results]):
+        lost = performance_degradation(result, reference)
+        rows.append([name, as_percent(result.mean_chip_power_frac), as_percent(lost)])
     print(
         format_table(
             ["scheme", "mean chip power", "perf degradation"],
@@ -206,17 +220,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweeps import budget_sweep
 
     config = _build_config(args)
-    try:
-        start, stop, step = (float(x) for x in args.budgets.split(":"))
-    except ValueError:
-        print("--budgets must be start:stop:step, e.g. 0.75:1.0:0.05",
-              file=sys.stderr)
-        return 2
-    budgets = [round(b, 6) for b in
-               list(np.arange(start, stop + units.EPS, step))]
     result = budget_sweep(
         functools.partial(_scheme_from_names, args.scheme, args.policy),
-        budgets=budgets,
+        budgets=args.budgets,
         config=config,
         n_gpm_intervals=args.intervals,
         seed=args.seed,
@@ -240,14 +246,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    for name in names:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        kwargs = {"seed": args.seed, "quick": args.quick}
-        # Only sweep-style experiments (independent runs) take jobs.
-        if "jobs" in inspect.signature(module.run).parameters:
-            kwargs["jobs"] = args.jobs
-        result = module.run(**kwargs)
-        print(result.render())
+    from .experiments.common import run_plans
+
+    modules = [importlib.import_module(f"repro.experiments.{n}") for n in names]
+    plans = [module.plan(args.seed, args.quick) for module in modules]
+    for module, results in zip(modules, run_plans(plans, jobs=args.jobs)):
+        print(module.render(results, args.seed, args.quick).render())
         print()
     return 0
 
@@ -287,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_args(run)
     run.add_argument("--scheme", choices=SCHEMES, default="cpm")
     run.add_argument("--policy", choices=sorted(POLICIES), default="performance")
-    run.add_argument("--budget", type=float, default=0.8,
+    run.add_argument("--budget", type=_fraction, default=0.8,
                      help="chip budget, fraction of max power")
-    run.add_argument("--intervals", type=int, default=25,
+    run.add_argument("--intervals", type=_positive_int, default=25,
                      help="GPM intervals to simulate")
     run.add_argument("--out", help="directory for CSV/JSON export")
     run.set_defaults(func=cmd_run)
@@ -300,17 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="CPM vs baselines at one budget")
     _add_platform_args(cmp_)
-    cmp_.add_argument("--budget", type=float, default=0.8)
-    cmp_.add_argument("--intervals", type=int, default=25)
+    cmp_.add_argument("--budget", type=_fraction, default=0.8)
+    cmp_.add_argument("--intervals", type=_positive_int, default=25)
     cmp_.set_defaults(func=cmd_compare)
 
     swp = sub.add_parser("sweep", help="one scheme across budgets")
     _add_platform_args(swp)
     swp.add_argument("--scheme", choices=SCHEMES, default="cpm")
     swp.add_argument("--policy", choices=sorted(POLICIES), default="performance")
-    swp.add_argument("--budgets", default="0.75:1.0:0.05",
+    swp.add_argument("--budgets", type=_budget_range, default="0.75:1.0:0.05",
                      help="start:stop:step budget range")
-    swp.add_argument("--intervals", type=int, default=25)
+    swp.add_argument("--intervals", type=_positive_int, default=25)
     swp.add_argument("--jobs", type=_jobs_value, default=1,
                      help="worker processes (a count, or 'all')")
     swp.set_defaults(func=cmd_sweep)
@@ -337,7 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if hasattr(args, "cores"):
+            try:
+                _build_config(args)
+            except ValueError as exc:
+                parser.error(f"--cores {args.cores} --islands {args.islands}: {exc}")
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return int(exc.code or 0)
     return args.func(args)
 
 

@@ -22,25 +22,21 @@ from .calibration import (
 )
 from .cpm import CPMScheme, run_cpm
 from .metrics import (
-    budget_from_percent,
     chip_tracking_metrics,
     island_tracking_metrics,
     performance_degradation,
     performance_degradation_series,
-    reference_power,
 )
 
 __all__ = [
     "CPMScheme",
     "Calibration",
     "WhiteNoiseDVFSScheme",
-    "budget_from_percent",
     "calibrate",
     "chip_tracking_metrics",
     "default_calibration",
     "island_tracking_metrics",
     "performance_degradation",
     "performance_degradation_series",
-    "reference_power",
     "run_cpm",
 ]

@@ -199,7 +199,9 @@ class CalibratedScheme(Protocol):
 
 
 def _excitation_run(config: CMPConfig, mix: Mix, seed: int, n_gpm: int):
-    """One white-noise run; import deferred to avoid a cycle at import."""
+    """One white-noise run, started here and not through the runner: the
+    runner calibrates before it simulates, and this run is the calibration.
+    The import is deferred to avoid a cycle at import."""
     from ..cmpsim.simulator import Simulation
 
     scheme = WhiteNoiseDVFSScheme(seed=seed)

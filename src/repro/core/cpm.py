@@ -19,6 +19,8 @@ over first (:meth:`CPMScheme.use_calibration`).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..config import CMPConfig
@@ -189,14 +191,13 @@ def run_cpm(
     seed: int = DEFAULT_SEED,
     calibration: Calibration | None = None,
 ):
-    """Convenience entry point: build and run one CPM simulation.
+    """Convenience entry point: run one CPM simulation through
+    :func:`repro.runner.run_one` (no result cache).
 
     Returns the :class:`~repro.cmpsim.simulator.SimulationResult`.
     """
-    from ..cmpsim.simulator import Simulation
+    from ..runner import RunRequest, run_one
 
-    scheme = CPMScheme(policy=policy, calibration=calibration)
-    sim = Simulation(
-        config, scheme, mix=mix, budget_fraction=budget_fraction, seed=seed
-    )
-    return sim.run(n_gpm_intervals)
+    scheme = functools.partial(CPMScheme, policy=policy, calibration=calibration)
+    request = RunRequest(config, scheme, mix, budget_fraction, seed, n_gpm_intervals)
+    return run_one(request)

@@ -13,67 +13,17 @@ Two quantities dominate the paper's results section:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from ..config import CMPConfig
 from ..control.analysis import ResponseMetrics, response_metrics, worst_case_metrics
 from ..cmpsim.simulator import SimulationResult
-from ..rng import DEFAULT_SEED
-from ..workloads.mixes import Mix, mix_for_config
 
 __all__ = [
-    "budget_from_percent",
     "chip_tracking_metrics",
     "island_tracking_metrics",
     "performance_degradation",
     "performance_degradation_series",
-    "reference_power",
 ]
-
-
-@functools.lru_cache(maxsize=64)
-def _reference_power_cached(
-    config: CMPConfig, mix: Mix, seed: int, n_gpm_intervals: int
-) -> float:
-    from ..baselines.no_management import NoManagementScheme
-    from ..cmpsim.simulator import Simulation
-
-    sim = Simulation(
-        config, NoManagementScheme(), mix=mix, budget_fraction=1.0, seed=seed
-    )
-    return sim.run(n_gpm_intervals).mean_chip_power_frac
-
-
-def reference_power(
-    config: CMPConfig,
-    mix: Mix | None = None,
-    seed: int = DEFAULT_SEED,
-    n_gpm_intervals: int = 10,
-) -> float:
-    """Mean chip power of the unmanaged run, as a fraction of max power.
-
-    The paper's budgets are "X% of the required power by the whole chip" —
-    the power the chip actually draws with every core at maximum frequency
-    under the given workload, not the theoretical all-active peak.  This
-    memoized helper measures that reference so experiments can translate
-    "80% budget" into an absolute fraction of max chip power.
-    """
-    return _reference_power_cached(config, mix_for_config(config, mix), seed, n_gpm_intervals)
-
-
-def budget_from_percent(
-    percent: float,
-    config: CMPConfig,
-    mix: Mix | None = None,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Absolute budget fraction for a paper-style "percent of required
-    power" budget (e.g. ``percent=0.8`` for the default 80% budget)."""
-    if not 0.0 < percent <= 1.5:
-        raise ValueError("percent must be a sane fraction of required power")
-    return percent * reference_power(config, mix, seed)
 
 
 def performance_degradation(

@@ -1,14 +1,17 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes ``run(seed=..., quick=False) -> ExperimentResult``
-and is executable (``python -m repro.experiments.fig12_perf_degradation``)
-to print the rows/series the paper reports.  The per-experiment index in
-DESIGN.md maps each module to its figure; EXPERIMENTS.md records
-paper-vs-measured values.
-
-``quick=True`` shrinks horizons for CI-speed smoke runs; the benchmark
-harness under ``benchmarks/`` runs the full versions via
-pytest-benchmark.
+Every module declares its runs and renders their results in two steps:
+``plan(seed, quick)`` returns its runs as ``RunRequest`` objects
+(unmanaged references included; an empty plan's module docstring says
+why), and ``render(results, seed, quick)`` builds the
+:class:`ExperimentResult` from their results, in plan order.
+``run = common.experiment(plan, render)`` gives ``run(seed=, quick=,
+jobs=)``.  ``repro experiment NAME|all`` (and ``python -m
+repro.experiments.NAME``) concatenates the plans into one
+:func:`~repro.runner.run_many` call, so a run several figures share is
+simulated once, then renders in ``ALL_EXPERIMENTS`` order.  DESIGN.md
+maps each module to its figure; EXPERIMENTS.md records paper-vs-measured
+values.  ``quick=True`` shrinks horizons for CI-speed smoke runs.
 """
 
 from .common import ExperimentResult

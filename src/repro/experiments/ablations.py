@@ -18,22 +18,25 @@ the way it is:
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from ..baselines.maxbips import MaxBIPSScheme
-from ..cmpsim.simulator import Simulation
 from ..config import DEFAULT_CONFIG, DVFSConfig
 from ..control.pid import PIDGains
 from ..core.calibration import default_calibration
-from ..core.cpm import CPMScheme, run_cpm
+from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
+from ..gpm.energy_aware import EnergyAwarePolicy
 from ..gpm.performance_aware import PerformanceAwarePolicy
 from ..gpm.policy import UniformPolicy
 from ..power.transducer import fit_transducer
-from ..rng import DEFAULT_SEED
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, WARMUP_INTERVALS, horizon, reference_run
+from .common import (
+    ExperimentResult, Results, WARMUP_INTERVALS, experiment, horizon, reference,
+)
 
 __all__ = [
     "BUDGET",
@@ -56,17 +59,30 @@ def _tracking_stats(result) -> tuple[float, float]:
     return float(np.abs(rel).mean()), float(rel.std())
 
 
-def run_pid_terms(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    """P vs PI vs PID per-island controllers at the 80% budget."""
-    config = DEFAULT_CONFIG
+def _mix1(seed: int, quick: bool, factories, budget=BUDGET) -> list[RunRequest]:
+    """One run per scheme factory on the default platform with Mix-1."""
     n_gpm = horizon(quick)
-    cal = default_calibration(config, seed=seed)
+    return [
+        RunRequest(DEFAULT_CONFIG, factory, MIX1, budget, seed, n_gpm)
+        for factory in factories
+    ]
+
+
+def _mix1_reference(seed: int, quick: bool) -> list[RunRequest]:
+    return [reference(DEFAULT_CONFIG, MIX1, seed=seed, n_gpm=horizon(quick))]
+
+
+def _pid_plan(seed: int, quick: bool) -> list[RunRequest]:
+    cal = default_calibration(DEFAULT_CONFIG, seed=seed)
     g = cal.pid_gains
-    variants = {
-        "P only": PIDGains(g.kp, 0.0, 0.0),
-        "PI": PIDGains(g.kp, g.ki, 0.0),
-        "PID (designed)": g,
-    }
+    variants = (PIDGains(g.kp, 0.0, 0.0), PIDGains(g.kp, g.ki, 0.0), g)
+    cals = [dataclasses.replace(cal, pid_gains=gains) for gains in variants]
+    factories = [functools.partial(CPMScheme, calibration=c) for c in cals]
+    return _mix1(seed, quick, factories)
+
+
+def _pid_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    """P vs PI vs PID per-island controllers at the 80% budget."""
     result = ExperimentResult(
         experiment="ablation-pid-terms",
         description="controller terms: tracking quality of P / PI / PID",
@@ -77,12 +93,7 @@ def run_pid_terms(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentRe
             "mean chip power",
         ),
     )
-    for name, gains in variants.items():
-        variant_cal = dataclasses.replace(cal, pid_gains=gains)
-        scheme = CPMScheme(calibration=variant_cal)
-        res = Simulation(
-            config, scheme, mix=MIX1, budget_fraction=BUDGET, seed=seed
-        ).run(n_gpm)
+    for name, res in zip(("P only", "PI", "PID (designed)"), results):
         err, noise = _tracking_stats(res)
         result.add_row(name, err, noise, res.mean_chip_power_frac)
     result.notes.append(
@@ -94,9 +105,23 @@ def run_pid_terms(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentRe
     return result
 
 
-def run_quantization(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    """Continuous vs quantized PIC actuation."""
+run_pid_terms = experiment(_pid_plan, _pid_render)
+
+
+def _quantization_plan(seed: int, quick: bool) -> list[RunRequest]:
     n_gpm = horizon(quick)
+    requests = []
+    for mode in ("continuous", "quantized"):
+        config = dataclasses.replace(DEFAULT_CONFIG, dvfs=DVFSConfig(mode=mode))
+        requests += [
+            reference(config, MIX1, seed=seed, n_gpm=n_gpm),
+            RunRequest(config, CPMScheme, MIX1, BUDGET, seed, n_gpm),
+        ]
+    return requests
+
+
+def _quantization_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    """Continuous vs quantized PIC actuation."""
     result = ExperimentResult(
         experiment="ablation-quantization",
         description="PIC actuation: continuous vs 8-knob quantized DVFS",
@@ -106,15 +131,10 @@ def run_quantization(seed: int = DEFAULT_SEED, quick: bool = False) -> Experimen
             "perf degradation",
         ),
     )
-    for mode in ("continuous", "quantized"):
-        config = dataclasses.replace(DEFAULT_CONFIG, dvfs=DVFSConfig(mode=mode))
-        reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
-        res = run_cpm(
-            config, mix=MIX1, budget_fraction=BUDGET, n_gpm_intervals=n_gpm,
-            seed=seed,
-        )
+    for reference_result, res in zip(results[0::2], results[1::2]):
         err, _noise = _tracking_stats(res)
-        result.add_row(mode, err, performance_degradation(res, reference))
+        degradation = performance_degradation(res, reference_result)
+        result.add_row(res.config.dvfs.mode, err, degradation)
     result.notes.append(
         "quantized knobs force the PIC to dither between ladder points; "
         "time-averaged tracking survives, instantaneous tracking widens"
@@ -122,12 +142,11 @@ def run_quantization(seed: int = DEFAULT_SEED, quick: bool = False) -> Experimen
     return result
 
 
-def run_transducer(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    """Per-island transducers vs one pooled global line."""
-    config = DEFAULT_CONFIG
-    n_gpm = horizon(quick)
-    cal = default_calibration(config, seed=seed)
+run_quantization = experiment(_quantization_plan, _quantization_render)
 
+
+def _transducer_plan(seed: int, quick: bool) -> list[RunRequest]:
+    cal = default_calibration(DEFAULT_CONFIG, seed=seed)
     # Pool every benchmark's calibration line into one global fit by
     # sampling each per-benchmark transducer over its utilization range.
     u = np.linspace(0.2, 1.0, 50)
@@ -137,9 +156,15 @@ def run_transducer(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentR
         ps.append(t(u))
     pooled = fit_transducer(np.concatenate(us), np.concatenate(ps))
     pooled_cal = dataclasses.replace(
-        cal, island_transducers=(pooled,) * config.n_islands
+        cal, island_transducers=(pooled,) * DEFAULT_CONFIG.n_islands
     )
+    cals = (cal, pooled_cal)
+    factories = [functools.partial(CPMScheme, calibration=c) for c in cals]
+    return _mix1(seed, quick, factories)
 
+
+def _transducer_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    """Per-island transducers vs one pooled global line."""
     result = ExperimentResult(
         experiment="ablation-transducer",
         description="sensing: per-island transducer fits vs one global line",
@@ -149,11 +174,7 @@ def run_transducer(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentR
             "mean |power-budget| / budget",
         ),
     )
-    for name, calibration in (("per-island", cal), ("global", pooled_cal)):
-        scheme = CPMScheme(calibration=calibration)
-        res = Simulation(
-            config, scheme, mix=MIX1, budget_fraction=BUDGET, seed=seed
-        ).run(n_gpm)
+    for name, res in zip(("per-island", "global"), results):
         skip = min(WARMUP_INTERVALS, res.telemetry.n_intervals // 3)
         sensed = res.telemetry["island_sensed_frac"][skip:]
         actual = res.telemetry["island_power_frac"][skip:]
@@ -167,35 +188,52 @@ def run_transducer(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentR
     return result
 
 
-def run_gpm_policy(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+run_transducer = experiment(_transducer_plan, _transducer_render)
+
+def _gpm_policy_plan(seed: int, quick: bool) -> list[RunRequest]:
+    policies = (
+        UniformPolicy(),
+        PerformanceAwarePolicy(mode="eq6"),
+        PerformanceAwarePolicy(mode="proportional"),
+    )
+    factories = [functools.partial(CPMScheme, policy=policy) for policy in policies]
+    return _mix1_reference(seed, quick) + _mix1(seed, quick, factories)
+
+
+def _gpm_policy_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     """Provisioning policy ablation at the 80% budget."""
-    config = DEFAULT_CONFIG
-    n_gpm = horizon(quick)
-    reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
-    policies = {
-        "uniform (static)": UniformPolicy(),
-        "eq6 (literal)": PerformanceAwarePolicy(mode="eq6"),
-        "proportional (default)": PerformanceAwarePolicy(mode="proportional"),
-    }
+    reference_result, *runs = results
     result = ExperimentResult(
         experiment="ablation-gpm-policy",
         description="GPM tier: uniform vs literal Eq.6 vs proportional phi",
         headers=("policy", "perf degradation", "mean chip power"),
     )
-    for name, policy in policies.items():
-        res = run_cpm(
-            config, mix=MIX1, policy=policy, budget_fraction=BUDGET,
-            n_gpm_intervals=n_gpm, seed=seed,
-        )
+    names = ("uniform (static)", "eq6 (literal)", "proportional (default)")
+    for name, res in zip(names, runs):
         result.add_row(
-            name, performance_degradation(res, reference), res.mean_chip_power_frac
+            name,
+            performance_degradation(res, reference_result),
+            res.mean_chip_power_frac,
         )
     return result
 
 
-def run_energy_floor(
-    seed: int = DEFAULT_SEED, quick: bool = False
-) -> ExperimentResult:
+run_gpm_policy = experiment(_gpm_policy_plan, _gpm_policy_render)
+
+
+def _floors(quick: bool) -> tuple[float, ...]:
+    return (0.99, 0.95) if quick else (0.99, 0.97, 0.95, 0.90, 0.85)
+
+
+def _energy_floor_plan(seed: int, quick: bool) -> list[RunRequest]:
+    factories = [
+        functools.partial(CPMScheme, policy=EnergyAwarePolicy(performance_floor=floor))
+        for floor in _floors(quick)
+    ]
+    return _mix1_reference(seed, quick) + _mix1(seed, quick, factories, budget=0.95)
+
+
+def _energy_floor_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     """Energy-aware policy: power saved vs throughput cost across floors.
 
     Sweeps the performance floor of
@@ -203,11 +241,7 @@ def run_energy_floor(
     minimum guarantee on the performance" extension the paper lists as
     feasible — and reports the power/throughput trade it buys.
     """
-    from ..gpm.energy_aware import EnergyAwarePolicy
-
-    config = DEFAULT_CONFIG
-    n_gpm = horizon(quick)
-    reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
+    reference_result, *runs = results
     result = ExperimentResult(
         experiment="ablation-energy-floor",
         description="energy-aware policy: power saved vs performance floor",
@@ -218,18 +252,13 @@ def run_energy_floor(
             "perf degradation",
         ),
     )
-    unmanaged = reference.mean_chip_power_frac
-    floors = (0.99, 0.95) if quick else (0.99, 0.97, 0.95, 0.90, 0.85)
-    for floor in floors:
-        scheme = CPMScheme(policy=EnergyAwarePolicy(performance_floor=floor))
-        res = Simulation(
-            config, scheme, mix=MIX1, budget_fraction=0.95, seed=seed
-        ).run(n_gpm)
+    unmanaged = reference_result.mean_chip_power_frac
+    for floor, res in zip(_floors(quick), runs):
         result.add_row(
             floor,
             res.mean_chip_power_frac,
             1.0 - res.mean_chip_power_frac / unmanaged,
-            performance_degradation(res, reference),
+            performance_degradation(res, reference_result),
         )
     result.notes.append(
         "lowering the guarantee buys power roughly 2:1 against "
@@ -239,31 +268,30 @@ def run_energy_floor(
     return result
 
 
-def run_maxbips_prediction(
-    seed: int = DEFAULT_SEED, quick: bool = False
-) -> ExperimentResult:
+run_energy_floor = experiment(_energy_floor_plan, _energy_floor_render)
+
+
+def _maxbips_plan(seed: int, quick: bool) -> list[RunRequest]:
+    factories = [
+        functools.partial(MaxBIPSScheme, prediction=p) for p in ("static", "measured")
+    ]
+    return _mix1_reference(seed, quick) + _mix1(seed, quick, factories)
+
+
+def _maxbips_render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     """MaxBIPS: static table vs runtime-informed predictions."""
-    config = DEFAULT_CONFIG
-    n_gpm = horizon(quick)
-    reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
+    reference_result, *runs = results
     result = ExperimentResult(
         experiment="ablation-maxbips-prediction",
         description="MaxBIPS prediction table: static vs runtime-informed",
         headers=("prediction", "perf degradation", "mean chip power",
                           "max chip power"),
     )
-    for prediction in ("static", "measured"):
-        res = Simulation(
-            config,
-            MaxBIPSScheme(prediction=prediction),
-            mix=MIX1,
-            budget_fraction=BUDGET,
-            seed=seed,
-        ).run(n_gpm)
+    for prediction, res in zip(("static", "measured"), runs):
         chip = res.telemetry["chip_power_frac"][WARMUP_INTERVALS // 2 :]
         result.add_row(
             prediction,
-            performance_degradation(res, reference),
+            performance_degradation(res, reference_result),
             float(chip.mean()),
             float(chip.max()),
         )
@@ -273,3 +301,6 @@ def run_maxbips_prediction(
         "paper's thesis stated in reverse"
     )
     return result
+
+
+run_maxbips_prediction = experiment(_maxbips_plan, _maxbips_render)

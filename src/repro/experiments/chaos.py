@@ -22,7 +22,8 @@ supervisor tier, restore/re-arm within ``windows_to_restore`` windows /
 ``rearm_after`` ticks of the fault clearing.
 
 Run via ``repro chaos [--quick] [--out report.json]`` or
-``python -m repro.experiments.chaos``.
+``python -m repro.experiments.chaos``.  Its plan is empty: :func:`render`
+runs the grid in this process, and :func:`run_cases` says why.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..faults import (
 )
 from ..resilience import GuardedCPMScheme
 from ..rng import DEFAULT_SEED
-from .common import ExperimentResult
+from .common import ExperimentResult, Results, experiment, no_runs
 
 __all__ = [
     "BUDGET_FRACTION",
@@ -56,6 +57,8 @@ __all__ = [
     "RECOVERY_TOLERANCE",
     "SCENARIOS",
     "ChaosOutcome",
+    "plan",
+    "render",
     "run",
     "run_cases",
 ]
@@ -199,9 +202,10 @@ def run_cases(
 ) -> List[ChaosOutcome]:
     """Execute the full scenario grid; the data behind :func:`run`.
 
-    Runs are serial on purpose: a chaos run's value is its trajectory
-    *and* its guard log, and an unguarded dropout is expected to crash —
-    both easier to own in-process than across a pool.
+    Runs are serial and in this process, not requests to the runner: a
+    chaos run's value is its trajectory *and* its guard log, which a
+    ``SimulationResult`` does not carry, and an unguarded dropout is
+    expected to crash here.
     """
     if config is None:
         # A small platform keeps the grid fast; the guard dynamics under
@@ -247,8 +251,10 @@ def _fmt_events(counts: Dict[str, int]) -> str:
     parts = [f"{k}x{counts[k]}" for k in interesting if k in counts]
     return ",".join(parts) if parts else "-"
 
+plan = no_runs
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     outcomes = run_cases(seed=seed, quick=quick)
     notes_extra = []
     if quick:
@@ -314,7 +320,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "chaos", *sys.argv[1:]]))

@@ -1,22 +1,16 @@
 """Shared infrastructure for the experiment modules.
 
-Keeps experiments terse: a result container with a uniform renderer,
-memoized reference (no-management) runs, and the standard run lengths.
-Reference runs are cached per (config, mix, seed, horizon) because nearly
-every figure needs the same unmanaged baseline and the workload streams
-are seed-deterministic, so sharing is exact, not approximate.  The memo
-is two-level: an in-process ``lru_cache`` in front of the on-disk result
-cache of :mod:`repro.runner`, so the baseline survives across processes
-and sessions instead of being recomputed in every worker (set
-``REPRO_CACHE=0`` to disable the disk level).
+Keeps experiments terse: a result container with a uniform renderer, the
+standard run lengths, the unmanaged :func:`reference` run a plan pairs
+its runs against, and :func:`run_plans`, which runs any number of plans
+through one :func:`~repro.runner.run_many` call with the on-disk result
+cache (set ``REPRO_CACHE=0`` to turn the cache off).
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -25,17 +19,20 @@ from ..cmpsim.simulator import SimulationResult
 from ..config import CMPConfig
 from ..reporting import format_series, format_table
 from ..rng import DEFAULT_SEED
-from ..runner import RunRequest, run_one
-from ..workloads.mixes import Mix, mix_for_config
+from ..runner import RunRequest, run_many
+from ..workloads.mixes import Mix
 
 __all__ = [
     "ExperimentResult",
     "FULL_HORIZON",
     "QUICK_HORIZON",
+    "Results",
     "WARMUP_INTERVALS",
+    "experiment",
     "horizon",
-    "main",
-    "reference_run",
+    "no_runs",
+    "reference",
+    "run_plans",
 ]
 
 #: Default GPM horizons: full runs for the benchmark harness, quick runs
@@ -84,54 +81,43 @@ def horizon(quick: bool) -> int:
     return QUICK_HORIZON if quick else FULL_HORIZON
 
 
-@functools.lru_cache(maxsize=64)
-def _reference_run_cached(
-    config: CMPConfig, mix: Mix, seed: int, n_gpm: int
-) -> SimulationResult:
-    request = RunRequest(
-        config=config,
-        scheme_factory=NoManagementScheme,
-        mix=mix,
-        budget_fraction=1.0,
-        seed=seed,
-        n_gpm_intervals=n_gpm,
-    )
-    return run_one(request, cache_dir="auto")
+#: What a plan's runs come back as: one result per request, in order.
+Results = List[SimulationResult]
+_Plan = Callable[[int, bool], List[RunRequest]]
+_Render = Callable[[Results, int, bool], ExperimentResult]
 
 
-def reference_run(
-    config: CMPConfig,
-    mix: Mix | None = None,
-    seed: int = DEFAULT_SEED,
-    n_gpm: int = FULL_HORIZON,
-) -> SimulationResult:
-    """Memoized no-management run (the performance/power reference)."""
-    return _reference_run_cached(config, mix_for_config(config, mix), seed, n_gpm)
+def reference(
+    config: CMPConfig, mix: Mix | None = None, *, seed: int, n_gpm: int
+) -> RunRequest:
+    """The unmanaged run (every core at f_max) a degradation is against."""
+    return RunRequest(config, NoManagementScheme, mix, 1.0, seed, n_gpm)
 
 
-def main(run_fn, *, quick: bool | None = None) -> None:
-    """Standard ``python -m`` entry: run and print one experiment.
+def no_runs(seed: int, quick: bool) -> List[RunRequest]:
+    """An empty plan: nothing for the runner (the module docstring says why)."""
+    return []
 
-    Honors ``--quick`` and ``--jobs N`` command-line flags when not
-    forced by the caller; ``--jobs`` is forwarded only to experiments
-    whose ``run`` accepts it (those built on independent runs).
-    """
-    import sys
 
-    argv = sys.argv[1:]
-    if quick is None:
-        quick = "--quick" in argv
-    kwargs: dict = {"quick": quick}
-    if "--jobs" in argv:
-        jobs_value = argv[argv.index("--jobs") + 1]
-        jobs = None if jobs_value == "all" else int(jobs_value)
-        if "jobs" in inspect.signature(run_fn).parameters:
-            kwargs["jobs"] = jobs
-        else:
-            print(
-                f"note: {getattr(run_fn, '__module__', 'experiment')} does "
-                "not support --jobs; running serially",
-                file=sys.stderr,
-            )
-    result = run_fn(**kwargs)
-    print(result.render())
+def run_plans(
+    plans: Sequence[Sequence[RunRequest]], jobs: int | None = 1
+) -> List[Results]:
+    """Execute several plans as one :func:`~repro.runner.run_many` call on
+    ``jobs`` workers with the ``"auto"`` result cache; return each plan's
+    results.  A request several plans declare is simulated once."""
+    flat = [r for plan in plans for r in plan]
+    results = iter(run_many(flat, jobs=jobs, cache_dir="auto"))
+    return [[next(results) for _ in plan] for plan in plans]
+
+
+def experiment(plan: _Plan, render: _Render) -> Callable[..., ExperimentResult]:
+    """The ``run(seed=, quick=, jobs=)`` entry point of a plan and its
+    renderer: run the plan through :func:`run_plans`, then render."""
+
+    def run(
+        seed: int = DEFAULT_SEED, quick: bool = False, jobs: int | None = 1
+    ) -> ExperimentResult:
+        (results,) = run_plans([plan(seed, quick)], jobs=jobs)
+        return render(results, seed, quick)
+
+    return run

@@ -5,6 +5,7 @@ closed-loop poles (all strictly inside the unit circle — Equation 12's
 stability statement), the analytic step-response robustness metrics, and
 the stability range of the gain multiplier ``g`` (Equation 13: the paper
 found its design stable for g up to ~2.1 of the nominal gain).
+Its plan is empty: everything comes from the memoized calibration.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from ..config import DEFAULT_CONFIG
 from ..control.analysis import response_metrics, step_response
 from ..control.pole_placement import closed_loop
 from ..core.calibration import default_calibration
-from ..rng import DEFAULT_SEED
-from .common import ExperimentResult
+from .common import ExperimentResult, Results, experiment, no_runs
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
+
+plan = no_runs
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
     cal = default_calibration(config, seed=seed)
     gains = cal.pid_gains
@@ -54,7 +56,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig04_controller_design", *sys.argv[1:]]))

@@ -4,6 +4,8 @@ The paper validates ``P(t+1) = P(t) + a * df(t)`` by running the held-out
 benchmark (bodytrack) on every island under white-noise DVFS and
 comparing the measured power trace against the model's one-step-ahead
 prediction; the reported error is well within 10%.
+Its plan is empty: the hold-out run is one of calibration's own
+excitation runs (``_excitation_run``).
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from ..core.calibration import (
     _homogeneous_mix,
     default_calibration,
 )
-from ..rng import DEFAULT_SEED
-from .common import ExperimentResult, horizon
+from .common import ExperimentResult, Results, experiment, horizon, no_runs
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
+
+plan = no_runs
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
     cal = default_calibration(config, seed=seed)
 
@@ -64,7 +67,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig05_model_validation", *sys.argv[1:]]))

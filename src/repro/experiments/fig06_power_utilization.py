@@ -4,7 +4,8 @@ For each of the eight PARSEC applications, the paper plots island power
 against measured utilization over a DVFS-exercised run and fits a line
 ``P = k0 U + k1``; the average coefficient of determination is ~0.96,
 with the memory-bound kernels (canneal, vips) showing the steepest
-slopes.  This experiment reproduces the fits from the calibration runs.
+slopes.  This experiment reproduces the fits from the calibration runs, so its
+plan is empty: the fits come from the memoized calibration.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import numpy as np
 
 from ..config import DEFAULT_CONFIG
 from ..core.calibration import default_calibration
-from ..rng import DEFAULT_SEED
 from ..workloads.parsec import SHORT_NAMES
-from .common import ExperimentResult
+from .common import ExperimentResult, Results, experiment, no_runs
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
+
+plan = no_runs
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     cal = default_calibration(DEFAULT_CONFIG, seed=seed)
 
     result = ExperimentResult(
@@ -41,7 +43,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig06_power_utilization", *sys.argv[1:]]))

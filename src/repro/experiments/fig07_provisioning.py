@@ -11,23 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
-from ..rng import DEFAULT_SEED
+from ..core.cpm import CPMScheme
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, horizon
+from .common import ExperimentResult, Results, experiment, horizon
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """CPM on the default platform, Mix-1, 80% budget."""
+    return [RunRequest(DEFAULT_CONFIG, CPMScheme, MIX1, 0.8, seed, horizon(quick))]
+
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
-    res = run_cpm(
-        config,
-        mix=MIX1,
-        budget_fraction=0.8,
-        n_gpm_intervals=horizon(quick),
-        seed=seed,
-    )
+    (res,) = results
     telemetry = res.telemetry
     ticks = telemetry.gpm_tick_indices()
     setpoints = telemetry["island_setpoint_frac"][ticks]
@@ -58,7 +57,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig07_provisioning", *sys.argv[1:]]))

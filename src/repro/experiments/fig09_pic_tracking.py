@@ -13,23 +13,15 @@ import numpy as np
 
 from ..config import DEFAULT_CONFIG
 from ..control.analysis import response_metrics
-from ..core.cpm import run_cpm
-from ..rng import DEFAULT_SEED
-from ..workloads.mixes import MIX1
-from .common import ExperimentResult, horizon
+from .common import ExperimentResult, Results, experiment
+from .fig07_provisioning import plan  # the same run as Figure 7
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
-    res = run_cpm(
-        config,
-        mix=MIX1,
-        budget_fraction=0.8,
-        n_gpm_intervals=horizon(quick),
-        seed=seed,
-    )
+    (res,) = results
     telemetry = res.telemetry
     ticks = telemetry.gpm_tick_indices()
     power = telemetry["island_power_frac"]
@@ -102,7 +94,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig09_pic_tracking", *sys.argv[1:]]))

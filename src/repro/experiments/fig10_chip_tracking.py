@@ -9,24 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
 from ..core.metrics import chip_tracking_metrics
-from ..rng import DEFAULT_SEED
-from ..workloads.mixes import MIX1
-from .common import ExperimentResult, WARMUP_INTERVALS, horizon
+from .common import ExperimentResult, Results, WARMUP_INTERVALS, experiment
+from .fig07_provisioning import plan  # the same run as Figure 7
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    res = run_cpm(
-        DEFAULT_CONFIG,
-        mix=MIX1,
-        budget_fraction=0.8,
-        n_gpm_intervals=horizon(quick),
-        seed=seed,
-    )
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    (res,) = results
     chip_power = res.telemetry["chip_power_frac"]
     skip = min(WARMUP_INTERVALS, chip_power.size // 3)
     rel = chip_power[skip:] / res.budget_fraction
@@ -51,7 +42,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig10_chip_tracking", *sys.argv[1:]]))

@@ -13,23 +13,26 @@ import numpy as np
 from ..baselines.maxbips import MaxBIPSScheme
 from ..config import DEFAULT_CONFIG
 from ..core.cpm import CPMScheme
-from ..rng import DEFAULT_SEED
-from ..runner import RunRequest, run_many
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, WARMUP_INTERVALS, horizon
+from .common import ExperimentResult, Results, WARMUP_INTERVALS, experiment, horizon
 
-__all__ = ["BUDGETS", "run"]
+__all__ = ["BUDGETS", "plan", "render", "run"]
 
 BUDGETS = (0.95, 0.90, 0.85, 0.80, 0.75)
 
 
-def run(
-    seed: int = DEFAULT_SEED, quick: bool = False, jobs: int | None = 1
-) -> ExperimentResult:
-    config = DEFAULT_CONFIG
-    n_gpm = horizon(quick)
-    budgets = BUDGETS[1::2] if quick else BUDGETS
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """CPM and MaxBIPS at each budget, default platform, Mix-1."""
+    return [
+        RunRequest(DEFAULT_CONFIG, factory, MIX1, budget, seed, horizon(quick))
+        for budget in (BUDGETS[1::2] if quick else BUDGETS)
+        for factory in (CPMScheme, MaxBIPSScheme)
+    ]
 
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    budgets = [cpm.budget_fraction for cpm in results[0::2]]
     result = ExperimentResult(
         experiment="fig11",
         description="actual chip power vs budget: CPM tracks, MaxBIPS undershoots",
@@ -41,19 +44,6 @@ def run(
             "MaxBIPS max power",
         ),
     )
-    requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=factory,
-            mix=MIX1,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm,
-        )
-        for budget in budgets
-        for factory in (CPMScheme, MaxBIPSScheme)
-    ]
-    results = run_many(requests, jobs=jobs)
     cpm_curve, maxbips_curve = [], []
     for budget, cpm, maxbips in zip(budgets, results[0::2], results[1::2]):
         skip = min(WARMUP_INTERVALS, cpm.telemetry.n_intervals // 3)
@@ -82,7 +72,9 @@ def run(
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig11_budget_curves", *sys.argv[1:]]))

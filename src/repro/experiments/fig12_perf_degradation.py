@@ -12,51 +12,44 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
-from ..rng import DEFAULT_SEED
-from ..runner import RunRequest, run_many
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, horizon, reference_run
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["BUDGETS", "run"]
+__all__ = ["BUDGETS", "plan", "render", "run"]
 
 BUDGETS = (1.00, 0.95, 0.90, 0.85, 0.80, 0.75)
 
 
-def run(
-    seed: int = DEFAULT_SEED, quick: bool = False, jobs: int | None = 1
-) -> ExperimentResult:
-    config = DEFAULT_CONFIG
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """The reference, then CPM at each budget; default platform, Mix-1."""
     n_gpm = horizon(quick)
-    budgets = BUDGETS[::2] if quick else BUDGETS
-    reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
+    return [reference(DEFAULT_CONFIG, MIX1, seed=seed, n_gpm=n_gpm)] + [
+        RunRequest(DEFAULT_CONFIG, CPMScheme, MIX1, budget, seed, n_gpm)
+        for budget in (BUDGETS[::2] if quick else BUDGETS)
+    ]
 
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    reference_result, *runs = results
     result = ExperimentResult(
         experiment="fig12",
         description="performance degradation vs chip power budget (Mix-1)",
         headers=("budget", "mean chip power", "perf degradation"),
     )
-    requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=CPMScheme,
-            mix=MIX1,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm,
-        )
-        for budget in budgets
-    ]
     degradations = []
-    for budget, res in zip(budgets, run_many(requests, jobs=jobs)):
-        deg = performance_degradation(res, reference)
+    for res in runs:
+        deg = performance_degradation(res, reference_result)
         degradations.append(deg)
-        result.add_row(budget, res.mean_chip_power_frac, deg)
+        result.add_row(res.budget_fraction, res.mean_chip_power_frac, deg)
     result.add_series("degradation vs budget", np.asarray(degradations))
     result.notes.append("paper: ~4% degradation at the 80% budget")
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig12_perf_degradation", *sys.argv[1:]]))

@@ -12,37 +12,41 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.maxbips import MaxBIPSScheme
-from ..cmpsim.simulator import Simulation
 from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
+from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
-from ..rng import DEFAULT_SEED
-from .common import ExperimentResult, horizon, reference_run
+from ..runner import RunRequest
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["CORES_PER_ISLAND", "run"]
+__all__ = ["CORES_PER_ISLAND", "SCHEMES", "plan", "render", "run"]
 
 CORES_PER_ISLAND = (1, 2, 4)
+SCHEMES = (CPMScheme, MaxBIPSScheme)
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """Reference, CPM and MaxBIPS at 80% for each island size (8 cores)."""
     n_gpm = horizon(quick)
+    requests = []
+    for cpi in CORES_PER_ISLAND:
+        config = DEFAULT_CONFIG.with_islands(8, 8 // cpi)
+        requests.append(reference(config, seed=seed, n_gpm=n_gpm))
+        requests += [RunRequest(config, f, None, 0.8, seed, n_gpm) for f in SCHEMES]
+    return requests
+
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig13",
         description="degradation vs cores/island (8 cores, 80% budget)",
         headers=("cores/island", "CPM degradation", "MaxBIPS degradation"),
     )
     cpm_curve, mb_curve = [], []
-    for cpi in CORES_PER_ISLAND:
-        config = DEFAULT_CONFIG.with_islands(8, 8 // cpi)
-        reference = reference_run(config, seed=seed, n_gpm=n_gpm)
-        cpm = run_cpm(
-            config, budget_fraction=0.8, n_gpm_intervals=n_gpm, seed=seed
-        )
-        maxbips = Simulation(
-            config, MaxBIPSScheme(), budget_fraction=0.8, seed=seed
-        ).run(n_gpm)
-        cpm_deg = performance_degradation(cpm, reference)
-        mb_deg = performance_degradation(maxbips, reference)
+    for cpi, reference_result, cpm, maxbips in zip(
+        CORES_PER_ISLAND, results[0::3], results[1::3], results[2::3]
+    ):
+        cpm_deg = performance_degradation(cpm, reference_result)
+        mb_deg = performance_degradation(maxbips, reference_result)
         cpm_curve.append(cpm_deg)
         mb_curve.append(mb_deg)
         result.add_row(cpi, cpm_deg, mb_deg)
@@ -55,7 +59,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig13_island_size", *sys.argv[1:]]))

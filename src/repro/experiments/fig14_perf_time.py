@@ -10,26 +10,26 @@ streams, so the comparison is exact).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
+from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation_series
-from ..rng import DEFAULT_SEED
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, horizon, reference_run
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    config = DEFAULT_CONFIG
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """The reference and CPM at a 100% budget; default platform, Mix-1."""
     n_gpm = horizon(quick)
-    reference = reference_run(config, MIX1, seed=seed, n_gpm=n_gpm)
-    res = run_cpm(
-        config, mix=MIX1, budget_fraction=1.0, n_gpm_intervals=n_gpm, seed=seed
-    )
-    series = performance_degradation_series(res, reference)
+    cpm = RunRequest(DEFAULT_CONFIG, CPMScheme, MIX1, 1.0, seed, n_gpm)
+    return [reference(DEFAULT_CONFIG, MIX1, seed=seed, n_gpm=n_gpm), cpm]
+
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    reference_result, res = results
+    series = performance_degradation_series(res, reference_result)
 
     result = ExperimentResult(
         experiment="fig14",
@@ -46,7 +46,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig14_perf_time", *sys.argv[1:]]))

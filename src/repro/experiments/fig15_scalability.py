@@ -13,61 +13,46 @@ from ..baselines.maxbips import MaxBIPSScheme
 from ..config import DEFAULT_CONFIG
 from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
-from ..rng import DEFAULT_SEED
-from ..runner import RunRequest, run_many
-from .common import ExperimentResult, horizon, reference_run
+from ..runner import RunRequest
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["BUDGETS", "run"]
+__all__ = ["BUDGETS", "CORE_COUNTS", "plan", "render", "run"]
 
 BUDGETS = (0.90, 0.85, 0.80, 0.75)
+CORE_COUNTS = (16, 32)
 
 
-def run(
-    seed: int = DEFAULT_SEED, quick: bool = False, jobs: int | None = 1
-) -> ExperimentResult:
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """Per core count: the reference, then CPM and MaxBIPS at each budget."""
     n_gpm = horizon(quick)
-    budgets = (0.80,) if quick else BUDGETS
+    requests = []
+    for n_cores in CORE_COUNTS:
+        config = DEFAULT_CONFIG.with_islands(n_cores, n_cores // 4)
+        requests.append(reference(config, seed=seed, n_gpm=n_gpm))
+        requests.extend(
+            RunRequest(config, factory, None, budget, seed, n_gpm)
+            for budget in ((0.80,) if quick else BUDGETS)
+            for factory in (CPMScheme, MaxBIPSScheme)
+        )
+    return requests
 
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig15",
         description="16/32-core scalability: CPM vs MaxBIPS across budgets",
         headers=("cores", "budget", "CPM degradation", "MaxBIPS degradation"),
     )
-    grid = [
-        (DEFAULT_CONFIG.with_islands(n_cores, n_cores // 4), n_cores, budget)
-        for n_cores in (16, 32)
-        for budget in budgets
-    ]
-    requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=factory,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm,
-        )
-        for config, _n_cores, budget in grid
-        for factory in (CPMScheme, MaxBIPSScheme)
-    ]
-    results = run_many(requests, jobs=jobs)
-    references = {
-        n_cores: reference_run(
-            DEFAULT_CONFIG.with_islands(n_cores, n_cores // 4),
-            seed=seed,
-            n_gpm=n_gpm,
-        )
-        for n_cores in (16, 32)
-    }
     curves: dict[str, list[float]] = {}
-    for (config, n_cores, budget), cpm, maxbips in zip(
-        grid, results[0::2], results[1::2]
-    ):
-        reference = references[n_cores]
-        cpm_deg = performance_degradation(cpm, reference)
-        mb_deg = performance_degradation(maxbips, reference)
-        result.add_row(n_cores, budget, cpm_deg, mb_deg)
-        curves.setdefault(f"CPM {n_cores}c", []).append(cpm_deg)
-        curves.setdefault(f"MaxBIPS {n_cores}c", []).append(mb_deg)
+    per_size = len(results) // len(CORE_COUNTS)
+    for k, n_cores in enumerate(CORE_COUNTS):
+        reference_result, *runs = results[k * per_size : (k + 1) * per_size]
+        for cpm, maxbips in zip(runs[0::2], runs[1::2]):
+            cpm_deg = performance_degradation(cpm, reference_result)
+            mb_deg = performance_degradation(maxbips, reference_result)
+            result.add_row(n_cores, cpm.budget_fraction, cpm_deg, mb_deg)
+            curves.setdefault(f"CPM {n_cores}c", []).append(cpm_deg)
+            curves.setdefault(f"MaxBIPS {n_cores}c", []).append(mb_deg)
     for name, values in curves.items():
         result.add_series(name, np.asarray(values))
     result.notes.append(
@@ -76,7 +61,9 @@ def run(
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig15_scalability", *sys.argv[1:]]))

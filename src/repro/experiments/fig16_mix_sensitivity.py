@@ -13,50 +13,43 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
-from ..rng import DEFAULT_SEED
-from ..runner import RunRequest, run_many
+from ..runner import RunRequest
 from ..workloads.mixes import MIX1, MIX2
-from .common import ExperimentResult, horizon, reference_run
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["BUDGETS", "run"]
+__all__ = ["BUDGETS", "MIXES", "plan", "render", "run"]
 
 BUDGETS = (0.90, 0.85, 0.80, 0.75)
+MIXES = (MIX1, MIX2)
 
 
-def run(
-    seed: int = DEFAULT_SEED, quick: bool = False, jobs: int | None = 1
-) -> ExperimentResult:
-    config = DEFAULT_CONFIG
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """Each mix's reference, then CPM for both mixes at each budget."""
     n_gpm = horizon(quick)
-    budgets = (0.80,) if quick else BUDGETS
+    return [
+        reference(DEFAULT_CONFIG, mix, seed=seed, n_gpm=n_gpm) for mix in MIXES
+    ] + [
+        RunRequest(DEFAULT_CONFIG, CPMScheme, mix, budget, seed, n_gpm)
+        for budget in ((0.80,) if quick else BUDGETS)
+        for mix in MIXES
+    ]
 
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig16",
         description="degradation for Mix-1 (C,M islands) vs Mix-2 (homogeneous)",
         headers=("budget", "Mix-1 degradation", "Mix-2 degradation"),
     )
-    grid = [(budget, mix) for budget in budgets for mix in (MIX1, MIX2)]
-    requests = [
-        RunRequest(
-            config=config,
-            scheme_factory=CPMScheme,
-            mix=mix,
-            budget_fraction=budget,
-            seed=seed,
-            n_gpm_intervals=n_gpm,
-        )
-        for budget, mix in grid
-    ]
-    results = run_many(requests, jobs=jobs)
-    curves: dict[str, list[float]] = {"Mix-1": [], "Mix-2": []}
-    rows: dict[float, list] = {}
-    for (budget, mix), res in zip(grid, results):
-        reference = reference_run(config, mix, seed=seed, n_gpm=n_gpm)
-        deg = performance_degradation(res, reference)
-        rows.setdefault(budget, [budget]).append(deg)
-        curves[mix.name].append(deg)
-    for budget in budgets:
-        result.add_row(*rows[budget])
+    references, runs = results[: len(MIXES)], results[len(MIXES) :]
+    curves: dict[str, list[float]] = {mix.name: [] for mix in MIXES}
+    for k in range(0, len(runs), len(MIXES)):
+        row = [runs[k].budget_fraction]
+        for mix, reference_result, res in zip(MIXES, references, runs[k:]):
+            deg = performance_degradation(res, reference_result)
+            row.append(deg)
+            curves[mix.name].append(deg)
+        result.add_row(*row)
     for name, values in curves.items():
         result.add_series(name, np.asarray(values))
     result.notes.append(
@@ -67,7 +60,9 @@ def run(
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig16_mix_sensitivity", *sys.argv[1:]]))

@@ -15,13 +15,13 @@ import dataclasses
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, ControlConfig
-from ..core.cpm import run_cpm
+from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
-from ..rng import DEFAULT_SEED
+from ..runner import RunRequest
 from ..units import ms
-from .common import ExperimentResult, horizon, reference_run
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
-__all__ = ["CADENCES", "CORES_PER_ISLAND", "run"]
+__all__ = ["CADENCES", "CORES_PER_ISLAND", "plan", "render", "run"]
 
 CADENCES = (
     ("(5ms, 0.5ms)", ms(5), ms(0.5)),
@@ -30,10 +30,25 @@ CADENCES = (
 CORES_PER_ISLAND = (1, 2, 4)
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """The reference and CPM at 80% for every (island size, cadence)."""
     n_gpm = horizon(quick)
-    sizes = (2,) if quick else CORES_PER_ISLAND
+    requests = []
+    for cpi in (2,) if quick else CORES_PER_ISLAND:
+        base = DEFAULT_CONFIG.with_islands(8, 8 // cpi)
+        for _, gpm_s, pic_s in CADENCES:
+            control = ControlConfig(
+                gpm_interval_s=gpm_s,
+                pic_interval_s=pic_s,
+                desired_poles=base.control.desired_poles,
+            )
+            config = dataclasses.replace(base, control=control)
+            requests.append(reference(config, seed=seed, n_gpm=n_gpm))
+            requests.append(RunRequest(config, CPMScheme, None, 0.8, seed, n_gpm))
+    return requests
 
+
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig17",
         description="degradation and tracking vs (GPM, PIC) intervals, 80% budget",
@@ -46,31 +61,21 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
             "worst budget overshoot",
         ),
     )
-    for cpi in sizes:
-        base = DEFAULT_CONFIG.with_islands(8, 8 // cpi)
-        for label, gpm_s, pic_s in CADENCES:
-            control = ControlConfig(
-                gpm_interval_s=gpm_s,
-                pic_interval_s=pic_s,
-                desired_poles=base.control.desired_poles,
-            )
-            config = dataclasses.replace(base, control=control)
-            reference = reference_run(config, seed=seed, n_gpm=n_gpm)
-            res = run_cpm(
-                config, budget_fraction=0.8, n_gpm_intervals=n_gpm, seed=seed
-            )
-            deg = performance_degradation(res, reference)
-            chip = res.telemetry["chip_power_frac"]
-            skip = max(2, chip.size // 4)
-            rel = chip[skip:] / res.budget_fraction
-            result.add_row(
-                cpi,
-                label,
-                deg,
-                float(np.mean(np.abs(rel - 1.0))),
-                float(np.mean(rel > 1.02)),
-                float(max(rel.max() - 1.0, 0.0)),
-            )
+    label = {(gpm_s, pic_s): name for name, gpm_s, pic_s in CADENCES}
+    for reference_result, res in zip(results[0::2], results[1::2]):
+        control = res.config.control
+        deg = performance_degradation(res, reference_result)
+        chip = res.telemetry["chip_power_frac"]
+        skip = max(2, chip.size // 4)
+        rel = chip[skip:] / res.budget_fraction
+        result.add_row(
+            res.config.cores_per_island,
+            label[control.gpm_interval_s, control.pic_interval_s],
+            deg,
+            float(np.mean(np.abs(rel - 1.0))),
+            float(np.mean(rel > 1.02)),
+            float(max(rel.max() - 1.0, 0.0)),
+        )
     result.notes.append(
         "paper: the (5ms, 0.5ms) cadence degrades less thanks to more "
         "accurate within-window capping; too-small intervals would raise "
@@ -86,7 +91,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig17_interval_sensitivity", *sys.argv[1:]]))

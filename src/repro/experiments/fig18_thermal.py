@@ -23,24 +23,28 @@ budget still exists (4 pairs x 26% > 100%).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .. import units
 from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
+from ..core.cpm import CPMScheme
 from ..core.metrics import performance_degradation
 from ..gpm.performance_aware import PerformanceAwarePolicy
 from ..gpm.thermal_aware import ThermalAwarePolicy
-from ..rng import DEFAULT_SEED
+from ..runner import RunRequest
 from ..thermal.hotspot import ThermalConstraints, ViolationTracker
 from ..workloads.mixes import thermal_mix
-from .common import ExperimentResult, horizon, reference_run
+from .common import ExperimentResult, Results, experiment, horizon, reference
 
 __all__ = [
     "BUDGET",
     "CONSTRAINED_PAIRS",
     "PAIR_SHARE_CAP",
     "SINGLE_SHARE_CAP",
+    "plan",
+    "render",
     "run",
 ]
 
@@ -72,35 +76,26 @@ def _violation_fractions(result, constraints: ThermalConstraints) -> np.ndarray:
     return tracker.island_violation_fractions()
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    mix = thermal_mix()
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """The reference, then CPM under the performance-aware and the
+    thermal-aware policy; 8 single-core islands, thermal mix."""
     config = DEFAULT_CONFIG.with_islands(8, 8)
+    mix = thermal_mix()
     n_gpm = horizon(quick)
-    reference = reference_run(config, mix, seed=seed, n_gpm=n_gpm)
+    policy = ThermalAwarePolicy(
+        base=PerformanceAwarePolicy(), pair_share_cap=PAIR_SHARE_CAP,
+        single_share_cap=SINGLE_SHARE_CAP, adjacent_pairs=CONSTRAINED_PAIRS,
+    )
+    thermal = functools.partial(CPMScheme, policy=policy)
+    return [reference(config, mix, seed=seed, n_gpm=n_gpm)] + [
+        RunRequest(config, factory, mix, BUDGET, seed, n_gpm)
+        for factory in (CPMScheme, thermal)
+    ]
 
-    thermal_policy = ThermalAwarePolicy(
-        base=PerformanceAwarePolicy(),
-        pair_share_cap=PAIR_SHARE_CAP,
-        single_share_cap=SINGLE_SHARE_CAP,
-        adjacent_pairs=CONSTRAINED_PAIRS,
-    )
-    perf = run_cpm(
-        config,
-        mix=mix,
-        policy=PerformanceAwarePolicy(),
-        budget_fraction=BUDGET,
-        n_gpm_intervals=n_gpm,
-        seed=seed,
-    )
-    thermal = run_cpm(
-        config,
-        mix=mix,
-        policy=thermal_policy,
-        budget_fraction=BUDGET,
-        n_gpm_intervals=n_gpm,
-        seed=seed,
-    )
 
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    reference_result, perf, thermal = results
+    mix = thermal_mix()
     constraints = ThermalConstraints(
         adjacent_pairs=CONSTRAINED_PAIRS,
         pair_share_cap=PAIR_SHARE_CAP,
@@ -117,8 +112,8 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     )
     result.add_row(
         "perf degradation vs no-management",
-        performance_degradation(perf, reference),
-        performance_degradation(thermal, reference),
+        performance_degradation(perf, reference_result),
+        performance_degradation(thermal, reference_result),
     )
     result.add_row(
         "mean chip power", perf.mean_chip_power_frac, thermal.mean_chip_power_frac
@@ -148,7 +143,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig18_thermal", *sys.argv[1:]]))

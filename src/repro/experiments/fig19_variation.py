@@ -14,24 +14,28 @@ the performance-aware policy on the same platform:
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .. import units
 from ..config import DEFAULT_CONFIG
-from ..core.cpm import run_cpm
-from ..gpm.performance_aware import PerformanceAwarePolicy
+from ..core.cpm import CPMScheme
 from ..gpm.variation_aware import VariationAwarePolicy
-from ..rng import DEFAULT_SEED
+from ..runner import RunRequest
 from ..variation.leakage_variation import PAPER_ISLAND_MULTIPLIERS
 from ..workloads.mixes import MIX1
-from .common import ExperimentResult, horizon
+from .common import ExperimentResult, Results, experiment, horizon
 
-__all__ = ["BUDGET", "run"]
+__all__ = ["BUDGET", "CONFIG", "plan", "render", "run"]
 
 #: The budget must bind (sit below the chip's natural draw) for the
 #: greedy search's provisioning levels to have any effect on the islands.
 BUDGET = 0.78
+#: The platform: the paper's skewed island leakage.
+CONFIG = dataclasses.replace(
+    DEFAULT_CONFIG, island_leakage_multipliers=PAPER_ISLAND_MULTIPLIERS
+)
 
 
 def _island_stats(result) -> tuple[np.ndarray, np.ndarray]:
@@ -44,29 +48,18 @@ def _island_stats(result) -> tuple[np.ndarray, np.ndarray]:
     return bips, power_w / np.maximum(bips, units.EPS)
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
-    config = dataclasses.replace(
-        DEFAULT_CONFIG, island_leakage_multipliers=PAPER_ISLAND_MULTIPLIERS
-    )
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    """CPM under the performance-aware, then the variation-aware policy."""
     n_gpm = horizon(quick) * 3  # the greedy search needs room to converge
+    variation = functools.partial(CPMScheme, policy=VariationAwarePolicy())
+    return [
+        RunRequest(CONFIG, factory, MIX1, BUDGET, seed, n_gpm)
+        for factory in (CPMScheme, variation)
+    ]
 
-    perf = run_cpm(
-        config,
-        mix=MIX1,
-        policy=PerformanceAwarePolicy(),
-        budget_fraction=BUDGET,
-        n_gpm_intervals=n_gpm,
-        seed=seed,
-    )
-    variation = run_cpm(
-        config,
-        mix=MIX1,
-        policy=VariationAwarePolicy(),
-        budget_fraction=BUDGET,
-        n_gpm_intervals=n_gpm,
-        seed=seed,
-    )
 
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
+    perf, variation = results
     perf_bips, perf_ppt = _island_stats(perf)
     var_bips, var_ppt = _island_stats(variation)
     throughput_degradation = 1.0 - var_bips / perf_bips
@@ -83,7 +76,7 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
             "power/throughput improvement",
         ),
     )
-    for i in range(config.n_islands):
+    for i in range(CONFIG.n_islands):
         result.add_row(
             f"island {i + 1}",
             PAPER_ISLAND_MULTIPLIERS[i],
@@ -111,7 +104,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "fig19_variation", *sys.argv[1:]]))

@@ -2,23 +2,24 @@
 
 Emits the paper's configuration tables from the library's actual
 dataclasses, so the printed tables can never drift from what the
-simulator runs.
+simulator runs.  Its plan is empty: nothing is simulated.
 """
 
 from __future__ import annotations
 
 from .. import units
 from ..config import DEFAULT_CONFIG
-from ..rng import DEFAULT_SEED
 from ..units import cycles_at
 from ..workloads.mixes import MIX1, MIX2, MIX3
 from ..workloads.parsec import PARSEC_BENCHMARKS, SHORT_NAMES
-from .common import ExperimentResult
+from .common import ExperimentResult, Results, experiment, no_runs
 
-__all__ = ["run"]
+__all__ = ["plan", "render", "run"]
+
+plan = no_runs
 
 
-def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
+def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     cfg = DEFAULT_CONFIG
     result = ExperimentResult(
         experiment="tables",
@@ -95,7 +96,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":
-    from .common import main
+run = experiment(plan, render)
 
-    main(run)
+if __name__ == "__main__":
+    import sys
+    from ..cli import main
+    sys.exit(main(["experiment", "tables", *sys.argv[1:]]))

@@ -16,12 +16,12 @@ serial loops it replaces did not have:
   calibration they need (one per platform, mix and seed) is computed
   once and passed to each run explicitly, so workers never repeat the
   paper's offline calibration step.
+* deduplication — requests with the same cache key are simulated once.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
-  name + parameters, budget, seed, horizon).  The cache is shared across
-  processes and sessions — unlike the old per-process
-  ``functools.lru_cache``, the no-management reference is computed once
-  per machine, not once per worker.
+  name + parameters, budget, seed, horizon) and of the simulator's own
+  source (:func:`code_fingerprint`).  The cache is shared across
+  processes and sessions.
 * :func:`seed_stream` — deterministic per-run seed derivation for
   replicated runs of one configuration.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -54,13 +55,14 @@ from .config import CMPConfig
 from .core.calibration import Calibration, CalibratedScheme, CalibrationPoint
 from .rng import DEFAULT_SEED, role_seed
 from .unit_types import PowerFraction
-from .workloads.mixes import Mix
+from .workloads.mixes import Mix, mix_for_config
 
 __all__ = [
     "CACHE_VERSION",
     "RunFailure",
     "RunRequest",
     "cache_key",
+    "code_fingerprint",
     "describe_scheme",
     "resolve_cache_dir",
     "resolve_jobs",
@@ -69,14 +71,15 @@ __all__ = [
     "seed_stream",
 ]
 
-#: Bump to invalidate every existing cache entry (simulation semantics
-#: or the entry layout changed in a way the key cannot see).  2: columnar
-#: telemetry entries, and an explicit calibration enters the key.
+#: The layout of a cache entry.  Bump it when that layout changes; a
+#: change to what a run computes needs no bump, because the key holds
+#: :func:`code_fingerprint`.  2: columnar telemetry entries.
 CACHE_VERSION = 2
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _CACHE_DISABLE_ENV = "REPRO_CACHE"
 _DEFAULT_CACHE_DIR = ".repro-cache"
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent
 
 
 @dataclass(frozen=True)
@@ -164,14 +167,34 @@ def describe_scheme(factory: Callable[[], PowerScheme]) -> str:
     return _stable(scheme)
 
 
-def cache_key(request: RunRequest) -> str:
-    """Content hash of everything that determines the run's outcome."""
+@functools.lru_cache(maxsize=None)
+def code_fingerprint(root: pathlib.Path = _PACKAGE_ROOT) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file of
+    the package (``root``) outside ``lintkit/``, in path order, once per
+    process: an edit to the code a run may execute (a plan's scheme
+    factory in ``experiments/`` included) is a new cache key."""
+    digest = hashlib.sha256()
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    for relative, path in files:
+        if not relative.startswith("lintkit/"):
+            digest.update(relative.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def cache_key(request: RunRequest, scheme: PowerScheme | None = None) -> str:
+    """Content hash of everything that determines the run's outcome.
+
+    The mix enters as the simulator resolves it (``None`` is the default
+    mix); ``scheme`` is the request's unbound scheme if already built."""
+    if scheme is None:
+        scheme = request.scheme_factory()
     payload = "|".join(
         (
             f"v{CACHE_VERSION}",
+            code_fingerprint(),
             _stable(request.config),
-            _stable(request.mix),
-            describe_scheme(request.scheme_factory),
+            _stable(mix_for_config(request.config, request.mix)),
+            _stable(scheme),
             repr(float(request.budget_fraction)),
             repr(int(request.seed)),
             repr(int(request.n_gpm_intervals)),
@@ -276,11 +299,13 @@ def _cache_store(
 # ----------------------------------------------------------------------
 def _execute(
     request: RunRequest,
-    cache_dir: str | pathlib.Path | None,
+    directory: pathlib.Path | None,
+    key: str,
     calibration: Calibration | None = None,
     scheme: PowerScheme | None = None,
 ) -> SimulationResult:
-    """Run one request, consulting the cache (worker-side entry point).
+    """Run one request and store its result under ``key`` (worker-side
+    entry point; :func:`run_many` has already looked the key up).
 
     ``calibration`` is the request's default calibration, computed by
     the sweep's calibration wave; without it the scheme calibrates (or
@@ -288,12 +313,6 @@ def _execute(
     request's scheme if the caller already built it, so an in-process
     sweep calls each factory once per run.
     """
-    directory = resolve_cache_dir(cache_dir)
-    key = cache_key(request) if directory is not None else None
-    if directory is not None and key is not None:
-        cached = _cache_load(directory, key)
-        if cached is not None:
-            return cached
     if scheme is None:
         scheme = request.scheme_factory()
     if calibration is not None:
@@ -307,7 +326,7 @@ def _execute(
         seed=request.seed,
     )
     result = sim.run(request.n_gpm_intervals)
-    if directory is not None and key is not None:
+    if directory is not None:
         _cache_store(directory, key, result)
     return result
 
@@ -348,7 +367,7 @@ def run_one(
     request: RunRequest, cache_dir: str | pathlib.Path | None = None
 ) -> SimulationResult:
     """Execute one request in this process, using the cache if enabled."""
-    return _execute(request, cache_dir)
+    return run_many([request], jobs=1, cache_dir=cache_dir)[0]
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -594,9 +613,10 @@ def run_many(
     ``jobs`` is the number of worker processes (``None``/``0`` = all
     usable cores, ``1`` = in this process).  Results are bit-identical
     across ``jobs`` settings: each run's outcome is a pure function of
-    its request.  ``cache_dir`` enables the on-disk result cache (the
+    its request, so requests with the same :func:`cache_key` are
+    simulated once and share a result.  ``cache_dir`` enables the on-disk result cache (the
     string ``"auto"`` resolves via :func:`resolve_cache_dir`); workers
-    share it, so duplicate requests in one sweep cost one simulation.
+    share it.
 
     Every sweep follows one plan on one executor (this process, or a
     pool of ``min(jobs, misses)`` long-lived workers): resolve cache hits
@@ -623,7 +643,8 @@ def run_many(
       a crash or timeout; ``"quarantine"`` records a :class:`RunFailure`
       in ``failures``, leaves ``None`` in that result slot, and keeps
       going.  A calibration given up on is a failure of every request
-      that needed it.
+      that needed it, and a failed request is a failure at every
+      position that asked for it.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
@@ -634,12 +655,16 @@ def run_many(
     if failures is None:
         failures = []
     request_list = list(requests)
+    all_schemes = [request.scheme_factory() for request in request_list]
+    keys = [cache_key(r, s) for r, s in zip(request_list, all_schemes)]
+    first: dict[str, int] = {}
+    primary = [first.setdefault(key, i) for i, key in enumerate(keys)]
     directory = resolve_cache_dir(cache_dir)
-    results: list[SimulationResult | None] = [
-        None if directory is None else _cache_load(directory, cache_key(r))
-        for r in request_list
-    ]
-    pending = [i for i, result in enumerate(results) if result is None]
+    results = {
+        i: None if directory is None else _cache_load(directory, keys[i])
+        for i in first.values()
+    }
+    pending = [i for i, result in results.items() if result is None]
     pending_requests = [request_list[i] for i in pending]
     n_jobs = resolve_jobs(jobs)
     supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
@@ -659,12 +684,13 @@ def run_many(
             RuntimeWarning,
             stacklevel=2,
         )
-    schemes = [request.scheme_factory() for request in pending_requests]
+    schemes = [all_schemes[i] for i in pending]
     points = _calibration_points(pending_requests, schemes)
     point_of = {p: k for k, ps in enumerate(points.values()) for p in ps}
     executor = (
         _InProcess() if in_process else _Pool(min(n_jobs, len(pending)), timeout_s)
     )
+    run_failures: list[RunFailure] = []
     try:
         point_failures: list[RunFailure] = []
         solved = _run_tasks(
@@ -677,7 +703,7 @@ def run_many(
         for p, i in enumerate(pending):
             k = point_of.get(p)
             if k in failed:
-                failures.append(
+                run_failures.append(
                     dataclasses.replace(
                         failed[k],
                         index=i,
@@ -689,16 +715,22 @@ def run_many(
                 scheme = schemes[p] if in_process else None
                 tasks[i] = (
                     _execute,
-                    (request_list[i], cache_dir, solved.get(k), scheme),
+                    (request_list[i], directory, keys[i], solved.get(k), scheme),
                 )
         computed = _run_tasks(
-            executor, tasks, retries, on_error, failures, "request"
+            executor, tasks, retries, on_error, run_failures, "request"
         )
     finally:
         executor.close()
-    for i, result in computed.items():
-        results[i] = result
-    return results  # type: ignore[return-value]  # filled unless quarantined
+    results.update(computed)
+    for failure in run_failures:
+        failures.extend(
+            dataclasses.replace(failure, index=j)
+            for j, i in enumerate(primary)
+            if i == failure.index
+        )
+    # Every slot is filled unless its request was quarantined.
+    return [results[i] for i in primary]  # type: ignore[misc]
 
 
 def seed_stream(root_seed: int, n_runs: int, role: str = "runner") -> list[int]:

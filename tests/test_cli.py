@@ -77,3 +77,22 @@ class TestExperimentCommand:
         code = main(["experiment", "fig99_nonsense"])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--budget", "1.5"],
+        ["run", "--intervals", "0"],
+        ["run", "--cores", "7", "--islands", "4"],
+        ["compare", "--budget", "0"],
+        ["sweep", "--budgets", "0.75:1.0:0"],
+        ["sweep", "--budgets", "1.0:0.75:0.05"],
+        ["sweep", "--budgets", "0.75:1.2:0.1"],
+        ["experiment", "fig11_budget_curves", "--jobs", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_exits_two_at_parse_time(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

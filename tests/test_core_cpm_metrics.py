@@ -7,12 +7,10 @@ from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme, run_cpm
 from repro.core.metrics import (
-    budget_from_percent,
     chip_tracking_metrics,
     island_tracking_metrics,
     performance_degradation,
     performance_degradation_series,
-    reference_power,
 )
 from repro.gpm.policy import UniformPolicy
 
@@ -100,18 +98,6 @@ class TestMetrics:
     def test_island_tracking_metrics(self, cpm_run_80):
         m = island_tracking_metrics(cpm_run_80, tolerance=0.05, skip_windows=3)
         assert m.max_overshoot < 0.6
-
-    def test_reference_power_memoized_and_sane(self):
-        a = reference_power(DEFAULT_CONFIG)
-        b = reference_power(DEFAULT_CONFIG)
-        assert a == b
-        assert 0.6 < a < 1.0
-
-    def test_budget_from_percent(self):
-        b = budget_from_percent(0.8, DEFAULT_CONFIG)
-        assert b == pytest.approx(0.8 * reference_power(DEFAULT_CONFIG))
-        with pytest.raises(ValueError):
-            budget_from_percent(2.0, DEFAULT_CONFIG)
 
     def test_metrics_validation(self, cpm_run_80):
         with pytest.raises(ValueError):

@@ -11,7 +11,12 @@ import importlib
 import numpy as np
 import pytest
 
+from repro import experiments
+from repro.cli import main as cli_main
+from repro.cmpsim.simulator import Simulation
+from repro.core.calibration import WhiteNoiseDVFSScheme
 from repro.experiments import ALL_EXPERIMENTS
+from repro.runner import describe_scheme
 
 pytestmark = pytest.mark.slow
 
@@ -28,6 +33,42 @@ def test_experiment_runs_and_renders(name):
     assert result.experiment
     assert len(text) > 50
     assert result.rows or result.series
+
+
+def test_experiment_all_simulates_each_request_once(monkeypatch, capsys):
+    """Every figure's shared runs are simulated once per invocation.
+
+    Calibration's excitation runs and chaos (which runs its grid
+    in-process) are outside the plans, so they are left out.
+    """
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(
+        experiments,
+        "ALL_EXPERIMENTS",
+        tuple(name for name in ALL_EXPERIMENTS if name != "chaos"),
+    )
+    seen = []
+    original = Simulation.run
+
+    def recording_run(sim, n_gpm_intervals):
+        if not isinstance(sim.scheme, WhiteNoiseDVFSScheme):
+            seen.append(
+                (
+                    describe_scheme(lambda: sim.scheme),
+                    repr(sim.config),
+                    repr(sim.mix),
+                    sim.budget_fraction,
+                    sim.seeds.root_seed,
+                    n_gpm_intervals,
+                )
+            )
+        return original(sim, n_gpm_intervals)
+
+    monkeypatch.setattr(Simulation, "run", recording_run)
+    assert cli_main(["experiment", "all", "--quick"]) == 0
+    assert "== fig19" in capsys.readouterr().out
+    assert seen
+    assert len(seen) == len(set(seen))
 
 
 class TestControllerDesign:

@@ -4,7 +4,9 @@ on-disk result cache."""
 import hashlib
 import os
 import pickle
+import shutil
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.runner import (
     RunFailure,
     RunRequest,
     cache_key,
+    code_fingerprint,
     describe_scheme,
     resolve_cache_dir,
     resolve_jobs,
@@ -27,6 +30,7 @@ from repro.runner import (
     seed_stream,
 )
 from repro.runner import _calibration_points
+from repro import runner
 from repro.workloads.mixes import MIX1, MIX2
 
 N_GPM = 3
@@ -260,6 +264,50 @@ class TestCacheKey:
         before = describe_scheme(lambda: scheme)
         scheme.use_calibration(default_calibration(DEFAULT_CONFIG, seed=99))
         assert describe_scheme(lambda: scheme) == before
+
+
+class TestDeduplication:
+    def test_duplicate_request_simulated_once(self, monkeypatch):
+        runs = []
+        original = Simulation.run
+
+        def counting_run(sim, n_gpm_intervals):
+            runs.append(sim.seeds.root_seed)
+            return original(sim, n_gpm_intervals)
+
+        monkeypatch.setattr(Simulation, "run", counting_run)
+        unmanaged = partial(request, scheme_factory=NoManagementScheme)
+        results = run_many([unmanaged(), unmanaged(seed=8), unmanaged()], jobs=1)
+        assert sorted(runs) == [7, 8]
+        assert results[0] is results[2]
+        assert results[1] is not results[0]
+        monkeypatch.setattr(Simulation, "run", original)
+        assert_results_identical(results[0], run_one(unmanaged()))
+
+
+class TestCodeFingerprint:
+    def test_simulator_edits_change_it_lintkit_edits_do_not(self, tmp_path):
+        package = Path(runner.__file__).resolve().parent
+        trees = {}
+        for name in ("copy", "cmpsim", "lintkit"):
+            trees[name] = tmp_path / name / "repro"
+            shutil.copytree(
+                package, trees[name],
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        with open(trees["cmpsim"] / "cmpsim" / "chip.py", "a") as fh:
+            fh.write("\n# an edit\n")
+        with open(trees["lintkit"] / "lintkit" / "engine.py", "a") as fh:
+            fh.write("\n# an edit\n")
+        copy = code_fingerprint(trees["copy"])
+        assert copy == code_fingerprint()
+        assert code_fingerprint(trees["cmpsim"]) != copy
+        assert code_fingerprint(trees["lintkit"]) == copy
+
+    def test_fingerprint_enters_the_key(self, monkeypatch):
+        before = cache_key(request())
+        monkeypatch.setattr(runner, "code_fingerprint", lambda: "other code")
+        assert cache_key(request()) != before
 
 
 class TestDiskCache:

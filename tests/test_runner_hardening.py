@@ -14,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme
 from repro.runner import (
@@ -197,6 +198,25 @@ class TestQuarantine:
         )
         assert results[0] is None and results[1] is not None
         assert failures[0].kind == "error" and failures[0].index == 0
+
+    def test_failing_duplicate_fails_at_every_position(self, monkeypatch):
+        runs = []
+        original = Simulation.run
+
+        def counting_run(sim, n_gpm_intervals):
+            runs.append(type(sim.scheme).__name__)
+            return original(sim, n_gpm_intervals)
+
+        monkeypatch.setattr(Simulation, "run", counting_run)
+        failures: list[RunFailure] = []
+        results = run_many(
+            [request(RaisingScheme), request(seed=6), request(RaisingScheme)],
+            jobs=1, on_error="quarantine", failures=failures,
+        )
+        assert sorted(runs) == ["CPMScheme", "RaisingScheme"]
+        assert results[0] is None and results[2] is None
+        assert results[1] is not None
+        assert [(f.index, f.kind) for f in failures] == [(0, "error"), (2, "error")]
 
     @pytest.mark.parametrize(
         "options",
