@@ -27,7 +27,7 @@ from ..unit_types import PowerFraction, Seconds
 from ..workloads.benchmark import BenchmarkInstance
 from ..workloads.mixes import Mix, mix_for_config
 from .chip import Chip, IntervalResult, WorkloadTerms
-from .telemetry import Telemetry, WindowStats
+from .telemetry import ResilienceLog, Telemetry, WindowStats
 
 __all__ = ["PowerScheme", "Simulation", "SimulationResult"]
 
@@ -62,6 +62,8 @@ class SimulationResult:
     budget_fraction: PowerFraction
     duration_s: Seconds
     total_instructions: float
+    #: The guards' decisions during the run (empty for unguarded schemes).
+    log: ResilienceLog
 
     @property
     def mean_chip_bips(self) -> float:
@@ -122,6 +124,8 @@ class Simulation:
         self.telemetry = Telemetry(
             n_islands=config.n_islands, n_cores=config.n_cores
         )
+        #: The run's resilience log; a guarded scheme records into it.
+        self.log = ResilienceLog()
 
         #: Current per-island power set-points, fraction of max chip power.
         #: The GPM tier writes these; the PIC tier tracks them.
@@ -281,4 +285,5 @@ class Simulation:
             total_instructions=float(
                 sum(inst.instructions_retired for inst in self.instances)
             ),
+            log=self.log,
         )

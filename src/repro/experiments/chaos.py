@@ -21,19 +21,20 @@ quarantine within ``strikes_to_quarantine`` GPM windows at the
 supervisor tier, restore/re-arm within ``windows_to_restore`` windows /
 ``rearm_after`` ticks of the fault clearing.
 
-Run via ``repro chaos [--quick] [--out report.json]`` or
-``python -m repro.experiments.chaos``.  Its plan is empty: :func:`render`
-runs the grid in this process, and :func:`run_cases` says why.
+Run via ``repro chaos [--quick] [--out report.json]``.  Its plan is
+empty: :func:`render` runs the grid through its own runner call, and
+:func:`run_cases` says why.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from ..cmpsim.simulator import Simulation, SimulationResult
+from ..cmpsim.simulator import SimulationResult
 from ..config import CMPConfig, DEFAULT_CONFIG
 from ..core.cpm import CPMScheme
 from ..faults import (
@@ -47,6 +48,7 @@ from ..faults import (
 )
 from ..resilience import GuardedCPMScheme
 from ..rng import DEFAULT_SEED
+from ..runner import RunFailure, RunRequest, run_many
 from .common import ExperimentResult, Results, experiment, no_runs
 
 __all__ = [
@@ -137,26 +139,23 @@ def _recovery_ticks(
     return None
 
 
-def _one_case(
+def _chaos_scheme(scenario: str, start: int, end: int, guarded: bool):
+    """A fresh (guarded or plain) CPM scheme with one scheduled fault."""
+    base = GuardedCPMScheme() if guarded else CPMScheme()
+    return inject(base, _make_fault(scenario, FaultWindow(start, end)))
+
+
+def _outcome(
     config: CMPConfig,
     scenario: str,
     window: FaultWindow,
     guarded: bool,
+    result: SimulationResult | None,
     clean: SimulationResult,
-    seed: int,
     n_gpm: int,
 ) -> ChaosOutcome:
-    base = GuardedCPMScheme() if guarded else CPMScheme()
-    scheme = inject(base, _make_fault(scenario, window))
-    sim = Simulation(
-        config, scheme, budget_fraction=BUDGET_FRACTION, seed=seed
-    )
-    counts: Dict[str, int] = {}
-    try:
-        result = sim.run(n_gpm)
-    except Exception:  # lint: ignore[ROB001] - the crash IS the finding
-        if guarded:
-            counts = dict(base.log.counts)
+    """Score one faulty run against the clean run; None is a crash."""
+    if result is None:
         return ChaosOutcome(
             scenario=scenario,
             duration_ticks=window.duration,
@@ -165,10 +164,8 @@ def _one_case(
             violation_rate=1.0,
             recovery_ticks=None,
             bips_degradation=float("nan"),
-            guard_counts=counts,
+            guard_counts={},
         )
-    if guarded:
-        counts = dict(base.log.counts)
     pics = config.control.pics_per_gpm
     onset_window = window.start // pics
     end_window = min(-(-window.end // pics), n_gpm)
@@ -191,7 +188,7 @@ def _one_case(
         bips_degradation=float(
             1.0 - np.mean(bips_faulty) / np.mean(bips_clean)
         ),
-        guard_counts=counts,
+        guard_counts=dict(result.log.counts),
     )
 
 
@@ -202,10 +199,14 @@ def run_cases(
 ) -> List[ChaosOutcome]:
     """Execute the full scenario grid; the data behind :func:`run`.
 
-    Runs are serial and in this process, not requests to the runner: a
-    chaos run's value is its trajectory *and* its guard log, which a
-    ``SimulationResult`` does not carry, and an unguarded dropout is
-    expected to crash here.
+    The clean run and every faulty run are requests to one
+    :func:`~repro.runner.run_many` call with the ``"auto"`` result cache.
+    An unguarded dropout is expected to crash, so the call quarantines
+    failures: a quarantined request is the crashed outcome, and, as
+    failures are not cached, the only run a warm cache re-simulates.
+    The grid stays out of :func:`~repro.experiments.common.run_plans`,
+    whose sweep raises on the first failure: the expected crash must
+    not abort ``repro experiment all``.
     """
     if config is None:
         # A small platform keeps the grid fast; the guard dynamics under
@@ -214,20 +215,32 @@ def run_cases(
     n_gpm = 12 if quick else 25
     onset = 40 if quick else 60
     durations = (40,) if quick else (40, 80)
-    clean = Simulation(
-        config, CPMScheme(), budget_fraction=BUDGET_FRACTION, seed=seed
-    ).run(n_gpm)
-    outcomes: List[ChaosOutcome] = []
-    for scenario in SCENARIOS:
-        for duration in durations:
-            window = FaultWindow(onset, onset + duration)
-            for guarded in (False, True):
-                outcomes.append(
-                    _one_case(
-                        config, scenario, window, guarded, clean, seed, n_gpm
-                    )
-                )
-    return outcomes
+    cases = [
+        (scenario, FaultWindow(onset, onset + duration), guarded)
+        for scenario in SCENARIOS
+        for duration in durations
+        for guarded in (False, True)
+    ]
+    factories = [CPMScheme] + [
+        functools.partial(
+            _chaos_scheme, scenario, window.start, window.end, guarded
+        )
+        for scenario, window, guarded in cases
+    ]
+    requests = [
+        RunRequest(config, factory, None, BUDGET_FRACTION, seed, n_gpm)
+        for factory in factories
+    ]
+    failures: List[RunFailure] = []
+    clean, *results = run_many(
+        requests, cache_dir="auto", on_error="quarantine", failures=failures
+    )
+    if clean is None:
+        raise RuntimeError(f"chaos: clean run failed: {failures[0].message}")
+    return [
+        _outcome(config, scenario, window, guarded, result, clean, n_gpm)
+        for (scenario, window, guarded), result in zip(cases, results)
+    ]
 
 
 def _fmt_recovery(outcome: ChaosOutcome) -> str:
@@ -321,8 +334,3 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
 
 run = experiment(plan, render)
-
-if __name__ == "__main__":
-    import sys
-    from ..cli import main
-    sys.exit(main(["experiment", "chaos", *sys.argv[1:]]))

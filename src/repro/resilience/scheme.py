@@ -5,8 +5,10 @@ PID and the GPM guard (:mod:`repro.gpm.guard`) over the provisioning
 step.  With healthy telemetry both guards are transparent, so a guarded
 clean run is bit-identical to plain :class:`~repro.core.cpm.CPMScheme`;
 under injected faults the guards detect, degrade and recover, and every
-decision lands in :attr:`GuardedCPMScheme.log` for the chaos harness
-(``repro chaos``) and the tests to assert on.
+decision lands in the run's :class:`~repro.cmpsim.telemetry.ResilienceLog`
+(``sim.log``, returned as ``SimulationResult.log`` and, once bound, also
+:attr:`GuardedCPMScheme.log`) for the chaos harness (``repro chaos``) and
+the tests to assert on.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ class GuardedCPMScheme(CPMScheme):
             sensor_guard if sensor_guard is not None else SensorGuardConfig()
         )
         self.gpm_guard = gpm_guard if gpm_guard is not None else GPMGuardConfig()
+        #: The bound run's log (``sim.log``); empty until bound.
         self.log = ResilienceLog()
         self._gpm_guard_state: GPMGuard | None = None
 
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
-        # Fresh log per bind: re-running the same scheme object must not
-        # accumulate events across runs.  Must happen before super().bind
-        # because _make_bank hands the log to the sensor guard.
-        self.log = ResilienceLog()
+        # The run's own log, so a re-run starts empty.  Before
+        # super().bind, because _make_bank hands it to the sensor guard.
+        self.log = sim.log
         super().bind(sim)
         assert self._context_static is not None
         self._gpm_guard_state = GPMGuard(

@@ -73,8 +73,9 @@ __all__ = [
 
 #: The layout of a cache entry.  Bump it when that layout changes; a
 #: change to what a run computes needs no bump, because the key holds
-#: :func:`code_fingerprint`.  2: columnar telemetry entries.
-CACHE_VERSION = 2
+#: :func:`code_fingerprint`.  2: columnar telemetry entries.  3: the
+#: result carries the run's resilience log.
+CACHE_VERSION = 3
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _CACHE_DISABLE_ENV = "REPRO_CACHE"

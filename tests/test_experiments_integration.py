@@ -11,7 +11,6 @@ import importlib
 import numpy as np
 import pytest
 
-from repro import experiments
 from repro.cli import main as cli_main
 from repro.cmpsim.simulator import Simulation
 from repro.core.calibration import WhiteNoiseDVFSScheme
@@ -36,17 +35,13 @@ def test_experiment_runs_and_renders(name):
 
 
 def test_experiment_all_simulates_each_request_once(monkeypatch, capsys):
-    """Every figure's shared runs are simulated once per invocation.
+    """Every figure's shared runs are simulated once per invocation,
+    chaos's grid (its own ``run_many`` call) included.
 
-    Calibration's excitation runs and chaos (which runs its grid
-    in-process) are outside the plans, so they are left out.
+    Calibration's excitation runs are outside the plans, so they are
+    left out.
     """
     monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setattr(
-        experiments,
-        "ALL_EXPERIMENTS",
-        tuple(name for name in ALL_EXPERIMENTS if name != "chaos"),
-    )
     seen = []
     original = Simulation.run
 

@@ -519,6 +519,31 @@ class TestChaosAcceptance:
 
 
 @pytest.mark.slow
+class TestChaosCache:
+    def test_warm_grid_resimulates_only_the_crash(self, monkeypatch, tmp_path):
+        """Every chaos run is cached except the quarantined crash."""
+        from repro.experiments.chaos import run_cases
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        cold = run_cases(quick=True)
+        simulated = []
+        original = Simulation.run
+
+        def recording_run(sim, n_gpm_intervals):
+            simulated.append(sim.scheme)
+            return original(sim, n_gpm_intervals)
+
+        monkeypatch.setattr(Simulation, "run", recording_run)
+        warm = run_cases(quick=True)
+        (scheme,) = simulated
+        assert type(scheme.inner) is CPMScheme
+        assert [type(f) for f in scheme.faults] == [TransientSensorDropout]
+        # repr, not ==: a crash's NaN BIPS loss never equals itself.
+        assert repr(warm) == repr(cold)
+
+
+@pytest.mark.slow
 class TestGuardedBudgetProperty:
     """Every fault scenario x every GPM policy keeps power within budget."""
 

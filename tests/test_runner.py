@@ -17,6 +17,8 @@ from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.calibration import CalibrationPoint, default_calibration
 from repro.core.cpm import CPMScheme
+from repro.faults import FaultWindow, TransientSensorDropout, inject
+from repro.resilience import GuardedCPMScheme
 from repro.runner import (
     RunFailure,
     RunRequest,
@@ -62,6 +64,14 @@ def assert_results_identical(a, b):
             err_msg=f"series {name!r} differs",
         )
     assert a.total_instructions == b.total_instructions
+
+
+def guarded_dropout():
+    """Guarded CPM under a mid-run sensor dropout (module level, so a
+    pool worker can unpickle it)."""
+    return inject(
+        GuardedCPMScheme(), TransientSensorDropout(0, FaultWindow(20, 40))
+    )
 
 
 class TestRunRequest:
@@ -362,3 +372,28 @@ class TestSeedStream:
         assert len(set(a)) == 5
         assert a != seed_stream(8, 5)
         assert seed_stream(7, 5, role="other") != a
+
+
+class TestResilienceLog:
+    def test_guarded_log_survives_pool_and_cache(self, tmp_path, monkeypatch):
+        """A guarded run's log is the same in-process, from a pool worker
+        and from the cache."""
+        small = DEFAULT_CONFIG.with_islands(4, 2)
+        requests = [
+            RunRequest(small, guarded_dropout, None, 0.5, 9, 6),
+            RunRequest(small, CPMScheme, None, 0.5, 9, 6),
+        ]
+        scheme = guarded_dropout()
+        Simulation(small, scheme, budget_fraction=0.5, seed=9).run(6)
+        expected = (scheme.log.events, scheme.log.counts)
+        assert scheme.log.events
+        pooled = run_many(requests, jobs=2, cache_dir=tmp_path)
+
+        def no_simulation(*args):
+            raise AssertionError("a warm cache must not simulate")
+
+        monkeypatch.setattr(runner, "_execute", no_simulation)
+        cached = run_many(requests, jobs=2, cache_dir=tmp_path)
+        for guarded, unguarded in (pooled, cached):
+            assert (guarded.log.events, guarded.log.counts) == expected
+            assert not unguarded.log.events and not unguarded.log.counts
