@@ -39,7 +39,9 @@ class ResilienceEvent:
 class ResilienceLog:
     """Append-only record of guard activity during one run.
 
-    The guards (sensor guard in ``repro.pic.guard``, GPM guard in
+    The run's :class:`~repro.cmpsim.simulator.Simulation` owns it
+    (``sim.log``) and returns it as ``SimulationResult.log``.  The guards
+    (sensor guard in ``repro.pic.guard``, GPM guard in
     ``repro.gpm.guard``) write here so tests and the chaos harness can
     assert on detection and recovery instead of inferring them from power
     traces.  ``now`` is the simulator tick the owning scheme stamps
@@ -229,24 +231,3 @@ class Telemetry:
     def gpm_tick_indices(self) -> np.ndarray:
         """Interval indices at which the GPM ran."""
         return np.flatnonzero(self["is_gpm_tick"])
-
-    def tracking_segments(self) -> List[tuple[np.ndarray, np.ndarray]]:
-        """Per GPM window, per island: (actual series, setpoint) segments.
-
-        Returns a flat list of (power series, constant setpoint array of
-        length 1) ... one tuple per (window, island).  Used by the
-        robustness-metric experiments (Figures 9/10).
-        """
-        ticks = self.gpm_tick_indices()
-        power = self["island_power_frac"]
-        setpoints = self["island_setpoint_frac"]
-        segments: List[tuple[np.ndarray, np.ndarray]] = []
-        boundaries = list(ticks) + [self.n_intervals]
-        for start, end in zip(boundaries[:-1], boundaries[1:]):
-            if end <= start:
-                continue
-            for island in range(self.n_islands):
-                segments.append(
-                    (power[start:end, island], setpoints[start, island : island + 1])
-                )
-        return segments

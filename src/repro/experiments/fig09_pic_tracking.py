@@ -95,8 +95,3 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
 
 run = experiment(plan, render)
-
-if __name__ == "__main__":
-    import sys
-    from ..cli import main
-    sys.exit(main(["experiment", "fig09_pic_tracking", *sys.argv[1:]]))

@@ -73,8 +73,3 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
 
 run = experiment(plan, render)
-
-if __name__ == "__main__":
-    import sys
-    from ..cli import main
-    sys.exit(main(["experiment", "fig11_budget_curves", *sys.argv[1:]]))

@@ -61,8 +61,3 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
 
 run = experiment(plan, render)
-
-if __name__ == "__main__":
-    import sys
-    from ..cli import main
-    sys.exit(main(["experiment", "fig16_mix_sensitivity", *sys.argv[1:]]))

@@ -92,8 +92,3 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
 
 run = experiment(plan, render)
-
-if __name__ == "__main__":
-    import sys
-    from ..cli import main
-    sys.exit(main(["experiment", "fig17_interval_sensitivity", *sys.argv[1:]]))

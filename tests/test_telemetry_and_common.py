@@ -70,16 +70,6 @@ class TestTelemetry:
         record_ticks(t, [0.1] * 7, gpm_every=3)
         assert t.gpm_tick_indices().tolist() == [0, 3, 6]
 
-    def test_tracking_segments_cover_all_windows_and_islands(self):
-        t = Telemetry(n_islands=2, n_cores=4)
-        record_ticks(t, [0.1] * 9, gpm_every=3)
-        segments = t.tracking_segments()
-        # 3 windows x 2 islands.
-        assert len(segments) == 6
-        for series, setpoint in segments:
-            assert series.shape == (3,)
-            assert setpoint.shape == (1,)
-
     def test_window_stats_storage(self):
         t = Telemetry(n_islands=2, n_cores=4)
         w = WindowStats(
