@@ -9,6 +9,9 @@ Subcommands:
 * ``experiment`` — run one (or all) paper experiments by name.
 * ``chaos``      — scheduled-fault resilience report (guarded vs not).
 
+Every command runs its simulations through :func:`repro.runner.run_many`
+with the ``"auto"`` result cache (``REPRO_CACHE=0`` turns it off).
+
 Examples::
 
     python -m repro run --budget 0.8 --cores 16 --islands 4 --out results/
@@ -142,7 +145,7 @@ def _request(args: argparse.Namespace, scheme_factory, budget: float) -> RunRequ
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     scheme = functools.partial(_scheme_from_names, args.scheme, args.policy)
-    result = run_one(_request(args, scheme, args.budget))
+    result = run_one(_request(args, scheme, args.budget), cache_dir="auto")
 
     chip = result.telemetry["chip_power_frac"]
     print(
@@ -173,10 +176,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .core.calibration import calibrate
+    from .core.calibration import CalibrationPoint, calibration_requests, fit
 
-    config = _build_config(args)
-    cal = calibrate(config, seed=args.seed)
+    point = CalibrationPoint.of(_build_config(args), None, args.seed)
+    cal = fit(point, run_many(calibration_requests(point), cache_dir="auto"))
     rows = [
         ["system gain a", cal.system_gain],
         ["K_P / K_I / K_D",
@@ -200,7 +203,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     reference, *results = run_many(
         [_request(args, NoManagementScheme, 1.0)]
-        + [_request(args, factory, args.budget) for factory in schemes.values()]
+        + [_request(args, factory, args.budget) for factory in schemes.values()],
+        cache_dir="auto",
     )
     rows = []
     for name, result in zip(["no-management", *schemes], [reference, *results]):
@@ -229,6 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         title=f"{args.scheme} across budgets on "
         f"{config.n_cores}c/{config.n_islands}i",
         jobs=args.jobs,
+        cache_dir="auto",
     )
     print(result.as_table())
     return 0

@@ -7,6 +7,9 @@ hard-coding its constants:
    benchmark (bodytrack, "randomly chosen") runs homogeneously on the
    target platform while a white-noise scheme jitters each island's
    frequency (:class:`WhiteNoiseDVFSScheme`).
+   Each excitation run is a :class:`~repro.runner.RunRequest`
+   (:func:`calibration_requests`), so a sweep runs, deduplicates and
+   caches it like any other run.
 2. **Identification** — per run, the difference relation
    ``P(t+1) - P(t) = a · (f(t+1) - f(t))`` (Equation 8) is fit by
    through-origin regression; the per-benchmark gains are averaged into
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -40,14 +43,22 @@ from ..unit_types import GigaHz
 from ..workloads.mixes import Mix, mix_for_config
 from ..workloads.parsec import PARSEC_BENCHMARKS
 
+if TYPE_CHECKING:
+    from ..cmpsim.simulator import SimulationResult
+    from ..runner import RunRequest
+
 __all__ = [
+    "FITTED",
     "Calibration",
     "CalibratedScheme",
     "CalibrationPoint",
     "DEFAULT_HOLDOUT",
     "WhiteNoiseDVFSScheme",
     "calibrate",
+    "calibration_requests",
     "default_calibration",
+    "fit",
+    "homogeneous_mix",
 ]
 
 #: Default held-out validation benchmark, as in the paper.
@@ -67,6 +78,10 @@ class WhiteNoiseDVFSScheme:
     a fit spread uniformly over the whole ladder leaves a systematic
     transducer bias at the operating point, which shows up directly as
     steady-state error on *actual* (not sensed) power.
+
+    ``seed`` is a public attribute, so two runs that differ only in it
+    have different cache keys; each :meth:`bind` starts the noise stream
+    afresh from it, so a run is a function of its request alone.
     """
 
     name = "white-noise-dvfs"
@@ -82,12 +97,13 @@ class WhiteNoiseDVFSScheme:
             raise ValueError("step_sigma_ghz must be positive")
         if not 0.0 <= reversion < 1.0:
             raise ValueError("reversion must be in [0, 1)")
+        self.seed = seed
         self.step_sigma_ghz = step_sigma_ghz
         self.center_ghz = center_ghz
         self.reversion = reversion
-        self._rng = SeedSequenceFactory(seed).generator("calibration/white-noise")
 
     def bind(self, sim) -> None:
+        self._rng = SeedSequenceFactory(self.seed).generator("calibration/white-noise")
         if self.center_ghz is None:
             # Default envelope center: upper part of the ladder, where
             # 75–100%-of-max-power budgets land.
@@ -173,8 +189,12 @@ class CalibrationPoint:
         return cls(config, mix_for_config(config, mix), int(seed))
 
     def calibration(self) -> Calibration:
-        """The memoized default calibration at this point."""
-        return _cached_calibration(self.config, self.mix, self.seed)
+        """The memoized default calibration at this point (see
+        :data:`FITTED`), calibrated on a miss."""
+        if self not in FITTED:  # lint: ignore[EFF002] - a pure memo, see FITTED
+            calibration = calibrate(self.config, self.mix, self.seed)
+            FITTED[self] = calibration  # lint: ignore[EFF001] - ditto
+        return FITTED[self]  # lint: ignore[EFF002] - ditto
 
 
 @runtime_checkable
@@ -183,8 +203,8 @@ class CalibratedScheme(Protocol):
 
     A caller that runs many simulations (``repro.runner.run_many``) asks
     each scheme which default calibration its ``bind`` would compute,
-    computes every distinct point once, and hands the result back, so
-    no worker process recalibrates a point another one already did.
+    fits every distinct point once, and hands the result back, so no
+    worker process recalibrates a point another one already did.
     """
 
     def calibration_point(
@@ -198,24 +218,34 @@ class CalibratedScheme(Protocol):
         scheme was constructed with is kept."""
 
 
-def _excitation_run(config: CMPConfig, mix: Mix, seed: int, n_gpm: int):
-    """One white-noise run, started here and not through the runner: the
-    runner calibrates before it simulates, and this run is the calibration.
-    The import is deferred to avoid a cycle at import."""
-    from ..cmpsim.simulator import Simulation
-
-    scheme = WhiteNoiseDVFSScheme(seed=seed)
-    sim = Simulation(config, scheme, mix=mix, budget_fraction=1.0, seed=seed)
-    return sim.run(n_gpm)
-
-
-def _homogeneous_mix(config: CMPConfig, benchmark_name: str) -> Mix:
+def homogeneous_mix(config: CMPConfig, benchmark_name: str) -> Mix:
     """Every core of every island runs ``benchmark_name``."""
     islands = tuple(
         (benchmark_name,) * config.cores_per_island
         for _ in range(config.n_islands)
     )
     return Mix(name=f"cal-{benchmark_name}", islands=islands)
+
+
+def calibration_requests(
+    point: CalibrationPoint, n_gpm: int = 12
+) -> list[RunRequest]:
+    """The excitation runs a calibration at ``point`` fits, in the order
+    :func:`fit` reads them: one homogeneous run per PARSEC benchmark (in
+    name order), then one on the point's own mix.  Each is a white-noise
+    run at a 100% budget for ``n_gpm`` GPM intervals; the homogeneous
+    ones depend only on the point's config and seed, so points that
+    differ only in their mix share them.  The import is deferred because
+    the runner imports this module."""
+    from ..runner import RunRequest
+
+    config, seed = point.config, point.seed
+    mixes = [homogeneous_mix(config, name) for name in sorted(PARSEC_BENCHMARKS)]
+    scheme = functools.partial(WhiteNoiseDVFSScheme, seed=seed)
+    return [
+        RunRequest(config, scheme, mix, 1.0, seed, n_gpm)
+        for mix in [*mixes, point.mix]
+    ]
 
 
 def _gain_samples(result) -> tuple[np.ndarray, np.ndarray]:
@@ -242,32 +272,26 @@ def _per_island_transducers(result, n_islands: int) -> Tuple[LinearTransducer, .
     )
 
 
-def calibrate(
-    config: CMPConfig,
-    mix: Mix | None = None,
-    seed: int = DEFAULT_SEED,
+def fit(
+    point: CalibrationPoint,
+    results: Sequence[SimulationResult],
     holdout: str = DEFAULT_HOLDOUT,
-    n_gpm: int = 12,
 ) -> Calibration:
-    """Run the full calibration pipeline for a platform + mix.
-
-    Deterministic for a given (config, mix, seed); see
-    :func:`default_calibration` for the memoized variant experiments use.
-    """
+    """Fit the calibration at ``point`` to the results of its
+    :func:`calibration_requests`, in their order.  Pure: the same
+    results always give the same calibration."""
     if holdout not in PARSEC_BENCHMARKS:
         raise ValueError(f"holdout {holdout!r} is not a PARSEC benchmark")
-    mix = mix_for_config(config, mix)
+    config = point.config
+    *benchmark_runs, mix_run = results
+    runs = dict(zip(sorted(PARSEC_BENCHMARKS), benchmark_runs))
 
     per_benchmark_gains: Dict[str, GainFit] = {}
     benchmark_transducers: Dict[str, LinearTransducer] = {}
-    holdout_run = None
-    for name in sorted(PARSEC_BENCHMARKS):
-        run = _excitation_run(config, _homogeneous_mix(config, name), seed, n_gpm)
+    for name, run in runs.items():
         df, dp = _gain_samples(run)
         per_benchmark_gains[name] = fit_system_gain(df, dp)
         benchmark_transducers[name] = fit_transducer(*_transducer_samples(run))
-        if name == holdout:
-            holdout_run = run
 
     design_names = [n for n in per_benchmark_gains if n != holdout]
     system_gain = float(
@@ -275,9 +299,8 @@ def calibrate(
     )
 
     # Validate the averaged model on the held-out benchmark (Figure 5).
-    assert holdout_run is not None
-    freq = holdout_run.telemetry["island_frequency_ghz"]
-    power = holdout_run.telemetry["island_power_frac"]
+    freq = runs[holdout].telemetry["island_frequency_ghz"]
+    power = runs[holdout].telemetry["island_power_frac"]
     errors = [
         prediction_error(power[:, i], np.diff(freq[:, i]), system_gain)
         for i in range(config.n_islands)
@@ -287,7 +310,6 @@ def calibrate(
     pid_gains = design_pid(system_gain, config.control.desired_poles)
     stability = stability_gain_limit(system_gain, pid_gains)
 
-    mix_run = _excitation_run(config, mix, seed, n_gpm)
     island_transducers = _per_island_transducers(mix_run, config.n_islands)
 
     return Calibration(
@@ -302,9 +324,34 @@ def calibrate(
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_calibration(config: CMPConfig, mix: Mix, seed: int) -> Calibration:
-    return calibrate(config, mix=mix, seed=seed)
+def calibrate(
+    config: CMPConfig,
+    mix: Mix | None = None,
+    seed: int = DEFAULT_SEED,
+    holdout: str = DEFAULT_HOLDOUT,
+    n_gpm: int = 12,
+) -> Calibration:
+    """Run the full calibration pipeline for a platform + mix: its
+    :func:`calibration_requests` in this process, with no result cache,
+    then :func:`fit`.
+
+    Deterministic for a given (config, mix, seed); see
+    :func:`default_calibration` for the memoized variant experiments use.
+    The import is deferred because the runner imports this module.
+    """
+    from ..runner import run_many
+
+    point = CalibrationPoint.of(config, mix, seed)
+    return fit(point, run_many(calibration_requests(point, n_gpm)), holdout)
+
+
+#: This process's fitted default calibrations.  A memo of a pure
+#: function of its key: a calibration is fixed by its point, which a
+#: CPM run's cache key holds (config, mix, seed), so reading it cannot
+#: make two runs with one key differ, and a worker's write only spares
+#: that worker a recomputation its siblings would repeat bit for bit.
+#: ``run_many``'s calibration wave reads it and writes each fit to it.
+FITTED: Dict[CalibrationPoint, Calibration] = {}
 
 
 def default_calibration(

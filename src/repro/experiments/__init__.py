@@ -2,18 +2,21 @@
 
 Every module declares its runs and renders their results in two steps:
 ``plan(seed, quick)`` returns its runs as ``RunRequest`` objects
-(unmanaged references included; an empty plan's module docstring says
-why), and ``render(results, seed, quick)`` builds the
-:class:`ExperimentResult` from their results, in plan order.
-``run = common.experiment(plan, render)`` gives ``run(seed=, quick=,
-jobs=)``.  ``repro experiment NAME|all`` concatenates the plans into one
-:func:`~repro.runner.run_many` call, so a run several figures share is
-simulated once, then renders in ``ALL_EXPERIMENTS`` order.  Chaos
-declares no plan: its renderer sends its fault grid through a
-``run_many`` call of its own that quarantines the expected crash
-(:func:`repro.experiments.chaos.run_cases`).  DESIGN.md
-maps each module to its figure; EXPERIMENTS.md records paper-vs-measured
-values.  ``quick=True`` shrinks horizons for CI-speed smoke runs.
+(unmanaged references and calibration excitation runs included; an
+empty plan's module docstring says why), and ``render(results, seed,
+quick)`` builds the :class:`ExperimentResult` from their results, in
+plan order.  ``run = common.experiment(plan, render)`` gives
+``run(seed=, quick=, jobs=)``.  ``repro experiment NAME|all``
+concatenates the plans into one :func:`~repro.runner.run_many` call, so
+a run several figures share is simulated once, then renders in
+``ALL_EXPERIMENTS`` order.  Figs. 4–6 plan the default platform's
+calibration runs and render from their
+:func:`~repro.core.calibration.fit`.  Chaos declares no plan: its
+renderer sends its fault grid through a ``run_many`` call of its own
+that quarantines the expected crash
+(:func:`repro.experiments.chaos.run_cases`).  DESIGN.md maps each module
+to its figure; EXPERIMENTS.md records paper-vs-measured values.
+``quick=True`` shrinks horizons for CI-speed smoke runs.
 """
 
 from .common import ExperimentResult

@@ -5,7 +5,8 @@ closed-loop poles (all strictly inside the unit circle — Equation 12's
 stability statement), the analytic step-response robustness metrics, and
 the stability range of the gain multiplier ``g`` (Equation 13: the paper
 found its design stable for g up to ~2.1 of the nominal gain).
-Its plan is empty: everything comes from the memoized calibration.
+Its plan is the default platform's calibration runs; everything comes
+from their fit.
 """
 
 from __future__ import annotations
@@ -15,17 +16,19 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..control.analysis import response_metrics, step_response
 from ..control.pole_placement import closed_loop
-from ..core.calibration import default_calibration
-from .common import ExperimentResult, Results, experiment, no_runs
+from ..core.calibration import CalibrationPoint, calibration_requests, fit
+from ..runner import RunRequest
+from .common import ExperimentResult, Results, experiment
 
 __all__ = ["plan", "render", "run"]
 
-plan = no_runs
+
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    return calibration_requests(CalibrationPoint.of(DEFAULT_CONFIG, None, seed))
 
 
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
-    config = DEFAULT_CONFIG
-    cal = default_calibration(config, seed=seed)
+    cal = fit(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
     gains = cal.pid_gains
 
     loop = closed_loop(cal.system_gain, gains)

@@ -4,36 +4,50 @@ The paper validates ``P(t+1) = P(t) + a * df(t)`` by running the held-out
 benchmark (bodytrack) on every island under white-noise DVFS and
 comparing the measured power trace against the model's one-step-ahead
 prediction; the reported error is well within 10%.
-Its plan is empty: the hold-out run is one of calibration's own
-excitation runs (``_excitation_run``).
+Its plan is the default platform's calibration runs, which give the
+model, and a fresh white-noise run of the hold-out benchmark (the next
+seed, the experiment's horizon), which the model predicts.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
 from ..control.identification import predict_power, prediction_error
 from ..core.calibration import (
+    DEFAULT_HOLDOUT,
+    CalibrationPoint,
     WhiteNoiseDVFSScheme,
-    _excitation_run,
-    _homogeneous_mix,
-    default_calibration,
+    calibration_requests,
+    fit,
+    homogeneous_mix,
 )
-from .common import ExperimentResult, Results, experiment, horizon, no_runs
+from ..runner import RunRequest
+from .common import ExperimentResult, Results, experiment, horizon
 
 __all__ = ["plan", "render", "run"]
 
-plan = no_runs
+
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    config = DEFAULT_CONFIG
+    holdout = RunRequest(
+        config,
+        functools.partial(WhiteNoiseDVFSScheme, seed=seed + 1),
+        homogeneous_mix(config, DEFAULT_HOLDOUT),
+        1.0,
+        seed + 1,
+        horizon(quick),
+    )
+    return calibration_requests(CalibrationPoint.of(config, None, seed)) + [holdout]
 
 
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
-    cal = default_calibration(config, seed=seed)
-
-    # Fresh white-noise run of the held-out benchmark on all islands.
-    mix = _homogeneous_mix(config, cal.holdout)
-    run_result = _excitation_run(config, mix, seed + 1, horizon(quick))
+    *calibration_runs, run_result = results
+    cal = fit(CalibrationPoint.of(config, None, seed), calibration_runs)
     freq = run_result.telemetry["island_frequency_ghz"]
     power = run_result.telemetry["island_power_frac"]
 

@@ -4,8 +4,9 @@ For each of the eight PARSEC applications, the paper plots island power
 against measured utilization over a DVFS-exercised run and fits a line
 ``P = k0 U + k1``; the average coefficient of determination is ~0.96,
 with the memory-bound kernels (canneal, vips) showing the steepest
-slopes.  This experiment reproduces the fits from the calibration runs, so its
-plan is empty: the fits come from the memoized calibration.
+slopes.  This experiment reproduces the fits from the calibration runs:
+its plan is the default platform's calibration runs, and the fits come
+from fitting them.
 """
 
 from __future__ import annotations
@@ -13,17 +14,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
-from ..core.calibration import default_calibration
+from ..core.calibration import CalibrationPoint, calibration_requests, fit
+from ..runner import RunRequest
 from ..workloads.parsec import SHORT_NAMES
-from .common import ExperimentResult, Results, experiment, no_runs
+from .common import ExperimentResult, Results, experiment
 
 __all__ = ["plan", "render", "run"]
 
-plan = no_runs
+
+def plan(seed: int, quick: bool) -> list[RunRequest]:
+    return calibration_requests(CalibrationPoint.of(DEFAULT_CONFIG, None, seed))
 
 
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
-    cal = default_calibration(DEFAULT_CONFIG, seed=seed)
+    cal = fit(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
 
     result = ExperimentResult(
         experiment="fig06",

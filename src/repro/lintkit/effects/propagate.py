@@ -12,8 +12,7 @@ Three roots anchor three guarantees:
 
 * **simulation** (``Simulation.run``) — simulation purity: no hidden
   I/O or wall-clock reads may influence seeded results (EFF003).
-* **parallel** (``runner._execute``, ``runner._calibrate``,
-  ``runner._worker_loop``) —
+* **parallel** (``runner._execute``, ``runner._worker_loop``) —
   parallel safety: no shared module state may be mutated inside a
   worker (EFF001).
 * **cache** (``Simulation.__init__`` + ``Simulation.run``) — cache-key
@@ -115,7 +114,6 @@ ROOTS: tuple[Root, ...] = (
         rule_id="EFF001",
         suffixes=(
             "runner._execute",
-            "runner._calibrate",
             "runner._worker_loop",
         ),
         kinds=frozenset({"global-write"}),

@@ -12,10 +12,11 @@ serial loops it replaces did not have:
   quarantine of failed ones.  Determinism is unchanged: every run's
   randomness is fixed by its request's seed, so ``jobs=4`` returns
   bit-identical results to ``jobs=1``.
-* a calibration wave — before the runs, every distinct default
-  calibration they need (one per platform, mix and seed) is computed
-  once and passed to each run explicitly, so workers never repeat the
-  paper's offline calibration step.
+* a calibration wave — before the runs, the excitation runs of every
+  distinct default calibration they need (one per platform, mix and
+  seed) run as requests, deduplicated and cached like any other; each
+  calibration is fitted here once and passed to each run explicitly,
+  so workers never repeat the paper's offline calibration step.
 * deduplication — requests with the same cache key are simulated once.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
@@ -52,7 +53,14 @@ import numpy as np
 
 from .cmpsim.simulator import PowerScheme, Simulation, SimulationResult
 from .config import CMPConfig
-from .core.calibration import Calibration, CalibratedScheme, CalibrationPoint
+from .core.calibration import (
+    FITTED,
+    Calibration,
+    CalibratedScheme,
+    CalibrationPoint,
+    calibration_requests,
+    fit,
+)
 from .rng import DEFAULT_SEED, role_seed
 from .unit_types import PowerFraction
 from .workloads.mixes import Mix, mix_for_config
@@ -308,7 +316,7 @@ def _execute(
     """Run one request and store its result under ``key`` (worker-side
     entry point; :func:`run_many` has already looked the key up).
 
-    ``calibration`` is the request's default calibration, computed by
+    ``calibration`` is the request's default calibration, fitted by
     the sweep's calibration wave; without it the scheme calibrates (or
     hits the in-process memo) when it binds.  ``scheme`` is the
     request's scheme if the caller already built it, so an in-process
@@ -330,11 +338,6 @@ def _execute(
     if directory is not None:
         _cache_store(directory, key, result)
     return result
-
-
-def _calibrate(point: CalibrationPoint) -> Calibration:
-    """Compute one default calibration (worker-side entry point)."""
-    return point.calibration()
 
 
 def _calibration_points(
@@ -621,11 +624,15 @@ def run_many(
 
     Every sweep follows one plan on one executor (this process, or a
     pool of ``min(jobs, misses)`` long-lived workers): resolve cache hits
-    here, so a fully-warm sweep never starts a worker; compute each
-    distinct default calibration the misses need once (the *calibration
-    wave*) and hand it to each run; run the misses.  Requests that
-    cannot be pickled (e.g. lambda scheme factories) run in this process
-    with a warning rather than failing.
+    here, so a fully-warm sweep never starts a worker; run the
+    *calibration wave*, then the misses.  The wave serves each default
+    calibration the misses need from this process's memo
+    (:data:`~repro.core.calibration.FITTED`) or, failing that, runs its
+    :func:`~repro.core.calibration.calibration_requests` as requests
+    (keyed, deduplicated, cached and executed like the misses), fits
+    them here and memoizes the fit; each run is handed its calibration.
+    Requests that cannot be pickled (e.g. lambda scheme factories) run
+    in this process with a warning rather than failing.
 
     One failure policy covers both executors.  A deadline, a retry or
     quarantine sends even a single miss to a worker when ``jobs > 1``:
@@ -633,7 +640,7 @@ def run_many(
     * ``timeout_s`` — per-run wall-clock deadline; a run past it is
       terminated.  Needs worker processes, so it is not enforced in
       this process (a warning is emitted if it would be ignored).  Each
-      calibration of the wave gets the same deadline.
+      excitation run of the wave gets the same deadline.
     * ``retries`` — how many times a crashed or timed-out run is
       relaunched (with bounded exponential backoff) before being given
       up on.  Runs that merely *raise* are not retried: the simulator is
@@ -643,9 +650,10 @@ def run_many(
       with its message if it cannot be pickled), or a RuntimeError for
       a crash or timeout; ``"quarantine"`` records a :class:`RunFailure`
       in ``failures``, leaves ``None`` in that result slot, and keeps
-      going.  A calibration given up on is a failure of every request
-      that needed it, and a failed request is a failure at every
-      position that asked for it.
+      going.  A calibration whose excitation run was given up on, or
+      whose fit raised, is a failure of every request that needed it,
+      and a failed request is a failure at every position that asked
+      for it.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
@@ -655,22 +663,48 @@ def run_many(
         raise ValueError("timeout_s must be positive")
     if failures is None:
         failures = []
-    request_list = list(requests)
-    all_schemes = [request.scheme_factory() for request in request_list]
-    keys = [cache_key(r, s) for r, s in zip(request_list, all_schemes)]
-    first: dict[str, int] = {}
-    primary = [first.setdefault(key, i) for i, key in enumerate(keys)]
     directory = resolve_cache_dir(cache_dir)
-    results = {
-        i: None if directory is None else _cache_load(directory, keys[i])
-        for i in first.values()
-    }
-    pending = [i for i, result in results.items() if result is None]
-    pending_requests = [request_list[i] for i in pending]
+    request_list: list[RunRequest] = []
+    schemes: list[PowerScheme] = []
+    keys: list[str] = []
+    first: dict[str, int] = {}
+    results: dict[int, SimulationResult | None] = {}
+
+    def enlist(batch: Iterable[RunRequest]) -> list[int]:
+        """Add ``batch`` to the sweep: build, key and look up each request.
+        Return, per request, the position of the first one with its key."""
+        primaries = []
+        for request in batch:
+            scheme = request.scheme_factory()
+            key = cache_key(request, scheme)
+            position = first.setdefault(key, len(keys))
+            if position == len(keys):
+                results[position] = (
+                    None if directory is None else _cache_load(directory, key)
+                )
+            request_list.append(request)
+            schemes.append(scheme)
+            keys.append(key)
+            primaries.append(position)
+        return primaries
+
+    primary = enlist(requests)
+    pending = [i for i in dict.fromkeys(primary) if results[i] is None]
+    points = _calibration_points(
+        [request_list[i] for i in pending], [schemes[i] for i in pending]
+    )
+    point_of = {pending[j]: point for point, js in points.items() for j in js}
+    # The calibration wave: the excitation runs of each point not yet fitted.
+    wave = {p: enlist(calibration_requests(p)) for p in points if p not in FITTED}
+    excite = list(
+        dict.fromkeys(i for ps in wave.values() for i in ps if results[i] is None)
+    )
+    excited = set(excite)
+    todo = excite + [i for i in pending if i not in excited]
     n_jobs = resolve_jobs(jobs)
     supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
-    in_process = n_jobs <= 1 or (len(pending) <= 1 and not supervised)
-    if not in_process and not _picklable(pending_requests):
+    in_process = n_jobs <= 1 or (len(todo) <= 1 and not supervised)
+    if not in_process and not _picklable([request_list[i] for i in todo]):
         warnings.warn(
             "run_many: requests are not picklable (lambda or local scheme "
             "factory?); falling back to serial execution",
@@ -685,46 +719,61 @@ def run_many(
             RuntimeWarning,
             stacklevel=2,
         )
-    schemes = [all_schemes[i] for i in pending]
-    points = _calibration_points(pending_requests, schemes)
-    point_of = {p: k for k, ps in enumerate(points.values()) for p in ps}
+
+    def task(i: int, calibration: Calibration | None) -> tuple[Callable, tuple]:
+        # A worker builds its own scheme from the pickled factory.
+        scheme = schemes[i] if in_process else None
+        return _execute, (request_list[i], directory, keys[i], calibration, scheme)
+
     executor = (
-        _InProcess() if in_process else _Pool(min(n_jobs, len(pending)), timeout_s)
+        _InProcess() if in_process else _Pool(min(n_jobs, len(todo)), timeout_s)
     )
-    run_failures: list[RunFailure] = []
+    failed: list[RunFailure] = []
     try:
-        point_failures: list[RunFailure] = []
-        solved = _run_tasks(
-            executor,
-            {k: (_calibrate, (point,)) for k, point in enumerate(points)},
-            retries, on_error, point_failures, "calibration",
+        results.update(
+            _run_tasks(
+                executor, {i: task(i, None) for i in excite},
+                retries, on_error, failed, "calibration run",
+            )
         )
-        failed = {f.index: f for f in point_failures}
+        lost = {f.index: f for f in failed}
+        broken: dict[CalibrationPoint, RunFailure] = {}
+        for point, positions in wave.items():
+            cause = next((lost[i] for i in positions if i in lost), None)
+            if cause is not None:
+                broken[point] = cause
+                continue
+            try:
+                FITTED[point] = fit(
+                    point, [results[i] for i in positions]  # type: ignore[misc]
+                )
+            except Exception as exc:  # noqa: BLE001 - the failure policy decides
+                if on_error == "raise":
+                    raise
+                message = f"{type(exc).__name__}: {exc}"
+                broken[point] = RunFailure(-1, "error", 1, message)
+        # The fits hold what the runs need; free the excitation results.
+        for i in range(len(primary), len(keys)):
+            results.pop(i, None)
         tasks: dict[int, tuple[Callable, tuple]] = {}
-        for p, i in enumerate(pending):
-            k = point_of.get(p)
-            if k in failed:
-                run_failures.append(
+        for i in pending:
+            point = point_of.get(i)
+            if point in broken:
+                failed.append(
                     dataclasses.replace(
-                        failed[k],
+                        broken[point],
                         index=i,
-                        message=f"calibration failed: {failed[k].message}",
+                        message=f"calibration failed: {broken[point].message}",
                     )
                 )
-            else:
-                # A worker builds its own scheme from the pickled factory.
-                scheme = schemes[p] if in_process else None
-                tasks[i] = (
-                    _execute,
-                    (request_list[i], directory, keys[i], solved.get(k), scheme),
-                )
-        computed = _run_tasks(
-            executor, tasks, retries, on_error, run_failures, "request"
+            elif i not in excited:
+                tasks[i] = task(i, None if point is None else FITTED[point])
+        results.update(
+            _run_tasks(executor, tasks, retries, on_error, failed, "request")
         )
     finally:
         executor.close()
-    results.update(computed)
-    for failure in run_failures:
+    for failure in failed:
         failures.extend(
             dataclasses.replace(failure, index=j)
             for j, i in enumerate(primary)

@@ -70,7 +70,7 @@ class RecordedWorkload:
 
     # ------------------------------------------------------------------
     def instances(self) -> list["ReplayInstance"]:
-        """One replay instance per core, for ``Simulation(instances=...)``."""
+        """One replay instance per core, for a simulation's ``instances=``."""
         return [ReplayInstance(self, core) for core in range(self.n_cores)]
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.baselines.no_management import NoManagementScheme
 from repro.cmpsim.simulator import Simulation
 from repro.config import CMPConfig, DEFAULT_CONFIG
-from repro.core.calibration import default_calibration
+from repro.core.calibration import FITTED, default_calibration
 from repro.core.cpm import run_cpm
 from repro.rng import DEFAULT_SEED, SeedSequenceFactory
 
@@ -45,6 +45,16 @@ def rng() -> np.random.Generator:
 def calibration(default_config):
     """The memoized default calibration for the default platform."""
     return default_calibration(default_config, seed=TEST_SEED)
+
+
+@pytest.fixture()
+def calibration_memo():
+    """The process's memo of fitted calibrations, which the test may
+    clear; restored afterwards, so later tests keep their memo hits."""
+    saved = dict(FITTED)
+    yield FITTED
+    FITTED.clear()
+    FITTED.update(saved)
 
 
 @pytest.fixture(scope="session")

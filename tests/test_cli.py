@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cmpsim.simulator import Simulation
 
 pytestmark = pytest.mark.slow
 
@@ -40,6 +41,30 @@ class TestRunCommand:
         assert "mean chip power" in out
         summary = json.loads((tmp_path / "no-management.json").read_text())
         assert summary["n_intervals"] == 20
+
+    def test_warm_run_is_served_from_the_cache(
+        self, tmp_path, monkeypatch, capsys, calibration_memo
+    ):
+        """A second ``repro run`` simulates nothing, not even calibration
+        runs, and prints the same report."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        argv = ["run", "--intervals", "3"]
+        calibration_memo.clear()  # each invocation starts in a fresh process
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        calibration_memo.clear()
+        simulated = []
+        original = Simulation.run
+
+        def recording_run(sim, n_gpm_intervals):
+            simulated.append(sim.scheme)
+            return original(sim, n_gpm_intervals)
+
+        monkeypatch.setattr(Simulation, "run", recording_run)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert simulated == []
 
     def test_run_cpm_policy_selection(self, capsys):
         code = main(

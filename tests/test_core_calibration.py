@@ -6,7 +6,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.core.calibration import (
     WhiteNoiseDVFSScheme,
-    _homogeneous_mix,
+    homogeneous_mix,
     calibrate,
     default_calibration,
 )
@@ -43,7 +43,7 @@ class TestWhiteNoiseScheme:
 
 class TestHomogeneousMix:
     def test_every_core_runs_the_benchmark(self):
-        mix = _homogeneous_mix(DEFAULT_CONFIG, "canneal")
+        mix = homogeneous_mix(DEFAULT_CONFIG, "canneal")
         assert mix.n_cores == 8
         assert all(
             name == "canneal" for island in mix.islands for name in island

@@ -13,8 +13,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.cmpsim.simulator import Simulation
-from repro.core.calibration import WhiteNoiseDVFSScheme
+from repro.core.cpm import CPMScheme
 from repro.experiments import ALL_EXPERIMENTS
+from repro.faults import TransientSensorDropout
 from repro.runner import describe_scheme
 
 pytestmark = pytest.mark.slow
@@ -34,36 +35,63 @@ def test_experiment_runs_and_renders(name):
     assert result.rows or result.series
 
 
-def test_experiment_all_simulates_each_request_once(monkeypatch, capsys):
-    """Every figure's shared runs are simulated once per invocation,
-    chaos's grid (its own ``run_many`` call) included.
-
-    Calibration's excitation runs are outside the plans, so they are
-    left out.
-    """
+def test_experiment_all_simulates_each_request_once(
+    monkeypatch, capsys, calibration_memo
+):
+    """Every distinct run is simulated once per invocation: the figures'
+    shared runs, chaos's grid (its own ``run_many`` call) and every
+    calibration's excitation runs, which points differing only in their
+    mix share."""
     monkeypatch.setenv("REPRO_CACHE", "0")
+    calibration_memo.clear()
     seen = []
     original = Simulation.run
 
     def recording_run(sim, n_gpm_intervals):
-        if not isinstance(sim.scheme, WhiteNoiseDVFSScheme):
-            seen.append(
-                (
-                    describe_scheme(lambda: sim.scheme),
-                    repr(sim.config),
-                    repr(sim.mix),
-                    sim.budget_fraction,
-                    sim.seeds.root_seed,
-                    n_gpm_intervals,
-                )
+        seen.append(
+            (
+                describe_scheme(lambda: sim.scheme),
+                repr(sim.config),
+                repr(sim.mix),
+                sim.budget_fraction,
+                sim.seeds.root_seed,
+                n_gpm_intervals,
             )
+        )
         return original(sim, n_gpm_intervals)
 
     monkeypatch.setattr(Simulation, "run", recording_run)
     assert cli_main(["experiment", "all", "--quick"]) == 0
     assert "== fig19" in capsys.readouterr().out
-    assert seen
+    assert any("WhiteNoiseDVFSScheme" in run[0] for run in seen)
     assert len(seen) == len(set(seen))
+
+
+def test_warm_experiment_all_simulates_only_the_expected_crash(
+    monkeypatch, tmp_path, capsys, calibration_memo
+):
+    """With every run cached, a fresh process (an empty calibration
+    memo) simulates only chaos's quarantined unguarded dropout run,
+    which is never cached, and prints the same output."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    calibration_memo.clear()  # each invocation starts in a fresh process
+    assert cli_main(["experiment", "all", "--quick"]) == 0
+    cold = capsys.readouterr().out
+    calibration_memo.clear()
+    simulated = []
+    original = Simulation.run
+
+    def recording_run(sim, n_gpm_intervals):
+        simulated.append(sim.scheme)
+        return original(sim, n_gpm_intervals)
+
+    monkeypatch.setattr(Simulation, "run", recording_run)
+    assert cli_main(["experiment", "all", "--quick"]) == 0
+    assert capsys.readouterr().out == cold
+    (scheme,) = simulated
+    assert type(scheme.inner) is CPMScheme
+    assert [type(f) for f in scheme.faults] == [TransientSensorDropout]
 
 
 class TestControllerDesign:

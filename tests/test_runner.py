@@ -15,7 +15,11 @@ from repro.baselines.maxbips import MaxBIPSScheme
 from repro.baselines.no_management import NoManagementScheme
 from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
-from repro.core.calibration import CalibrationPoint, default_calibration
+from repro.core.calibration import (
+    CalibrationPoint,
+    WhiteNoiseDVFSScheme,
+    default_calibration,
+)
 from repro.core.cpm import CPMScheme
 from repro.faults import FaultWindow, TransientSensorDropout, inject
 from repro.resilience import GuardedCPMScheme
@@ -208,6 +212,35 @@ class TestCalibrationWave:
         assert list(points.values()) == [[0, 1], [3], [4], [5, 6]]
         assert list(points)[0] == CalibrationPoint(DEFAULT_CONFIG, MIX1, 7)
 
+    def test_excitation_runs_are_cached_and_shared(
+        self, tmp_path, monkeypatch, calibration_memo
+    ):
+        """A cold memo caches a point's 9 excitation runs with the run;
+        a point differing only in its mix reuses the 8 homogeneous ones,
+        and a fresh process fits a cached point without simulating it."""
+        calibration_memo.clear()
+        mix1, mix2 = (request(config=SMALL, mix=m) for m in (MIX1, MIX2))
+        cold = run_one(mix1, cache_dir=tmp_path)
+        assert len(list(tmp_path.rglob("*.pkl"))) == 1 + 9
+        calibration_memo.clear()
+        simulated = []
+        original = Simulation.run
+
+        def recording_run(sim, n_gpm_intervals):
+            simulated.append(type(sim.scheme).__name__)
+            return original(sim, n_gpm_intervals)
+
+        monkeypatch.setattr(Simulation, "run", recording_run)
+        run_one(mix2, cache_dir=tmp_path)
+        # Only the point's own mix run is new, then the run itself.
+        assert simulated == ["WhiteNoiseDVFSScheme", "CPMScheme"]
+        simulated.clear()
+        calibration_memo.clear()
+        assert_results_identical(run_one(mix1, cache_dir=tmp_path), cold)
+        assert simulated == []
+        monkeypatch.setattr(Simulation, "run", original)
+        assert_results_identical(cold, run_one(mix1))
+
     @pytest.mark.slow
     def test_failed_calibration_quarantines_its_requests(self):
         self._check_calibration_quarantine(jobs=2)
@@ -269,6 +302,19 @@ class TestCacheKey:
         assert [digest(r) for r in warm] == [digest(r) for r in cold]
         assert digest(warm[0]) != digest(warm[1])
 
+    def test_excitation_seed_enters_the_key(self):
+        """Two white-noise runs that differ only in the scheme's noise
+        seed are different runs, with different keys and results."""
+        a, b = (
+            request(scheme_factory=partial(WhiteNoiseDVFSScheme, seed=s),
+                    budget_fraction=1.0, seed=5, n_gpm_intervals=2)
+            for s in (1, 2)
+        )
+        assert cache_key(a) != cache_key(b)
+        first, second = run_many([a, b])
+        assert digest(first) != digest(second)
+        assert digest(second) == digest(run_one(b))
+
     def test_adopted_calibration_keeps_the_identity(self):
         scheme = CPMScheme()
         before = describe_scheme(lambda: scheme)
@@ -321,6 +367,13 @@ class TestCodeFingerprint:
 
 
 class TestDiskCache:
+    @pytest.fixture(autouse=True)
+    def _fitted_calibration(self):
+        """With the requests' calibration already fitted in this process,
+        a sweep writes only its runs' entries: a cold memo would also
+        cache the calibration's excitation runs (see TestCalibrationWave)."""
+        default_calibration(DEFAULT_CONFIG, seed=7)
+
     def test_miss_then_hit(self, tmp_path):
         first = run_one(request(), cache_dir=tmp_path)
         entries = list(tmp_path.rglob("*.pkl"))
