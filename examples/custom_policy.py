@@ -11,7 +11,10 @@ This example implements a *QoS-priority* policy: island 1 hosts a
 latency-critical service and is guaranteed a fixed share of the budget;
 the remaining islands share whatever is left through the standard
 performance-aware heuristic.  The script verifies the guarantee holds
-while the chip as a whole stays at its budget.
+while the chip as a whole stays at its budget.  It drives a
+``Simulation`` directly; a policy used in a ``RunRequest`` must be a
+module-level dataclass, like the built-in policies, so the request's
+scheme spec can name it.
 
 Run:  python examples/custom_policy.py
 """

@@ -11,9 +11,7 @@ Example::
     from repro.analysis import budget_sweep
     from repro.core.cpm import CPMScheme
 
-    result = budget_sweep(
-        lambda: CPMScheme(), budgets=[0.75, 0.8, 0.85, 0.9],
-    )
+    result = budget_sweep(CPMScheme, budgets=[0.75, 0.8, 0.85, 0.9])
     print(result.as_table())
 """
 
@@ -44,7 +42,8 @@ __all__ = [
 ]
 
 #: A factory is required (not an instance) because schemes are stateful:
-#: every sweep point needs a fresh one.
+#: every sweep point needs a fresh one.  It is a scheme spec (a class, a
+#: function or a ``functools.partial``; see :class:`~repro.runner.RunRequest`).
 SchemeFactory = Callable[[], PowerScheme]
 
 

@@ -70,7 +70,12 @@ POLICIES = {
     "uniform": UniformPolicy,
 }
 
-SCHEMES = ("cpm", "maxbips", "none", "static")
+SCHEMES = {
+    "cpm": CPMScheme,
+    "maxbips": MaxBIPSScheme,
+    "none": NoManagementScheme,
+    "static": StaticUniformScheme,
+}
 
 
 def _build_config(args: argparse.Namespace) -> CMPConfig:
@@ -80,20 +85,11 @@ def _build_config(args: argparse.Namespace) -> CMPConfig:
     return config
 
 
-def _scheme_from_names(scheme: str, policy: str):
-    """Build a scheme from its CLI names.
-
-    Module-level (not a closure over ``args``) so
-    ``functools.partial(_scheme_from_names, ...)`` pickles into runner
-    worker processes.
-    """
-    if scheme == "cpm":
-        return CPMScheme(policy=POLICIES[policy]())
-    if scheme == "maxbips":
-        return MaxBIPSScheme()
-    if scheme == "static":
-        return StaticUniformScheme()
-    return NoManagementScheme()
+def _scheme(args: argparse.Namespace):
+    """The scheme spec ``--scheme`` names; ``--policy`` drives cpm's GPM."""
+    if args.scheme == "cpm":
+        return functools.partial(CPMScheme, policy=POLICIES[args.policy]())
+    return SCHEMES[args.scheme]
 
 
 def _checked(convert, accept, what: str):
@@ -144,8 +140,7 @@ def _request(args: argparse.Namespace, scheme_factory, budget: float) -> RunRequ
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    scheme = functools.partial(_scheme_from_names, args.scheme, args.policy)
-    result = run_one(_request(args, scheme, args.budget), cache_dir="auto")
+    result = run_one(_request(args, _scheme(args), args.budget), cache_dir="auto")
 
     chip = result.telemetry["chip_power_frac"]
     print(
@@ -225,7 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     config = _build_config(args)
     result = budget_sweep(
-        functools.partial(_scheme_from_names, args.scheme, args.policy),
+        _scheme(args),
         budgets=args.budgets,
         config=config,
         n_gpm_intervals=args.intervals,

@@ -58,6 +58,7 @@ __all__ = [
     "calibration_requests",
     "default_calibration",
     "fit",
+    "fit_once",
     "homogeneous_mix",
 ]
 
@@ -350,8 +351,20 @@ def calibrate(
 #: CPM run's cache key holds (config, mix, seed), so reading it cannot
 #: make two runs with one key differ, and a worker's write only spares
 #: that worker a recomputation its siblings would repeat bit for bit.
-#: ``run_many``'s calibration wave reads it and writes each fit to it.
+#: ``run_many``'s calibration wave and the renders of Figures 4-6 fit
+#: through :func:`fit_once`, so a process fits each point once.
 FITTED: Dict[CalibrationPoint, Calibration] = {}
+
+
+def fit_once(
+    point: CalibrationPoint, results: Sequence[SimulationResult]
+) -> Calibration:
+    """The memoized calibration at ``point`` (see :data:`FITTED`): on a
+    miss, :func:`fit` ``results`` (its :func:`calibration_requests`'
+    results) and memoize the fit, so a process fits each point once."""
+    if point not in FITTED:  # lint: ignore[EFF002] - a pure memo, see FITTED
+        FITTED[point] = fit(point, results)  # lint: ignore[EFF001] - ditto
+    return FITTED[point]  # lint: ignore[EFF002] - ditto
 
 
 def default_calibration(

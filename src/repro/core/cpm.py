@@ -54,11 +54,6 @@ class CPMScheme:
             raise ValueError("max_step_ghz must be positive")
         self.policy = policy or PerformanceAwarePolicy()
         self.manager = GlobalPowerManager(self.policy)
-        #: The calibration given at construction, None for the default
-        #: one of the run's platform, mix and seed.  Public, so it is part
-        #: of the scheme's cache identity; :meth:`use_calibration` never
-        #: changes it.
-        self.explicit_calibration = calibration
         self._calibration = calibration
         self.max_step_ghz = max_step_ghz
         self.initial_frequency_ghz = initial_frequency_ghz
@@ -192,7 +187,9 @@ def run_cpm(
     calibration: Calibration | None = None,
 ):
     """Convenience entry point: run one CPM simulation through
-    :func:`repro.runner.run_one` (no result cache).
+    :func:`repro.runner.run_one` (no result cache).  ``policy`` and
+    ``calibration`` become arguments of the request's scheme spec, so a
+    custom policy must be a module-level dataclass.
 
     Returns the :class:`~repro.cmpsim.simulator.SimulationResult`.
     """

@@ -10,8 +10,8 @@ plan order.  ``run = common.experiment(plan, render)`` gives
 concatenates the plans into one :func:`~repro.runner.run_many` call, so
 a run several figures share is simulated once, then renders in
 ``ALL_EXPERIMENTS`` order.  Figs. 4–6 plan the default platform's
-calibration runs and render from their
-:func:`~repro.core.calibration.fit`.  Chaos declares no plan: its
+calibration runs and render from their memoized fit
+(:func:`~repro.core.calibration.fit_once`).  Chaos declares no plan: its
 renderer sends its fault grid through a ``run_many`` call of its own
 that quarantines the expected crash
 (:func:`repro.experiments.chaos.run_cases`).  DESIGN.md maps each module

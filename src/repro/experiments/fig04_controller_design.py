@@ -16,7 +16,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..control.analysis import response_metrics, step_response
 from ..control.pole_placement import closed_loop
-from ..core.calibration import CalibrationPoint, calibration_requests, fit
+from ..core.calibration import CalibrationPoint, calibration_requests, fit_once
 from ..runner import RunRequest
 from .common import ExperimentResult, Results, experiment
 
@@ -28,7 +28,7 @@ def plan(seed: int, quick: bool) -> list[RunRequest]:
 
 
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
-    cal = fit(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
+    cal = fit_once(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
     gains = cal.pid_gains
 
     loop = closed_loop(cal.system_gain, gains)

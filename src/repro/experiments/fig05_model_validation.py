@@ -22,7 +22,7 @@ from ..core.calibration import (
     CalibrationPoint,
     WhiteNoiseDVFSScheme,
     calibration_requests,
-    fit,
+    fit_once,
     homogeneous_mix,
 )
 from ..runner import RunRequest
@@ -47,7 +47,7 @@ def plan(seed: int, quick: bool) -> list[RunRequest]:
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
     config = DEFAULT_CONFIG
     *calibration_runs, run_result = results
-    cal = fit(CalibrationPoint.of(config, None, seed), calibration_runs)
+    cal = fit_once(CalibrationPoint.of(config, None, seed), calibration_runs)
     freq = run_result.telemetry["island_frequency_ghz"]
     power = run_result.telemetry["island_power_frac"]
 

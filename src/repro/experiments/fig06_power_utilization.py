@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
-from ..core.calibration import CalibrationPoint, calibration_requests, fit
+from ..core.calibration import CalibrationPoint, calibration_requests, fit_once
 from ..runner import RunRequest
 from ..workloads.parsec import SHORT_NAMES
 from .common import ExperimentResult, Results, experiment
@@ -27,7 +27,7 @@ def plan(seed: int, quick: bool) -> list[RunRequest]:
 
 
 def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
-    cal = fit(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
+    cal = fit_once(CalibrationPoint.of(DEFAULT_CONFIG, None, seed), results)
 
     result = ExperimentResult(
         experiment="fig06",

@@ -21,6 +21,8 @@ so runs under it show chip power below the configured budget.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import units
@@ -31,39 +33,36 @@ from .policy import GPMContext
 __all__ = ["EnergyAwarePolicy"]
 
 
+@dataclass(eq=False)
 class EnergyAwarePolicy:
-    """Minimize provisioned power subject to a chip-throughput floor."""
+    """Minimize provisioned power subject to a chip-throughput floor.
+
+    Parameters
+    ----------
+    performance_floor:
+        Minimum predicted chip BIPS as a fraction of the unthrottled
+        (full-provision) estimate.  0.95 = "give back power until
+        throughput would drop 5%".
+    trim_step:
+        Budget removed per greedy step, as a fraction of an island's
+        equal share.
+    max_trims:
+        Safety bound on greedy iterations per invocation.
+    """
 
     name = "energy-aware"
 
-    def __init__(
-        self,
-        performance_floor: float = 0.95,
-        trim_step: float = 0.02,
-        max_trims: int = 200,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        performance_floor:
-            Minimum predicted chip BIPS as a fraction of the unthrottled
-            (full-provision) estimate.  0.95 = "give back power until
-            throughput would drop 5%".
-        trim_step:
-            Budget removed per greedy step, as a fraction of an island's
-            equal share.
-        max_trims:
-            Safety bound on greedy iterations per invocation.
-        """
-        if not 0.0 < performance_floor <= 1.0:
+    performance_floor: float = 0.95
+    trim_step: float = 0.02
+    max_trims: int = 200
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.performance_floor <= 1.0:
             raise ValueError("performance_floor must be in (0, 1]")
-        if not 0.0 < trim_step < 1.0:
+        if not 0.0 < self.trim_step < 1.0:
             raise ValueError("trim_step must be in (0, 1)")
-        if max_trims < 1:
+        if self.max_trims < 1:
             raise ValueError("max_trims must be positive")
-        self.performance_floor = performance_floor
-        self.trim_step = trim_step
-        self.max_trims = max_trims
 
     def reset(self) -> None:
         """Stateless: nothing to clear (kept for the policy interface)."""

@@ -33,6 +33,8 @@ and their surplus budget is reclaimed for the others.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .. import units
@@ -42,43 +44,40 @@ from .policy import GPMContext
 __all__ = ["PerformanceAwarePolicy"]
 
 
+@dataclass(eq=False)
 class PerformanceAwarePolicy:
-    """Maximize chip throughput within the budget via the phi heuristic."""
+    """Maximize chip throughput within the budget via the phi heuristic.
+
+    Parameters
+    ----------
+    phi_bounds:
+        Clamp on the per-island performance ratio.  Equation 5's raw
+        ratio can spike when a window's power barely changed (the
+        expected-BIPS denominator is then pure noise); the clamp keeps
+        one noisy window from starving an island, the concern the
+        paper discusses below Equation 6.
+    smoothing:
+        EWMA weight on the newest phi (1.0 = no smoothing).
+    mode:
+        ``"proportional"`` or ``"eq6"`` — see the module docstring.
+    """
 
     name = "performance-aware"
 
-    def __init__(
-        self,
-        phi_bounds: tuple[float, float] = (0.5, 2.0),
-        smoothing: float = 0.5,
-        mode: str = "proportional",
-    ) -> None:
-        """
-        Parameters
-        ----------
-        phi_bounds:
-            Clamp on the per-island performance ratio.  Equation 5's raw
-            ratio can spike when a window's power barely changed (the
-            expected-BIPS denominator is then pure noise); the clamp keeps
-            one noisy window from starving an island, the concern the
-            paper discusses below Equation 6.
-        smoothing:
-            EWMA weight on the newest phi (1.0 = no smoothing).
-        mode:
-            ``"proportional"`` or ``"eq6"`` — see the module docstring.
-        """
-        low, high = phi_bounds
+    phi_bounds: tuple[float, float] = (0.5, 2.0)
+    smoothing: float = 0.5
+    mode: str = "proportional"
+    _phi_state: np.ndarray | None = field(default=None, init=False, repr=False)
+    _shares: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        low, high = self.phi_bounds
         if not 0.0 < low <= 1.0 <= high:
             raise ValueError("phi_bounds must straddle 1.0 with low > 0")
-        if not 0.0 < smoothing <= 1.0:
+        if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        if mode not in ("proportional", "eq6"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.phi_bounds = phi_bounds
-        self.smoothing = smoothing
-        self.mode = mode
-        self._phi_state: np.ndarray | None = None
-        self._shares: np.ndarray | None = None
+        if self.mode not in ("proportional", "eq6"):
+            raise ValueError(f"unknown mode {self.mode!r}")
 
     def reset(self) -> None:
         self._phi_state = None

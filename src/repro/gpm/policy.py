@@ -69,6 +69,7 @@ class ProvisioningPolicy(Protocol):
         """Return per-island set-points summing to (at most) the budget."""
 
 
+@dataclass(eq=False)
 class UniformPolicy:
     """Always split the budget equally (the no-GPM-intelligence ablation)."""
 

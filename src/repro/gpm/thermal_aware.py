@@ -25,6 +25,8 @@ deliberately leaves budget unused rather than violate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..thermal.hotspot import ThermalConstraints
@@ -35,8 +37,14 @@ from .policy import GPMContext, ProvisioningPolicy, clamp_and_redistribute
 __all__ = ["ThermalAwarePolicy"]
 
 
+@dataclass(eq=False)
 class ThermalAwarePolicy:
-    """Spatial-constraint wrapper around any base provisioning policy."""
+    """Spatial-constraint wrapper around any base provisioning policy.
+
+    ``adjacent_pairs`` overrides the floorplan-derived adjacency in the
+    :class:`~repro.gpm.policy.GPMContext` (the paper's Figure 18a study
+    constrains specific side-by-side pairs).
+    """
 
     name = "thermal-aware"
     #: Tells the GlobalPowerManager that this policy's output already
@@ -44,26 +52,16 @@ class ThermalAwarePolicy:
     #: clamps cannot express the pair constraints).
     self_constrained = True
 
-    def __init__(
-        self,
-        base: ProvisioningPolicy | None = None,
-        pair_share_cap: float = 0.50,
-        pair_consecutive_limit: int = 2,
-        single_share_cap: float = 0.40,
-        single_consecutive_limit: int = 4,
-        adjacent_pairs: frozenset[tuple[int, int]] | None = None,
-    ) -> None:
-        """``adjacent_pairs`` overrides the floorplan-derived adjacency in
-        the :class:`~repro.gpm.policy.GPMContext` (the paper's Figure 18a
-        study constrains specific side-by-side pairs)."""
-        self.base = base or PerformanceAwarePolicy()
-        self.pair_share_cap = pair_share_cap
-        self.pair_consecutive_limit = pair_consecutive_limit
-        self.single_share_cap = single_share_cap
-        self.single_consecutive_limit = single_consecutive_limit
-        self.adjacent_pairs = adjacent_pairs
-        self._pair_streaks: dict[tuple[int, int], int] = {}
-        self._single_streaks: np.ndarray | None = None
+    base: ProvisioningPolicy = field(default_factory=PerformanceAwarePolicy)
+    pair_share_cap: float = 0.50
+    pair_consecutive_limit: int = 2
+    single_share_cap: float = 0.40
+    single_consecutive_limit: int = 4
+    adjacent_pairs: frozenset[tuple[int, int]] | None = None
+    _pair_streaks: dict[tuple[int, int], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _single_streaks: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def reset(self) -> None:
         self._pair_streaks.clear()

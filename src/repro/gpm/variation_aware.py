@@ -19,6 +19,8 @@ better power/throughput ratio, which is what Figures 19/20 report.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .. import units
@@ -29,45 +31,42 @@ from .policy import GPMContext, clamp_and_redistribute
 __all__ = ["VariationAwarePolicy"]
 
 
+@dataclass(eq=False)
 class VariationAwarePolicy:
-    """Per-island greedy EPI hill-climbing under the chip budget."""
+    """Per-island greedy EPI hill-climbing under the chip budget.
+
+    Parameters
+    ----------
+    step_fraction:
+        Exploration step as a fraction of the island's equal share.
+    hold_intervals:
+        GPM intervals to stay put after overshooting the optimum
+        (the paper holds for 10 PIC intervals = 1 GPM interval at the
+        default cadence).
+    epi_smoothing:
+        EWMA weight on the newest EPI sample; per-window EPI is noisy
+        (workload phases) and an unsmoothed comparison turns the
+        hill-climb into a random walk.
+    """
 
     name = "variation-aware"
 
-    def __init__(
-        self,
-        step_fraction: float = 0.06,
-        hold_intervals: int = 1,
-        epi_smoothing: float = 0.5,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        step_fraction:
-            Exploration step as a fraction of the island's equal share.
-        hold_intervals:
-            GPM intervals to stay put after overshooting the optimum
-            (the paper holds for 10 PIC intervals = 1 GPM interval at the
-            default cadence).
-        epi_smoothing:
-            EWMA weight on the newest EPI sample; per-window EPI is noisy
-            (workload phases) and an unsmoothed comparison turns the
-            hill-climb into a random walk.
-        """
-        if not 0.0 < step_fraction < 1.0:
+    step_fraction: float = 0.06
+    hold_intervals: int = 1
+    epi_smoothing: float = 0.5
+    _levels: np.ndarray | None = field(default=None, init=False, repr=False)
+    _directions: np.ndarray | None = field(default=None, init=False, repr=False)
+    _holds: np.ndarray | None = field(default=None, init=False, repr=False)
+    _previous_epi: np.ndarray | None = field(default=None, init=False, repr=False)
+    _epi_state: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must be in (0, 1)")
-        if hold_intervals < 0:
+        if self.hold_intervals < 0:
             raise ValueError("hold_intervals must be non-negative")
-        if not 0.0 < epi_smoothing <= 1.0:
+        if not 0.0 < self.epi_smoothing <= 1.0:
             raise ValueError("epi_smoothing must be in (0, 1]")
-        self.step_fraction = step_fraction
-        self.hold_intervals = hold_intervals
-        self.epi_smoothing = epi_smoothing
-        self._levels: np.ndarray | None = None
-        self._directions: np.ndarray | None = None
-        self._holds: np.ndarray | None = None
-        self._previous_epi: np.ndarray | None = None
-        self._epi_state: np.ndarray | None = None
 
     def reset(self) -> None:
         self._levels = None

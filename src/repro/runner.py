@@ -20,8 +20,9 @@ serial loops it replaces did not have:
 * deduplication — requests with the same cache key are simulated once.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
-  name + parameters, budget, seed, horizon) and of the simulator's own
-  source (:func:`code_fingerprint`).  The cache is shared across
+  spec, budget, seed, horizon) and of the simulator's own source
+  (:func:`code_fingerprint`).  The key is computed from the request
+  alone: no scheme is built to key it.  The cache is shared across
   processes and sessions.
 * :func:`seed_stream` — deterministic per-run seed derivation for
   replicated runs of one configuration.
@@ -42,7 +43,9 @@ import multiprocessing
 import os
 import pathlib
 import pickle
+import sys
 import time
+import types
 import warnings
 from collections import deque
 from dataclasses import dataclass, is_dataclass
@@ -59,7 +62,7 @@ from .core.calibration import (
     CalibratedScheme,
     CalibrationPoint,
     calibration_requests,
-    fit,
+    fit_once,
 )
 from .rng import DEFAULT_SEED, role_seed
 from .unit_types import PowerFraction
@@ -71,7 +74,6 @@ __all__ = [
     "RunRequest",
     "cache_key",
     "code_fingerprint",
-    "describe_scheme",
     "resolve_cache_dir",
     "resolve_jobs",
     "run_many",
@@ -95,11 +97,16 @@ _PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent
 class RunRequest:
     """One independent simulation run, fully specified.
 
-    ``scheme_factory`` is a zero-argument callable returning a fresh
-    :class:`~repro.cmpsim.simulator.PowerScheme` (a scheme class works).
-    It must be picklable (module-level callable, class, or
-    ``functools.partial`` of one) for process-pool execution; closures
-    force :func:`run_many` to fall back to serial.
+    ``scheme_factory`` is the run's *scheme spec*: a zero-argument
+    callable returning a fresh :class:`~repro.cmpsim.simulator.PowerScheme`
+    that is also the scheme's identity in :func:`cache_key`.  It must be
+    a module-level class or function, or a ``functools.partial`` of one
+    whose arguments are spec values: None, bool, int, float, complex or
+    str; tuples, frozensets and str-keyed dicts of spec values; numpy
+    arrays; instances of module-level dataclasses whose ``init`` fields
+    are spec values; or nested specs.  Anything else (a lambda, a local
+    class, a plain object argument) raises a TypeError naming it.  A
+    spec pickles by construction, so every request can run in a worker.
     """
 
     config: CMPConfig
@@ -114,66 +121,76 @@ class RunRequest:
             raise ValueError("budget_fraction must be in (0, 1]")
         if self.n_gpm_intervals < 1:
             raise ValueError("need at least one GPM interval")
+        if not isinstance(
+            self.scheme_factory, (type, types.FunctionType, functools.partial)
+        ):
+            raise TypeError(
+                f"scheme_factory: {self.scheme_factory!r} is not a class, "
+                "a function or a functools.partial"
+            )
+        _stable(self.scheme_factory, "scheme_factory")
 
 
 # ----------------------------------------------------------------------
 # Content hashing
 # ----------------------------------------------------------------------
-def _stable(obj: object, depth: int = 0) -> str:
-    """A canonical string for ``obj`` that is stable across processes.
+def _qualified(obj: type | types.FunctionType, where: str) -> str:
+    """``module.qualname`` of a class or function that its module
+    reaches by that name (so a worker can import it); else TypeError."""
+    found: object = sys.modules.get(obj.__module__)
+    for part in obj.__qualname__.split("."):
+        found = getattr(found, part, None)
+    name = f"{obj.__module__}.{obj.__qualname__}"
+    if found is not obj:
+        raise TypeError(f"{where}: {name} is not a module-level class or function")
+    return name
 
-    ``repr`` alone is not enough: default object reprs embed memory
-    addresses, dict iteration order is insertion order, and sets are
-    unordered.  This walks the value recursively, sorting unordered
-    containers and describing objects by class plus their (sorted)
-    attributes.  It only needs to be *stable and discriminating*, not
-    invertible.
+
+def _stable(value: object, where: str) -> str:
+    """The canonical text of a spec value (see :class:`RunRequest`).
+
+    Stable across processes: no text holds a memory address, and
+    unordered containers are sorted.  It only needs to be stable and
+    discriminating, not invertible.  ``where`` names the value (down to
+    the partial's argument and the dataclass field) in the TypeError
+    raised for anything that is not a spec value.
     """
-    if depth > 12:
-        raise ValueError("value too deeply nested for a stable cache key")
-    if obj is None or isinstance(obj, (bool, int, float, complex, str, bytes)):
-        return repr(obj)
-    if isinstance(obj, np.ndarray):
-        return f"ndarray({obj.dtype.str},{obj.shape},{obj.tobytes().hex()})"
-    if isinstance(obj, np.generic):
-        return repr(obj.item())
-    if isinstance(obj, (list, tuple)):
-        inner = ",".join(_stable(x, depth + 1) for x in obj)
-        return f"{type(obj).__name__}[{inner}]"
-    if isinstance(obj, (set, frozenset)):
-        inner = ",".join(sorted(_stable(x, depth + 1) for x in obj))
-        return f"{type(obj).__name__}[{inner}]"
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{_stable(k, depth + 1)}:{_stable(v, depth + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        )
+    if value is None or isinstance(value, (bool, int, float, complex, str)):
+        return repr(value)
+    if isinstance(value, np.ndarray):
+        return f"ndarray({value.dtype.str},{value.shape},{value.tobytes().hex()})"
+    if isinstance(value, tuple):
+        return f"tuple[{','.join(_stable(x, where) for x in value)}]"
+    if isinstance(value, frozenset):
+        return f"frozenset[{','.join(sorted(_stable(x, where) for x in value))}]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        inner = ",".join(f"{k!r}:{_stable(value[k], where)}" for k in sorted(value))
         return f"dict[{inner}]"
-    if isinstance(obj, type):
-        return f"class:{obj.__module__}.{obj.__qualname__}"
-    if callable(obj) and hasattr(obj, "__qualname__"):
-        return f"callable:{getattr(obj, '__module__', '?')}.{obj.__qualname__}"
-    if is_dataclass(obj):
-        fields = {
-            f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-        }
-        return f"{type(obj).__qualname__}({_stable(fields, depth + 1)})"
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        public = {k: v for k, v in attrs.items() if not k.startswith("_")}
-        return f"{type(obj).__qualname__}({_stable(public, depth + 1)})"
-    return f"{type(obj).__qualname__}()"
-
-
-def describe_scheme(factory: Callable[[], PowerScheme]) -> str:
-    """Stable description of the scheme a factory builds: name + params.
-
-    Builds one throwaway instance and canonicalizes its class and public
-    attributes, so two factories producing identically-parameterized
-    schemes share cache entries and any parameter change is a cache miss.
-    """
-    scheme = factory()
-    return _stable(scheme)
+    if isinstance(value, functools.partial):
+        if not isinstance(value.func, (type, types.FunctionType)):
+            raise TypeError(f"{where}: a partial of {value.func!r} is not a spec")
+        args = [
+            _stable(v, f"{where} argument {i}") for i, v in enumerate(value.args)
+        ]
+        args += [
+            f"{k}={_stable(v, f'{where} argument {k!r}')}"
+            for k, v in sorted(value.keywords.items())
+        ]
+        return f"partial({_qualified(value.func, where)},{','.join(args)})"
+    if isinstance(value, (type, types.FunctionType)):
+        return _qualified(value, where)
+    if is_dataclass(value):
+        fields = ",".join(
+            f"{f.name}={_stable(getattr(value, f.name), f'{where}.{f.name}')}"
+            for f in dataclasses.fields(value)
+            if f.init
+        )
+        return f"{_qualified(type(value), where)}({fields})"
+    raise TypeError(
+        f"{where}: a {type(value).__qualname__} instance is not a spec value "
+        "(None, a number, str, tuple, frozenset, str-keyed dict, numpy "
+        "array, dataclass instance, class, function or functools.partial)"
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,20 +207,18 @@ def code_fingerprint(root: pathlib.Path = _PACKAGE_ROOT) -> str:
     return digest.hexdigest()
 
 
-def cache_key(request: RunRequest, scheme: PowerScheme | None = None) -> str:
-    """Content hash of everything that determines the run's outcome.
-
-    The mix enters as the simulator resolves it (``None`` is the default
-    mix); ``scheme`` is the request's unbound scheme if already built."""
-    if scheme is None:
-        scheme = request.scheme_factory()
+def cache_key(request: RunRequest) -> str:
+    """Content hash of everything that determines the run's outcome:
+    the config, the mix as the simulator resolves it (``None`` is the
+    default mix), the scheme spec's canonical text, budget, seed and
+    horizon, and :func:`code_fingerprint`.  It never calls the factory."""
     payload = "|".join(
         (
             f"v{CACHE_VERSION}",
             code_fingerprint(),
-            _stable(request.config),
-            _stable(mix_for_config(request.config, request.mix)),
-            _stable(scheme),
+            _stable(request.config, "config"),
+            _stable(mix_for_config(request.config, request.mix), "mix"),
+            _stable(request.scheme_factory, "scheme_factory"),
             repr(float(request.budget_fraction)),
             repr(int(request.seed)),
             repr(int(request.n_gpm_intervals)),
@@ -390,14 +405,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return int(jobs)
 
 
-def _picklable(requests: Sequence[RunRequest]) -> bool:
-    try:
-        pickle.dumps(requests)
-        return True
-    except Exception:  # lint: ignore[ROB001] - unpicklable means serial
-        return False
-
-
 # ----------------------------------------------------------------------
 # Executors and the failure policy
 # ----------------------------------------------------------------------
@@ -430,8 +437,7 @@ _Outcome = tuple[int, str, Any, str]
 
 class _InProcess:
     """Runs each task in this process as it is submitted: the executor
-    for ``jobs=1``, a lone unsupervised miss, and requests that cannot
-    be pickled."""
+    for ``jobs=1`` and for a lone unsupervised miss."""
 
     slots = 1
 
@@ -624,15 +630,14 @@ def run_many(
 
     Every sweep follows one plan on one executor (this process, or a
     pool of ``min(jobs, misses)`` long-lived workers): resolve cache hits
-    here, so a fully-warm sweep never starts a worker; run the
-    *calibration wave*, then the misses.  The wave serves each default
-    calibration the misses need from this process's memo
+    here, so a fully-warm sweep neither builds a scheme nor starts a
+    worker; run the *calibration wave*, then the misses.  The wave
+    serves each default calibration the misses need from this
+    process's memo
     (:data:`~repro.core.calibration.FITTED`) or, failing that, runs its
     :func:`~repro.core.calibration.calibration_requests` as requests
     (keyed, deduplicated, cached and executed like the misses), fits
     them here and memoizes the fit; each run is handed its calibration.
-    Requests that cannot be pickled (e.g. lambda scheme factories) run
-    in this process with a warning rather than failing.
 
     One failure policy covers both executors.  A deadline, a retry or
     quarantine sends even a single miss to a worker when ``jobs > 1``:
@@ -665,33 +670,32 @@ def run_many(
         failures = []
     directory = resolve_cache_dir(cache_dir)
     request_list: list[RunRequest] = []
-    schemes: list[PowerScheme] = []
     keys: list[str] = []
     first: dict[str, int] = {}
     results: dict[int, SimulationResult | None] = {}
 
     def enlist(batch: Iterable[RunRequest]) -> list[int]:
-        """Add ``batch`` to the sweep: build, key and look up each request.
+        """Add ``batch`` to the sweep: key and look up each request.
         Return, per request, the position of the first one with its key."""
         primaries = []
         for request in batch:
-            scheme = request.scheme_factory()
-            key = cache_key(request, scheme)
+            key = cache_key(request)
             position = first.setdefault(key, len(keys))
             if position == len(keys):
                 results[position] = (
                     None if directory is None else _cache_load(directory, key)
                 )
             request_list.append(request)
-            schemes.append(scheme)
             keys.append(key)
             primaries.append(position)
         return primaries
 
     primary = enlist(requests)
     pending = [i for i in dict.fromkeys(primary) if results[i] is None]
+    # Only a miss builds its scheme: the wave asks it for its point.
+    schemes = {i: request_list[i].scheme_factory() for i in pending}
     points = _calibration_points(
-        [request_list[i] for i in pending], [schemes[i] for i in pending]
+        [request_list[i] for i in pending], list(schemes.values())
     )
     point_of = {pending[j]: point for point, js in points.items() for j in js}
     # The calibration wave: the excitation runs of each point not yet fitted.
@@ -704,14 +708,6 @@ def run_many(
     n_jobs = resolve_jobs(jobs)
     supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
     in_process = n_jobs <= 1 or (len(todo) <= 1 and not supervised)
-    if not in_process and not _picklable([request_list[i] for i in todo]):
-        warnings.warn(
-            "run_many: requests are not picklable (lambda or local scheme "
-            "factory?); falling back to serial execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        in_process = True
     if in_process and timeout_s is not None:
         warnings.warn(
             "run_many: timeout_s requires jobs > 1; running serially "
@@ -721,8 +717,8 @@ def run_many(
         )
 
     def task(i: int, calibration: Calibration | None) -> tuple[Callable, tuple]:
-        # A worker builds its own scheme from the pickled factory.
-        scheme = schemes[i] if in_process else None
+        # A worker builds its own scheme from the pickled spec.
+        scheme = schemes.get(i) if in_process else None
         return _execute, (request_list[i], directory, keys[i], calibration, scheme)
 
     executor = (
@@ -744,9 +740,7 @@ def run_many(
                 broken[point] = cause
                 continue
             try:
-                FITTED[point] = fit(
-                    point, [results[i] for i in positions]  # type: ignore[misc]
-                )
+                fit_once(point, [results[i] for i in positions])  # type: ignore[misc]
             except Exception as exc:  # noqa: BLE001 - the failure policy decides
                 if on_error == "raise":
                     raise

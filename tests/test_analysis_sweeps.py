@@ -1,5 +1,7 @@
 """Sweep utilities."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,20 @@ from repro.baselines.static_uniform import StaticUniformScheme
 from repro.config import DEFAULT_CONFIG
 
 pytestmark = pytest.mark.slow
+
+#: Every BindRecordingScheme that bound, in bind order.
+BOUND = []
+
+
+class BindRecordingScheme(NoManagementScheme):
+    """Appends itself to ``BOUND`` when it binds."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def bind(self, sim):
+        BOUND.append(self)
+        super().bind(sim)
 
 
 class TestBudgetSweep:
@@ -68,15 +84,11 @@ class TestSchemeSweep:
     def test_fresh_scheme_per_point(self):
         """Factories are called per point; sharing one stateful scheme
         across runs would leak controller state between sweeps."""
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return NoManagementScheme()
-
-        scheme_sweep({"a": factory, "b": factory}, budget=0.9,
-                     n_gpm_intervals=2)
-        assert len(calls) == 2
+        BOUND.clear()
+        factories = {tag: partial(BindRecordingScheme, tag) for tag in "ab"}
+        scheme_sweep(factories, budget=0.9, n_gpm_intervals=2)
+        assert [scheme.tag for scheme in BOUND] == ["a", "b"]
+        assert BOUND[0] is not BOUND[1]
 
 
 class TestCLISweep:

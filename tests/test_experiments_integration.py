@@ -6,6 +6,7 @@ magnitudes, invariants), not absolute numbers — EXPERIMENTS.md records
 the quantitative comparison.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -13,12 +14,41 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.cmpsim.simulator import Simulation
+from repro.core import calibration
 from repro.core.cpm import CPMScheme
 from repro.experiments import ALL_EXPERIMENTS
 from repro.faults import TransientSensorDropout
-from repro.runner import describe_scheme
 
 pytestmark = pytest.mark.slow
+
+
+def describe(obj, depth=0):
+    """What a built scheme is, independent of how a plan spelled it: its
+    class and public attributes, walked recursively with unordered
+    containers sorted."""
+    assert depth < 12, "value too deeply nested to describe"
+    if obj is None or isinstance(obj, (bool, int, float, complex, str, bytes)):
+        return repr(obj)
+    if isinstance(obj, np.ndarray):
+        return f"ndarray({obj.dtype.str},{obj.shape},{obj.tobytes().hex()})"
+    if isinstance(obj, np.generic):
+        return repr(obj.item())
+    if isinstance(obj, (list, tuple)):
+        return f"{type(obj).__name__}[{','.join(describe(x, depth + 1) for x in obj)}]"
+    if isinstance(obj, (set, frozenset)):
+        return f"set[{','.join(sorted(describe(x, depth + 1) for x in obj))}]"
+    if isinstance(obj, dict):
+        items = sorted((describe(k, depth + 1), describe(v, depth + 1))
+                       for k, v in obj.items())
+        return f"dict[{','.join(f'{k}:{v}' for k, v in items)}]"
+    if isinstance(obj, type) or callable(obj) and hasattr(obj, "__qualname__"):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    if dataclasses.is_dataclass(obj):
+        attrs = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    else:
+        attrs = getattr(obj, "__dict__", {})
+    public = {k: v for k, v in attrs.items() if not k.startswith("_")}
+    return f"{type(obj).__qualname__}({describe(public, depth + 1)})"
 
 
 def run_experiment(name: str, **kwargs):
@@ -50,7 +80,7 @@ def test_experiment_all_simulates_each_request_once(
     def recording_run(sim, n_gpm_intervals):
         seen.append(
             (
-                describe_scheme(lambda: sim.scheme),
+                describe(sim.scheme),
                 repr(sim.config),
                 repr(sim.mix),
                 sim.budget_fraction,
@@ -65,6 +95,27 @@ def test_experiment_all_simulates_each_request_once(
     assert "== fig19" in capsys.readouterr().out
     assert any("WhiteNoiseDVFSScheme" in run[0] for run in seen)
     assert len(seen) == len(set(seen))
+
+
+def test_experiment_all_fits_each_calibration_point_once(
+    monkeypatch, capsys, calibration_memo
+):
+    """The calibration wave and the renders of Figs. 4-6 share one memo,
+    so an uncached run fits each distinct point once."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    calibration_memo.clear()
+    fitted = []
+    original = calibration.fit
+
+    def recording_fit(point, results, *args, **kwargs):
+        fitted.append(point)
+        return original(point, results, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "fit", recording_fit)
+    assert cli_main(["experiment", "all", "--quick"]) == 0
+    capsys.readouterr()
+    assert fitted
+    assert len(fitted) == len(set(fitted))
 
 
 def test_warm_experiment_all_simulates_only_the_expected_crash(

@@ -22,13 +22,13 @@ from repro.core.calibration import (
 )
 from repro.core.cpm import CPMScheme
 from repro.faults import FaultWindow, TransientSensorDropout, inject
+from repro.gpm import PerformanceAwarePolicy, ThermalAwarePolicy
 from repro.resilience import GuardedCPMScheme
 from repro.runner import (
     RunFailure,
     RunRequest,
     cache_key,
     code_fingerprint,
-    describe_scheme,
     resolve_cache_dir,
     resolve_jobs,
     run_many,
@@ -68,6 +68,20 @@ def assert_results_identical(a, b):
             err_msg=f"series {name!r} differs",
         )
     assert a.total_instructions == b.total_instructions
+
+
+class PrivateGainScheme(NoManagementScheme):
+    """Keeps its one parameter only in an underscore attribute."""
+
+    def __init__(self, gain=1):
+        self._gain = gain
+
+
+class UnbuildableScheme(NoManagementScheme):
+    """Raises if anything builds it."""
+
+    def __init__(self):
+        raise AssertionError("the scheme was built")
 
 
 def guarded_dropout():
@@ -119,15 +133,6 @@ class TestRunMany:
         ]
         names = [r.scheme_name for r in run_many(requests, jobs=2)]
         assert names == ["cpm", "maxbips", "no-management"]
-
-    def test_unpicklable_factory_falls_back_to_serial(self):
-        requests = [
-            request(scheme_factory=lambda: CPMScheme(), budget_fraction=b)
-            for b in (0.8, 0.9)
-        ]
-        with pytest.warns(RuntimeWarning, match="serial"):
-            results = run_many(requests, jobs=2)
-        assert len(results) == 2
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -289,9 +294,53 @@ class TestCacheKey:
         assert cache_key(request(**change)) != cache_key(request())
 
     def test_scheme_params_enter_the_key(self):
-        loose = describe_scheme(lambda: CPMScheme(max_step_ghz=1.0))
-        tight = describe_scheme(lambda: CPMScheme(max_step_ghz=0.5))
-        assert loose != tight
+        loose, tight = (
+            request(scheme_factory=partial(CPMScheme, max_step_ghz=step))
+            for step in (1.0, 0.5)
+        )
+        assert cache_key(loose) != cache_key(tight)
+
+    def test_private_parameter_enters_the_key(self):
+        """A parameter the scheme keeps only as ``self._gain`` is part of
+        the spec, so it cannot share a key with another value."""
+        one, two = (
+            request(scheme_factory=partial(PrivateGainScheme, gain=g))
+            for g in (1, 2)
+        )
+        assert cache_key(one) != cache_key(two)
+
+    def test_key_never_builds_the_scheme(self):
+        assert cache_key(request(scheme_factory=UnbuildableScheme))
+
+    def test_non_spec_factories_are_rejected(self):
+        """A factory that is not a spec fails at ``RunRequest(...)``,
+        with an error naming the offending argument."""
+
+        class LocalScheme(NoManagementScheme):
+            pass
+
+        with pytest.raises(TypeError, match="scheme_factory: .*<lambda>"):
+            request(scheme_factory=lambda: CPMScheme())
+        with pytest.raises(TypeError, match="scheme_factory: .*LocalScheme"):
+            request(scheme_factory=LocalScheme)
+        opaque = partial(CPMScheme, policy=object())
+        with pytest.raises(TypeError, match="argument 'policy'.*object"):
+            request(scheme_factory=opaque)
+        pairs = ThermalAwarePolicy(adjacent_pairs=[(0, 1)])  # not a frozenset
+        with pytest.raises(TypeError, match="'policy'.adjacent_pairs: .*list"):
+            request(scheme_factory=partial(CPMScheme, policy=pairs))
+
+    def test_policy_params_enter_the_key_run_state_does_not(self):
+        policy = PerformanceAwarePolicy()
+        default = request(scheme_factory=partial(CPMScheme, policy=policy))
+        eq6 = request(
+            scheme_factory=partial(CPMScheme, policy=PerformanceAwarePolicy(mode="eq6"))
+        )
+        before = cache_key(default)
+        assert cache_key(eq6) != before
+        run_one(default)
+        assert policy._shares is not None  # the run left state behind
+        assert cache_key(default) == before
 
     def test_explicit_calibration_enters_the_key(self, tmp_path):
         explicit = default_calibration(DEFAULT_CONFIG, seed=99)
@@ -314,12 +363,6 @@ class TestCacheKey:
         first, second = run_many([a, b])
         assert digest(first) != digest(second)
         assert digest(second) == digest(run_one(b))
-
-    def test_adopted_calibration_keeps_the_identity(self):
-        scheme = CPMScheme()
-        before = describe_scheme(lambda: scheme)
-        scheme.use_calibration(default_calibration(DEFAULT_CONFIG, seed=99))
-        assert describe_scheme(lambda: scheme) == before
 
 
 class TestDeduplication:

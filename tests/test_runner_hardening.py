@@ -88,7 +88,7 @@ class PidRecordingScheme(CPMScheme):
 
     def __init__(self, log_path):
         super().__init__()
-        self.log_path = str(log_path)
+        self.log_path = log_path
 
     def bind(self, sim):
         with open(self.log_path, "a") as fh:
@@ -240,7 +240,7 @@ class TestQuarantine:
     def test_pool_reuses_its_workers(self, tmp_path):
         log = tmp_path / "pids"
         reqs = [
-            request(partial(PidRecordingScheme, log), budget_fraction=b)
+            request(partial(PidRecordingScheme, str(log)), budget_fraction=b)
             for b in (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
         ]
         results = run_many(reqs, jobs=2, timeout_s=60.0)
