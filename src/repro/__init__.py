@@ -50,7 +50,6 @@ from .core import (
     calibrate,
     chip_tracking_metrics,
     default_calibration,
-    island_tracking_metrics,
     performance_degradation,
     run_cpm,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "chip_tracking_metrics",
     "default_calibration",
     "design_pid",
-    "island_tracking_metrics",
     "parsec_benchmark",
     "performance_degradation",
     "response_metrics",

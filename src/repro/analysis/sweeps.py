@@ -1,10 +1,11 @@
 """Declarative parameter sweeps over the simulator.
 
-Most of the paper's figures are sweeps: run a scheme across budgets, or
-several schemes at one budget, always against the paired no-management
-reference.  This module centralizes that pattern so the CLI and user
-notebooks share one implementation; each sweep runs its reference in
-the same :func:`~repro.runner.run_many` call as its points.
+Most of the paper's figures are sweeps: run a scheme across budgets,
+always against the paired no-management reference.  This module
+centralizes that pattern so the CLI and user notebooks share one
+implementation; a sweep runs its reference in the same
+:func:`~repro.runner.run_many` call as its points.  (Several schemes at
+one budget is ``repro compare``.)
 
 Example::
 
@@ -17,12 +18,9 @@ Example::
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
-
-import numpy as np
 
 from ..cmpsim.simulator import PowerScheme, SimulationResult
 from ..config import CMPConfig, DEFAULT_CONFIG
@@ -38,7 +36,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "budget_sweep",
-    "scheme_sweep",
 ]
 
 #: A factory is required (not an instance) because schemes are stateful:
@@ -89,40 +86,6 @@ class SweepResult:
             title=self.title,
         )
 
-    def degradations(self) -> np.ndarray:
-        return np.array([p.degradation for p in self.points])
-
-    def mean_powers(self) -> np.ndarray:
-        return np.array([p.mean_power for p in self.points])
-
-
-def _sweep(
-    title: str,
-    labels: Sequence[str],
-    requests: Sequence[RunRequest],
-    jobs: int | None,
-    cache_dir: str | pathlib.Path | None,
-) -> SweepResult:
-    """Run ``requests`` and their no-management reference (the first
-    request's platform, mix, seed and horizon at a 100% budget) in one
-    :func:`~repro.runner.run_many` call."""
-    reference_request = dataclasses.replace(
-        requests[0], scheme_factory=NoManagementScheme, budget_fraction=1.0
-    )
-    reference, *results = run_many(
-        [reference_request, *requests], jobs=jobs, cache_dir=cache_dir
-    )
-    points = [
-        SweepPoint(
-            label=label,
-            budget_fraction=request.budget_fraction,
-            result=result,
-            degradation=performance_degradation(result, reference),
-        )
-        for label, request, result in zip(labels, requests, results)
-    ]
-    return SweepResult(title=title, points=points)
-
 
 def budget_sweep(
     scheme_factory: SchemeFactory,
@@ -137,9 +100,10 @@ def budget_sweep(
 ) -> SweepResult:
     """One scheme across several budgets, paired against no-management.
 
-    The points are independent runs; ``jobs``/``cache_dir`` forward to
-    :func:`repro.runner.run_many` (results are ordered and identical
-    across ``jobs`` settings).
+    The reference runs the same platform, mix, seed and horizon at a
+    100% budget.  The points are independent runs;
+    ``jobs``/``cache_dir`` forward to :func:`repro.runner.run_many`
+    (results are ordered and identical across ``jobs`` settings).
     """
     if not budgets:
         raise ValueError("need at least one budget")
@@ -147,30 +111,19 @@ def budget_sweep(
         RunRequest(config, scheme_factory, mix, budget, seed, n_gpm_intervals)
         for budget in budgets
     ]
-    labels = [f"budget {budget:.2f}" for budget in budgets]
-    return _sweep(title, labels, requests, jobs, cache_dir)
-
-
-def scheme_sweep(
-    scheme_factories: dict[str, SchemeFactory],
-    budget: float,
-    config: CMPConfig = DEFAULT_CONFIG,
-    mix: Mix | None = None,
-    n_gpm_intervals: int = 25,
-    seed: int = DEFAULT_SEED,
-    title: str | None = None,
-    jobs: int | None = 1,
-    cache_dir: str | pathlib.Path | None = None,
-) -> SweepResult:
-    """Several schemes at one budget, paired against no-management.
-
-    ``jobs``/``cache_dir`` forward to :func:`repro.runner.run_many`.
-    """
-    if not scheme_factories:
-        raise ValueError("need at least one scheme")
-    requests = [
-        RunRequest(config, factory, mix, budget, seed, n_gpm_intervals)
-        for factory in scheme_factories.values()
+    reference_request = RunRequest(
+        config, NoManagementScheme, mix, 1.0, seed, n_gpm_intervals
+    )
+    reference, *results = run_many(
+        [reference_request, *requests], jobs=jobs, cache_dir=cache_dir
+    )
+    points = [
+        SweepPoint(
+            label=f"budget {budget:.2f}",
+            budget_fraction=request.budget_fraction,
+            result=result,
+            degradation=performance_degradation(result, reference),
+        )
+        for budget, request, result in zip(budgets, requests, results)
     ]
-    title = title or f"schemes @ budget {budget:.2f}"
-    return _sweep(title, list(scheme_factories), requests, jobs, cache_dir)
+    return SweepResult(title=title, points=points)

@@ -86,8 +86,13 @@ def _build_config(args: argparse.Namespace) -> CMPConfig:
 
 
 def _scheme(args: argparse.Namespace):
-    """The scheme spec ``--scheme`` names; ``--policy`` drives cpm's GPM."""
-    if args.scheme == "cpm":
+    """The scheme spec ``--scheme`` names; ``--policy`` drives cpm's GPM.
+
+    The default policy is CPMScheme's own, so a default run is spelled
+    ``CPMScheme`` like in ``compare`` and every experiment plan, and
+    shares their cache entries.
+    """
+    if args.scheme == "cpm" and args.policy != "performance":
         return functools.partial(CPMScheme, policy=POLICIES[args.policy]())
     return SCHEMES[args.scheme]
 

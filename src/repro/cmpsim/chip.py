@@ -229,10 +229,6 @@ class Chip:
             f = self.dvfs.quantize(f)
         self.island_frequency[:] = f
 
-    def core_frequencies(self) -> GigaHzArray:
-        """Per-core frequency vector implied by island settings."""
-        return self.island_frequency[self.island_of_core]
-
     # ------------------------------------------------------------------
     # Per-interval evaluation
     # ------------------------------------------------------------------

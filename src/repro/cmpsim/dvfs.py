@@ -95,24 +95,6 @@ class DVFSTable:
         distance = np.abs(self.frequencies - f[..., None])
         return self.frequencies[np.argmin(distance, axis=-1)]
 
-    def quantize_down(self, frequency: GigaHz) -> GigaHz:
-        """Highest discrete frequency not exceeding ``frequency``.
-
-        This is the conservative snap a budget-respecting scheme (MaxBIPS)
-        uses: never round up into a higher power state.
-        """
-        f = self.clamp(frequency)
-        index = int(np.searchsorted(self.frequencies, f + 1e-12) - 1)
-        index = max(index, 0)
-        return float(self.frequencies[index])
-
-    def index_of(self, frequency: GigaHz) -> int:
-        """Table index of an exact operating frequency."""
-        matches = np.flatnonzero(np.isclose(self.frequencies, frequency))
-        if matches.size == 0:
-            raise ValueError(f"{frequency} GHz is not a table operating point")
-        return int(matches[0])
-
     def operating_points(self) -> list[Tuple[float, float]]:
         """All (frequency GHz, voltage V) pairs, ascending."""
         return list(zip(self.frequencies.tolist(), self.voltages.tolist()))

@@ -14,7 +14,7 @@ variants (the experiment harness does this extensively for sweeps).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from . import units
 from .unit_types import Celsius, GigaHz, Seconds, Watts
@@ -250,13 +250,6 @@ class CMPConfig:
         if not 0 <= core_index < self.n_cores:
             raise IndexError(f"core index {core_index} out of range")
         return core_index // self.cores_per_island
-
-    def cores_in_island(self, island_index: int) -> Sequence[int]:
-        """Core indices belonging to island ``island_index``."""
-        if not 0 <= island_index < self.n_islands:
-            raise IndexError(f"island index {island_index} out of range")
-        start = island_index * self.cores_per_island
-        return range(start, start + self.cores_per_island)
 
     def with_islands(self, n_cores: int, n_islands: int) -> "CMPConfig":
         """Convenience: same platform, different core/island counts."""

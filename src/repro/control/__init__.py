@@ -6,22 +6,20 @@ to design and analyze the per-island controllers:
 * :mod:`repro.control.lti` — discrete transfer functions, poles, stability,
   feedback composition (Equations 9–13).
 * :mod:`repro.control.pid` — the discrete PID law of Equation 7 with
-  anti-windup, plus its z-domain form (Equation 10).
-* :mod:`repro.control.pole_placement` — exact design of (K_P, K_I, K_D)
-  from three desired closed-loop poles against the integrator plant
-  P(z) = a/(z-1), and the stability range of the gain multiplier ``g``.
+  anti-windup.
+* :mod:`repro.control.pole_placement` — the PID's z-domain form
+  (Equation 10), exact design of (K_P, K_I, K_D) from three desired
+  closed-loop poles against the integrator plant P(z) = a/(z-1), and
+  the stability range of the gain multiplier ``g``.
 * :mod:`repro.control.analysis` — maximum overshoot, settling time and
   steady-state error of a response (the paper's three robustness metrics).
 * :mod:`repro.control.identification` — least-squares fit of the system
   gain ``a`` from white-noise DVFS runs (the paper's Figure 5 procedure).
-* :mod:`repro.control.loop` — the generic controller/actuator/plant/
-  sensor-transducer loop of Figure 2.
 """
 
 from .analysis import ResponseMetrics, response_metrics, step_response
 from .identification import GainFit, fit_system_gain, prediction_error
 from .lti import DiscreteTransferFunction
-from .loop import Actuator, Controller, FeedbackLoop, Plant, Sensor
 from .pid import DiscretePID, PIDGains
 from .pole_placement import (
     closed_loop,
@@ -32,16 +30,11 @@ from .pole_placement import (
 )
 
 __all__ = [
-    "Actuator",
-    "Controller",
     "DiscretePID",
     "DiscreteTransferFunction",
-    "FeedbackLoop",
     "GainFit",
     "PIDGains",
-    "Plant",
     "ResponseMetrics",
-    "Sensor",
     "closed_loop",
     "design_pid",
     "fit_system_gain",

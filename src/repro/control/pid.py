@@ -6,19 +6,18 @@ power-tracking error::
     u(t) = K_P e(t) + K_I * sum_{k<=t} e(k) + K_D (e(t) - e(t-1))
 
 which in the z-domain is ``C(z) = K_P + K_I z/(z-1) + K_D (z-1)/z``
-(Equation 10).  Because the actuator saturates (frequency is bounded by
-the DVFS table), the integral term uses conditional integration: when the
-last actuation saturated and the error keeps pushing into the saturated
-direction, the accumulator is frozen.  Without this, long saturation at a
-low power budget winds the integral up and produces the huge overshoots
-formal PID analysis does not predict.
+(Equation 10; :func:`repro.control.pole_placement.pid_transfer_function`).
+Because the actuator saturates (frequency is bounded by the DVFS table),
+the integral term uses conditional integration: when the last actuation
+saturated and the error keeps pushing into the saturated direction, the
+accumulator is frozen.  Without this, long saturation at a low power
+budget winds the integral up and produces the huge overshoots formal PID
+analysis does not predict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .lti import DiscreteTransferFunction
 
 __all__ = ["DiscretePID", "PIDGains"]
 
@@ -137,20 +136,3 @@ class DiscretePID:
             raise ValueError(f"saturation sign must be -1, 0 or 1, got {sign}")
         if sign != 0:
             self._saturated_sign = sign
-
-    def transfer_function(self) -> DiscreteTransferFunction:
-        """z-domain form of this controller (Equation 10).
-
-        ``C(z) = K_P + K_I z/(z-1) + K_D (z-1)/z`` over the common
-        denominator ``z (z-1)``::
-
-            C(z) = (K_P z(z-1) + K_I z^2 + K_D (z-1)^2) / (z (z-1))
-        """
-        g = self.gains
-        num = [
-            g.kp + g.ki + g.kd,
-            -g.kp - 2.0 * g.kd,
-            g.kd,
-        ]
-        den = [1.0, -1.0, 0.0]
-        return DiscreteTransferFunction(num, den)

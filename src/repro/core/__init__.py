@@ -23,7 +23,6 @@ from .calibration import (
 from .cpm import CPMScheme, run_cpm
 from .metrics import (
     chip_tracking_metrics,
-    island_tracking_metrics,
     performance_degradation,
     performance_degradation_series,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "calibrate",
     "chip_tracking_metrics",
     "default_calibration",
-    "island_tracking_metrics",
     "performance_degradation",
     "performance_degradation_series",
     "run_cpm",

@@ -6,21 +6,21 @@ Two quantities dominate the paper's results section:
   no-management run (all cores at maximum frequency).  Runs compared with
   the *same seed* execute identical workload streams (the phase machines
   are independent of controller actions), so the comparison is paired.
-* **tracking quality** — how tightly actual power follows the set-points,
+* **tracking quality** — how tightly actual power follows the budget,
   summarized with the Section II robustness metrics (overshoot, settling
-  time, steady-state error) per GPM window and worst-cased.
+  time, steady-state error).  Per-island tracking within each GPM window
+  is Figure 9's (:mod:`repro.experiments.fig09_pic_tracking`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..control.analysis import ResponseMetrics, response_metrics, worst_case_metrics
+from ..control.analysis import ResponseMetrics, response_metrics
 from ..cmpsim.simulator import SimulationResult
 
 __all__ = [
     "chip_tracking_metrics",
-    "island_tracking_metrics",
     "performance_degradation",
     "performance_degradation_series",
 ]
@@ -69,37 +69,3 @@ def chip_tracking_metrics(
     if series.size == 0:
         raise ValueError("run too short for the requested warmup skip")
     return response_metrics(series, result.budget_fraction, tolerance=tolerance)
-
-
-def island_tracking_metrics(
-    result: SimulationResult,
-    tolerance: float = 0.02,
-    skip_windows: int = 1,
-) -> ResponseMetrics:
-    """Worst-case per-island tracking across GPM windows (Figures 8/9).
-
-    Each GPM window gives every island a constant set-point; the island's
-    power series over that window is one tracking response.  Returns the
-    worst overshoot / settling / steady-state error over all of them.
-    """
-    telemetry = result.telemetry
-    ticks = telemetry.gpm_tick_indices()
-    if ticks.size <= skip_windows:
-        raise ValueError("not enough GPM windows after warmup skip")
-    power = telemetry["island_power_frac"]
-    setpoints = telemetry["island_setpoint_frac"]
-    responses: list[np.ndarray] = []
-    references: list[float] = []
-    boundaries = list(ticks[skip_windows:]) + [telemetry.n_intervals]
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        if end <= start:
-            continue
-        for island in range(telemetry.n_islands):
-            ref = float(setpoints[start, island])
-            if ref <= 0:
-                continue
-            responses.append(power[start:end, island])
-            references.append(ref)
-    if not responses:
-        raise ValueError("no tracking segments found")
-    return worst_case_metrics(responses, references, tolerance=tolerance)

@@ -318,13 +318,9 @@ class FaultySchemeWrapper:
 
     Unknown attributes delegate to the inner scheme, so telemetry access
     like ``wrapper.log`` or ``wrapper.bank`` works unchanged.
-    Re-binding is safe: faults are only applied to a bank that has not
-    already been given them, so a scheme that keeps its bank across
-    binds never gets a fault stacked twice.
+    Re-binding is safe because every bind builds a fresh bank, so the
+    faults land on it once.
     """
-
-    #: Marker attribute set on every bank a fault pass has touched.
-    _MARK = "_faults_applied"
 
     def __init__(self, inner, faults: list[Fault]):
         self.inner = inner
@@ -341,16 +337,8 @@ class FaultySchemeWrapper:
 
     def bind(self, sim) -> None:
         self.inner.bind(sim)
-        bank = getattr(self.inner, "bank", None)
-        if getattr(bank, self._MARK, False):
-            # Re-bind with a surviving bank: the hooks from the previous
-            # bind are still in place, and applying them again would
-            # stack (double noise, double lag).
-            return
         for fault in self.faults:
             fault.apply(self.inner, sim)
-        if bank is not None:
-            setattr(bank, self._MARK, True)
 
     def on_gpm(self, sim) -> None:
         if any(fault.suppresses_gpm(sim) for fault in self.faults):

@@ -1047,7 +1047,7 @@ class _ModuleChecker:
                     "DIM005",
                     f"manual scale conversion of a {dimmed.dim.describe()} "
                     f"value by {other.value!r}; use the repro.units helpers "
-                    f"(ms/us/ns/to_ms/to_ns/hz/to_nj) instead",
+                    f"(ms/us/ns/to_ns/to_nj) instead",
                 )
                 return True
             if isinstance(other, _SymbolRef):

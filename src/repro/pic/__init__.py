@@ -11,13 +11,11 @@ bank's test oracle.
 """
 
 from .actuator import DVFSActuator
-from .bank import PICBank
+from .bank import PICBank, SensorGuardConfig
 from .controller import PerIslandController, PICInvocation
-from .guard import GuardedPerIslandController, SensorGuardConfig
-from .sensor import CallbackSensor
+from .guard import GuardedPerIslandController
 
 __all__ = [
-    "CallbackSensor",
     "DVFSActuator",
     "GuardedPerIslandController",
     "PICBank",

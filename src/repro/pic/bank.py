@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..cmpsim.dvfs import DVFSTable
@@ -32,10 +33,62 @@ from ..cmpsim.telemetry import ResilienceLog
 from ..control.pid import PIDGains
 from ..power.transducer import LinearTransducer
 from ..unit_types import GigaHz, PowerFraction
-from .controller import SENSOR_SMOOTHING
-from .guard import MODE_FAILSAFE, MODE_HOLD, MODE_NOMINAL, SensorGuardConfig
+from ..units import EPS
 
-__all__ = ["PICBank"]
+__all__ = [
+    "MODE_FAILSAFE",
+    "MODE_HOLD",
+    "MODE_NOMINAL",
+    "PICBank",
+    "SENSOR_SMOOTHING",
+    "SensorGuardConfig",
+]
+
+#: EWMA weight on the newest utilization sample.  The bank always uses
+#: it; the scalar controllers default to it.
+SENSOR_SMOOTHING = 0.5
+
+#: Sensor-guard modes, in degradation order (the state machine is
+#: described in :mod:`repro.pic.guard`).
+MODE_NOMINAL = "nominal"
+MODE_HOLD = "hold"
+MODE_FAILSAFE = "failsafe"
+
+
+@dataclass(frozen=True)
+class SensorGuardConfig:
+    """Plausibility limits and state-machine thresholds for one sensor."""
+
+    #: Plausible utilization range.  Utilization is a fraction of cycles;
+    #: the ceiling leaves headroom for transducer calibration quirks.
+    util_min: float = 0.0
+    util_max: float = 1.5
+    #: Rolling-window length for stuck detection.
+    stuck_window: int = 6
+    #: Maximum window spread (max - min) still considered stuck.  Real
+    #: utilization dithers tick to tick; an exactly-repeated float is a
+    #: dead counter.
+    stuck_tolerance: float = EPS
+    #: Consecutive bad samples before the island is clamped to the
+    #: fail-safe frequency floor.
+    failsafe_after: int = 8
+    #: Consecutive plausible samples before the guard re-arms.
+    rearm_after: int = 3
+    #: Fail-safe frequency; ``None`` selects the DVFS ladder's floor.
+    failsafe_frequency_ghz: GigaHz | None = None
+
+    def __post_init__(self) -> None:
+        if not self.util_min < self.util_max:
+            raise ValueError("util_min must be below util_max")
+        if self.stuck_window < 2:
+            raise ValueError("stuck_window must be at least 2")
+        if self.stuck_tolerance < 0:
+            raise ValueError("stuck_tolerance must be non-negative")
+        if self.failsafe_after < 1:
+            raise ValueError("failsafe_after must be at least 1")
+        if self.rearm_after < 1:
+            raise ValueError("rearm_after must be at least 1")
+
 
 # A fault-injection stage hook: takes the tick's per-island list
 # (utilization readings, or frequency requests) and returns the list the

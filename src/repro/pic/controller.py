@@ -19,12 +19,9 @@ from ..control.pid import DiscretePID, PIDGains
 from ..power.transducer import LinearTransducer
 from ..unit_types import GigaHz, PowerFraction
 from .actuator import DVFSActuator
+from .bank import SENSOR_SMOOTHING
 
-__all__ = ["PICInvocation", "PerIslandController", "SENSOR_SMOOTHING"]
-
-#: Default EWMA weight on the newest utilization sample; the run path's
-#: :class:`~repro.pic.bank.PICBank` always uses it.
-SENSOR_SMOOTHING = 0.5
+__all__ = ["PICInvocation", "PerIslandController"]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ for the full state machine.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,57 +40,17 @@ from ..cmpsim.telemetry import ResilienceLog
 from ..control.pid import PIDGains
 from ..power.transducer import LinearTransducer
 from ..unit_types import GigaHz, PowerFraction
-from ..units import EPS
 from .actuator import DVFSActuator
-from .controller import SENSOR_SMOOTHING, PerIslandController, PICInvocation
+from .bank import (
+    MODE_FAILSAFE,
+    MODE_HOLD,
+    MODE_NOMINAL,
+    SENSOR_SMOOTHING,
+    SensorGuardConfig,
+)
+from .controller import PerIslandController, PICInvocation
 
-__all__ = [
-    "MODE_FAILSAFE",
-    "MODE_HOLD",
-    "MODE_NOMINAL",
-    "GuardedPerIslandController",
-    "SensorGuardConfig",
-]
-
-#: Guard modes, in degradation order.
-MODE_NOMINAL = "nominal"
-MODE_HOLD = "hold"
-MODE_FAILSAFE = "failsafe"
-
-
-@dataclass(frozen=True)
-class SensorGuardConfig:
-    """Plausibility limits and state-machine thresholds for one sensor."""
-
-    #: Plausible utilization range.  Utilization is a fraction of cycles;
-    #: the ceiling leaves headroom for transducer calibration quirks.
-    util_min: float = 0.0
-    util_max: float = 1.5
-    #: Rolling-window length for stuck detection.
-    stuck_window: int = 6
-    #: Maximum window spread (max - min) still considered stuck.  Real
-    #: utilization dithers tick to tick; an exactly-repeated float is a
-    #: dead counter.
-    stuck_tolerance: float = EPS
-    #: Consecutive bad samples before the island is clamped to the
-    #: fail-safe frequency floor.
-    failsafe_after: int = 8
-    #: Consecutive plausible samples before the guard re-arms.
-    rearm_after: int = 3
-    #: Fail-safe frequency; ``None`` selects the DVFS ladder's floor.
-    failsafe_frequency_ghz: GigaHz | None = None
-
-    def __post_init__(self) -> None:
-        if not self.util_min < self.util_max:
-            raise ValueError("util_min must be below util_max")
-        if self.stuck_window < 2:
-            raise ValueError("stuck_window must be at least 2")
-        if self.stuck_tolerance < 0:
-            raise ValueError("stuck_tolerance must be non-negative")
-        if self.failsafe_after < 1:
-            raise ValueError("failsafe_after must be at least 1")
-        if self.rearm_after < 1:
-            raise ValueError("rearm_after must be at least 1")
+__all__ = ["GuardedPerIslandController"]
 
 
 class GuardedPerIslandController(PerIslandController):

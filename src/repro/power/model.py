@@ -9,7 +9,6 @@ series in the library is expressed against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -37,10 +36,6 @@ class PowerBreakdown:
 
     dynamic_w: Watts
     static_w: Watts
-
-    @property
-    def total_w(self) -> Watts:
-        return self.dynamic_w + self.static_w
 
 
 class CorePowerModel:
@@ -100,12 +95,6 @@ class CorePowerModel:
                 self.leakage.power(voltage, temperature_c, leakage_multiplier)
             ),
         )
-
-    def structure_breakdown(
-        self, voltage: Volts, frequency_ghz: GigaHz, busy: float, alpha: float = 1.0
-    ) -> Mapping[str, float]:
-        """Per-structure dynamic power (delegates to the Wattch analogue)."""
-        return self.dynamic.breakdown(voltage, frequency_ghz, busy, alpha)
 
     def max_power(self, voltage: Volts, frequency_ghz: GigaHz) -> Watts:
         """Power of a fully-active core at (V, f): the per-core peak."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..unit_types import PowerFraction, PowerFractionLike
+from ..unit_types import PowerFractionLike
 
 __all__ = ["LinearTransducer", "fit_transducer"]
 
@@ -45,11 +45,6 @@ class LinearTransducer:
             return float(result)
         return result
 
-    def invert(self, power: PowerFraction) -> float:
-        """Utilization that maps to ``power`` (used by tests/analyses)."""
-        if self.k0 == 0.0:
-            raise ZeroDivisionError("degenerate transducer with k0 == 0")
-        return (power - self.k1) / self.k0
 
 
 def fit_transducer(

@@ -4,7 +4,7 @@ The paper assumes sensors and actuators behave; this package supplies
 the guard/watchdog discipline a production power manager needs when they
 do not:
 
-* the sensor guard (:class:`~repro.pic.guard.SensorGuardConfig`, armed
+* the sensor guard (:class:`~repro.pic.bank.SensorGuardConfig`, armed
   on every island of a :class:`~repro.pic.bank.PICBank`; per island,
   :class:`~repro.pic.guard.GuardedPerIslandController`) — validates each
   utilization reading (NaN / out-of-range / stuck), holds last-known-good
@@ -24,13 +24,8 @@ sweep that exercises all of this end to end is
 
 from ..cmpsim.telemetry import ResilienceEvent, ResilienceLog
 from ..gpm.guard import GPMGuard, GPMGuardConfig
-from ..pic.guard import (
-    MODE_FAILSAFE,
-    MODE_HOLD,
-    MODE_NOMINAL,
-    GuardedPerIslandController,
-    SensorGuardConfig,
-)
+from ..pic.bank import MODE_FAILSAFE, MODE_HOLD, MODE_NOMINAL, SensorGuardConfig
+from ..pic.guard import GuardedPerIslandController
 from .scheme import GuardedCPMScheme
 
 __all__ = [

@@ -16,8 +16,7 @@ from __future__ import annotations
 from ..cmpsim.telemetry import ResilienceLog
 from ..core.cpm import CPMScheme
 from ..gpm.guard import GPMGuard, GPMGuardConfig
-from ..pic.bank import PICBank
-from ..pic.guard import SensorGuardConfig
+from ..pic.bank import PICBank, SensorGuardConfig
 from ..unit_types import GigaHz
 
 __all__ = ["GuardedCPMScheme"]

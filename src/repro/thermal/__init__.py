@@ -7,12 +7,11 @@ the constraints hold.
 """
 
 from .floorplan import Floorplan, grid_floorplan
-from .hotspot import HotspotDetector, ViolationTracker
+from .hotspot import ViolationTracker
 from .rc_model import RCThermalModel
 
 __all__ = [
     "Floorplan",
-    "HotspotDetector",
     "RCThermalModel",
     "ViolationTracker",
     "grid_floorplan",

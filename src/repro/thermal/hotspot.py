@@ -1,9 +1,9 @@
-"""Hotspot detection and provisioning-constraint violation tracking.
+"""Provisioning-constraint violation tracking.
 
 Two notions of "thermal trouble" appear in the paper's Figure 18 study:
 
 * a physical **hotspot** — a core temperature exceeding the junction
-  threshold (:class:`HotspotDetector` watches the RC model for these);
+  threshold (Figure 18 reports the RC model's recorded maximum);
 * a **constraint violation** — the provisioning-level proxy the
   thermal-aware policy enforces: adjacent islands jointly provisioned
   more than a cap for consecutive GPM intervals, or one island holding an
@@ -19,40 +19,7 @@ from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
-from ..unit_types import Celsius, CelsiusArray
-
-__all__ = ["HotspotDetector", "ThermalConstraints", "ViolationTracker"]
-
-
-class HotspotDetector:
-    """Counts intervals each core spends above the junction threshold."""
-
-    def __init__(self, n_cores: int, threshold_c: Celsius) -> None:
-        if n_cores < 1:
-            raise ValueError("need at least one core")
-        self.threshold_c = threshold_c
-        self.hot_intervals = np.zeros(n_cores, dtype=np.int64)
-        self.total_intervals = 0
-
-    def observe(self, temperatures_c: CelsiusArray) -> np.ndarray:
-        """Record one interval; returns the boolean hot mask."""
-        t = np.asarray(temperatures_c, dtype=float)
-        if t.shape != self.hot_intervals.shape:
-            raise ValueError("temperature vector has the wrong length")
-        hot = t > self.threshold_c
-        self.hot_intervals += hot
-        self.total_intervals += 1
-        return hot
-
-    def hot_fraction(self) -> np.ndarray:
-        """Per-core fraction of observed intervals spent hot."""
-        if self.total_intervals == 0:
-            return np.zeros_like(self.hot_intervals, dtype=float)
-        return self.hot_intervals / self.total_intervals
-
-    @property
-    def any_hotspot(self) -> bool:
-        return bool(self.hot_intervals.any())
+__all__ = ["ThermalConstraints", "ViolationTracker"]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ import numpy as np
 from .unit_types import (
     BipsLike,
     GigaHz,
-    Hertz,
     Joules,
     Microseconds,
     Milliseconds,
@@ -62,10 +61,8 @@ __all__ = [
     "approx_eq",
     "bips",
     "cycles_at",
-    "hz",
     "ms",
     "ns",
-    "to_ms",
     "to_nj",
     "to_ns",
     "us",
@@ -116,11 +113,6 @@ def ns(value: Nanoseconds) -> Seconds:
     return value * NANOSECONDS
 
 
-def to_ms(value: Seconds) -> Milliseconds:
-    """Convert seconds to milliseconds (displays, ms-quoted tables)."""
-    return value / MILLISECONDS
-
-
 def to_ns(value: Seconds) -> Nanoseconds:
     """Convert seconds to nanoseconds (latency tables, cycle math)."""
     return value * NS_PER_S
@@ -129,11 +121,6 @@ def to_ns(value: Seconds) -> Nanoseconds:
 def to_nj(value: Joules) -> Nanojoules:
     """Convert joules to nanojoules (energy-per-instruction figures)."""
     return value * NJ_PER_J
-
-
-def hz(frequency_ghz: GigaHz) -> Hertz:
-    """Convert a GHz clock rate to Hz (cycles per second)."""
-    return frequency_ghz * GHZ_TO_HZ
 
 
 def cycles_at(latency_seconds: Seconds, frequency_ghz: GigaHz) -> float:

@@ -2,13 +2,11 @@
 
 from functools import partial
 
-import numpy as np
 import pytest
 
-from repro.analysis.sweeps import budget_sweep, scheme_sweep
+from repro.analysis.sweeps import budget_sweep
 from repro.baselines.no_management import NoManagementScheme
 from repro.baselines.static_uniform import StaticUniformScheme
-from repro.config import DEFAULT_CONFIG
 
 pytestmark = pytest.mark.slow
 
@@ -37,11 +35,10 @@ class TestBudgetSweep:
         assert len(result.points) == 2
         assert result.points[0].budget_fraction == 0.75
         # Tighter budget, more degradation.
-        d = result.degradations()
-        assert d[0] >= d[1] - 1e-3
+        low, high = result.points
+        assert low.degradation >= high.degradation - 1e-3
         # Power follows the budget when it binds.
-        p = result.mean_powers()
-        assert p[0] < p[1] + 1e-9
+        assert low.mean_power < high.mean_power + 1e-9
 
     def test_table_renders(self):
         result = budget_sweep(
@@ -51,44 +48,31 @@ class TestBudgetSweep:
         assert "budget 0.90" in table
         assert "degradation" in table
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            budget_sweep(NoManagementScheme, budgets=[])
-        with pytest.raises(ValueError):
-            budget_sweep(NoManagementScheme, budgets=[1.5])
-
-
-class TestSchemeSweep:
-    def test_labels_and_reference_pairing(self):
-        result = scheme_sweep(
-            {
-                "none": NoManagementScheme,
-                "static": StaticUniformScheme,
-            },
-            budget=0.8,
-            n_gpm_intervals=6,
+    def test_reference_pairing(self):
+        """The unmanaged scheme ignores the budget, so against its paired
+        reference it loses nothing."""
+        result = budget_sweep(
+            NoManagementScheme, budgets=[0.8], n_gpm_intervals=6
         )
-        labels = [p.label for p in result.points]
-        assert labels == ["none", "static"]
-        by_label = {p.label: p for p in result.points}
-        # The unmanaged scheme ignores the budget -> zero degradation.
-        assert by_label["none"].degradation == pytest.approx(0.0, abs=1e-12)
-        assert by_label["static"].degradation >= 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scheme_sweep({}, budget=0.8)
-        with pytest.raises(ValueError):
-            scheme_sweep({"x": NoManagementScheme}, budget=0.0)
+        assert result.points[0].degradation == pytest.approx(0.0, abs=1e-12)
 
     def test_fresh_scheme_per_point(self):
         """Factories are called per point; sharing one stateful scheme
         across runs would leak controller state between sweeps."""
         BOUND.clear()
-        factories = {tag: partial(BindRecordingScheme, tag) for tag in "ab"}
-        scheme_sweep(factories, budget=0.9, n_gpm_intervals=2)
-        assert [scheme.tag for scheme in BOUND] == ["a", "b"]
+        budget_sweep(
+            partial(BindRecordingScheme, "a"),
+            budgets=[0.8, 0.9],
+            n_gpm_intervals=2,
+        )
+        assert len(BOUND) == 2
         assert BOUND[0] is not BOUND[1]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            budget_sweep(NoManagementScheme, budgets=[])
+        with pytest.raises(ValueError):
+            budget_sweep(NoManagementScheme, budgets=[1.5])
 
 
 class TestCLISweep:

@@ -91,7 +91,7 @@ def test_kernel_equals_public_models(case):
     l1_mpki, l2_mpki = case["l1_mpki"], case["l2_mpki"]
 
     # The public models, composed the way the chip used to compose them.
-    freq = chip.core_frequencies()
+    freq = chip.island_frequency[chip.island_of_core]
     volt = np.asarray(chip.dvfs.voltage_at(freq))
     perf = cpi_stack(freq, alpha, cpi_base, l1_mpki, l2_mpki, cfg.memory)
     if transitioned is not None and transitioned.any():

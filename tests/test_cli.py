@@ -82,6 +82,20 @@ class TestCompareCommand:
         for name in ("no-management", "cpm", "maxbips", "static-uniform"):
             assert name in out
 
+    def test_compare_reuses_the_default_run(self, tmp_path, monkeypatch):
+        """``run``'s default CPM run is the one ``compare`` makes, so after
+        ``run`` a compare adds only its other three runs to the cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+
+        def entries():
+            return set(tmp_path.glob("*/*.pkl"))
+
+        assert main(["run", "--intervals", "2"]) == 0
+        after_run = entries()
+        assert main(["compare", "--intervals", "2"]) == 0
+        assert len(entries() - after_run) == 3
+
 
 class TestCalibrateCommand:
     def test_calibrate_prints_gains(self, capsys):

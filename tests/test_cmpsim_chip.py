@@ -70,7 +70,7 @@ class TestActuation:
     def test_core_frequencies_follow_islands(self):
         chip = make_chip()
         chip.set_island_frequency(2, 1.0)
-        freqs = chip.core_frequencies()
+        freqs = chip.island_frequency[chip.island_of_core]
         np.testing.assert_allclose(freqs[4:6], 1.0)
         np.testing.assert_allclose(freqs[:4], 2.0)
 

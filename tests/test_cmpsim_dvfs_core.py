@@ -40,18 +40,6 @@ class TestDVFSTable:
         assert t.quantize(1.29) == pytest.approx(1.2)
         assert t.quantize(1.31) == pytest.approx(1.4)
 
-    def test_quantize_down_is_conservative(self):
-        t = DVFSTable()
-        assert t.quantize_down(1.99) == pytest.approx(1.8)
-        assert t.quantize_down(0.61) == pytest.approx(0.6)
-        assert t.quantize_down(0.2) == pytest.approx(0.6)  # clamped first
-
-    def test_index_of(self):
-        t = DVFSTable()
-        assert t.index_of(1.4) == 4
-        with pytest.raises(ValueError):
-            t.index_of(1.35)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DVFSTable([(1.0, 1.0)])

@@ -44,14 +44,9 @@ class TestTopology:
         cfg = DEFAULT_CONFIG
         assert [cfg.island_of_core(c) for c in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
 
-    def test_cores_in_island(self):
-        assert list(DEFAULT_CONFIG.cores_in_island(2)) == [4, 5]
-
     def test_out_of_range_indices(self):
         with pytest.raises(IndexError):
             DEFAULT_CONFIG.island_of_core(8)
-        with pytest.raises(IndexError):
-            DEFAULT_CONFIG.cores_in_island(4)
 
     def test_with_islands(self):
         cfg = DEFAULT_CONFIG.with_islands(32, 8)

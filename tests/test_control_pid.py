@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.control.pid import DiscretePID, PIDGains
+from repro.control.pole_placement import pid_transfer_function
 
 
 class TestTerms:
@@ -102,7 +103,7 @@ class TestTransferFunction:
     def test_matches_time_domain(self):
         """C(z) evaluated by simulation equals the stateful PID."""
         g = PIDGains(kp=0.7, ki=0.3, kd=0.2)
-        tf = DiscretePID(g).transfer_function()
+        tf = pid_transfer_function(g)
         rng = np.random.default_rng(0)
         errors = rng.normal(size=30)
         pid = DiscretePID(g)
@@ -111,6 +112,6 @@ class TestTransferFunction:
         np.testing.assert_allclose(simulated, direct, atol=1e-9)
 
     def test_has_integrator_pole(self):
-        tf = DiscretePID(PIDGains(1.0, 1.0, 1.0)).transfer_function()
+        tf = pid_transfer_function(PIDGains(1.0, 1.0, 1.0))
         poles = np.sort(tf.poles().real)
         np.testing.assert_allclose(poles, [0.0, 1.0], atol=1e-12)

@@ -8,7 +8,6 @@ from repro.control.pole_placement import (
     closed_loop,
     design_pid,
     integrator_plant,
-    pid_transfer_function,
     stability_gain_limit,
 )
 
@@ -64,17 +63,6 @@ class TestDesign:
         gains = design_pid(0.13, POLES)
         response = closed_loop(0.13, gains).step_response(40)
         assert response[-1] == pytest.approx(1.0, abs=1e-6)
-
-
-class TestPIDTransferFunction:
-    def test_consistent_with_pid_module(self):
-        from repro.control.pid import DiscretePID
-
-        gains = PIDGains(0.4, 0.4, 0.3)
-        a = pid_transfer_function(gains)
-        b = DiscretePID(gains).transfer_function()
-        np.testing.assert_allclose(a.num, b.num, atol=1e-12)
-        np.testing.assert_allclose(a.den, b.den, atol=1e-12)
 
 
 class TestStabilityLimit:

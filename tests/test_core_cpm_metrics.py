@@ -8,7 +8,6 @@ from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme, run_cpm
 from repro.core.metrics import (
     chip_tracking_metrics,
-    island_tracking_metrics,
     performance_degradation,
     performance_degradation_series,
 )
@@ -94,10 +93,6 @@ class TestMetrics:
     def test_chip_tracking_metrics(self, cpm_run_80):
         m = chip_tracking_metrics(cpm_run_80, tolerance=0.05, skip_intervals=30)
         assert m.max_overshoot < 0.10
-
-    def test_island_tracking_metrics(self, cpm_run_80):
-        m = island_tracking_metrics(cpm_run_80, tolerance=0.05, skip_windows=3)
-        assert m.max_overshoot < 0.6
 
     def test_metrics_validation(self, cpm_run_80):
         with pytest.raises(ValueError):

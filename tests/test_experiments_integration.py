@@ -182,6 +182,7 @@ class TestTracking:
         rows = {r[0]: r for r in result.rows}
         overshoot = rows["max overshoot (fraction of target)"]
         assert overshoot[1] < 0.05  # median overshoot small
+        assert overshoot[3] < 0.6  # no island window runs away
 
     def test_fig10_chip_power_near_budget(self):
         result = run_experiment("fig10_chip_tracking")

@@ -8,7 +8,6 @@ from repro.control.pid import PIDGains
 from repro.control.pole_placement import design_pid
 from repro.pic.actuator import DVFSActuator
 from repro.pic.controller import PerIslandController
-from repro.pic.sensor import CallbackSensor
 from repro.power.transducer import LinearTransducer
 
 POLES = (-0.15 + 0j, 0.35 + 0.25j, 0.35 - 0.25j)
@@ -55,14 +54,6 @@ class TestDVFSActuator:
         assert act.frequency == 1.4
 
 
-class TestCallbackSensor:
-    def test_reads_source(self):
-        values = iter([0.3, 0.7])
-        sensor = CallbackSensor(lambda: next(values))
-        assert sensor.read() == pytest.approx(0.3)
-        assert sensor.read() == pytest.approx(0.7)
-
-
 class FakeIsland:
     """Island power model for controller loop tests.
 
@@ -82,7 +73,8 @@ class FakeIsland:
         self.power = float(np.clip(self.power + self.gain * delta, 0.01, 0.3))
 
     def utilization(self) -> float:
-        return self.transducer.invert(self.power)
+        t = self.transducer
+        return (self.power - t.k1) / t.k0
 
 
 class TestPerIslandController:

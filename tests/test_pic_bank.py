@@ -19,9 +19,9 @@ from repro.cmpsim.dvfs import DVFSTable
 from repro.cmpsim.telemetry import ResilienceLog
 from repro.control.pid import PIDGains
 from repro.pic.actuator import DVFSActuator
-from repro.pic.bank import PICBank
-from repro.pic.controller import SENSOR_SMOOTHING, PerIslandController
-from repro.pic.guard import GuardedPerIslandController, SensorGuardConfig
+from repro.pic.bank import SENSOR_SMOOTHING, PICBank, SensorGuardConfig
+from repro.pic.controller import PerIslandController
+from repro.pic.guard import GuardedPerIslandController
 from repro.power.transducer import LinearTransducer
 
 TABLE = DVFSTable()

@@ -9,7 +9,11 @@ from repro.control.analysis import response_metrics
 from repro.control.identification import fit_system_gain, predict_power
 from repro.control.lti import DiscreteTransferFunction
 from repro.control.pid import DiscretePID, PIDGains
-from repro.control.pole_placement import closed_loop, design_pid
+from repro.control.pole_placement import (
+    closed_loop,
+    design_pid,
+    pid_transfer_function,
+)
 
 # Strategy: poles strictly inside the unit circle, closed under
 # conjugation (one real pole + a conjugate pair).
@@ -58,7 +62,7 @@ class TestPIDProperties:
         gains = PIDGains(kp, ki, kd)
         pid = DiscretePID(gains)
         direct = np.array([pid.step(e) for e in errors])
-        simulated = DiscretePID(gains).transfer_function().simulate(errors)
+        simulated = pid_transfer_function(gains).simulate(errors)
         np.testing.assert_allclose(simulated, direct, atol=1e-6, rtol=1e-6)
 
     @given(

@@ -106,12 +106,6 @@ class TestDVFSTableProperties:
         distances = np.abs(table.frequencies - f)
         assert abs(q - f) == pytest.approx(float(distances.min()))
 
-    @given(f=st.floats(0.6, 2.0))
-    @settings(max_examples=60, deadline=None)
-    def test_quantize_down_never_above(self, f):
-        table = DVFSTable()
-        assert table.quantize_down(f) <= f + 1e-12
-
     @given(f1=st.floats(0.6, 2.0), f2=st.floats(0.6, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_voltage_monotone(self, f1, f2):

@@ -37,13 +37,8 @@ from repro.gpm import (
 from repro.gpm.guard import GPMGuard, GPMGuardConfig
 from repro.pic.actuator import DVFSActuator
 from repro.pic.controller import PerIslandController
-from repro.pic.guard import (
-    MODE_FAILSAFE,
-    MODE_HOLD,
-    MODE_NOMINAL,
-    GuardedPerIslandController,
-    SensorGuardConfig,
-)
+from repro.pic.bank import MODE_FAILSAFE, MODE_HOLD, MODE_NOMINAL, SensorGuardConfig
+from repro.pic.guard import GuardedPerIslandController
 from repro.power.transducer import LinearTransducer
 from repro.resilience import GuardedCPMScheme
 
@@ -396,17 +391,6 @@ class TestFaultySchemeWrapper:
                 0, FaultWindow(20, 40), frequency_ghz=99.0)),
         )
         assert_results_identical(second, fresh)
-
-    def test_surviving_bank_is_not_faulted_twice(self):
-        inner = CPMScheme()
-        wrapped = inject(inner, ScheduledStuckSensor(0, FaultWindow(5, 9)))
-        sim = Simulation(SMALL, wrapped, budget_fraction=BUDGET, seed=9)
-        wrapped.bind(sim)
-        bank = inner.bank
-        assert len(bank.sensor_hooks) == 1
-        inner.bind = lambda sim: None  # an inner scheme that keeps its bank
-        wrapped.bind(sim)
-        assert inner.bank is bank and len(bank.sensor_hooks) == 1
 
     def test_missed_gpm_suppresses_provisioning(self):
         class Probe(CPMScheme):

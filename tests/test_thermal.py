@@ -1,15 +1,11 @@
-"""Thermal substrate: floorplan, RC network, hotspot/violation tracking."""
+"""Thermal substrate: floorplan, RC network, constraint-violation tracking."""
 
 import numpy as np
 import pytest
 
 from repro.config import ThermalConfig
 from repro.thermal.floorplan import Floorplan, grid_floorplan
-from repro.thermal.hotspot import (
-    HotspotDetector,
-    ThermalConstraints,
-    ViolationTracker,
-)
+from repro.thermal.hotspot import ThermalConstraints, ViolationTracker
 from repro.thermal.rc_model import RCThermalModel
 
 
@@ -122,22 +118,6 @@ class TestRCModel:
             m.step(np.zeros(3), dt=5e-4)
         with pytest.raises(ValueError):
             m.steady_state(np.zeros(5))
-
-
-class TestHotspotDetector:
-    def test_counts_hot_intervals(self):
-        d = HotspotDetector(n_cores=2, threshold_c=85.0)
-        d.observe(np.array([80.0, 90.0]))
-        d.observe(np.array([86.0, 90.0]))
-        np.testing.assert_array_equal(d.hot_intervals, [1, 2])
-        np.testing.assert_allclose(d.hot_fraction(), [0.5, 1.0])
-        assert d.any_hotspot
-
-    def test_no_hotspots(self):
-        d = HotspotDetector(n_cores=2, threshold_c=85.0)
-        d.observe(np.array([60.0, 70.0]))
-        assert not d.any_hotspot
-        np.testing.assert_allclose(d.hot_fraction(), [0.0, 0.0])
 
 
 class TestViolationTracker:
