@@ -14,7 +14,7 @@ Run:  python examples/controller_design_tour.py
 import numpy as np
 
 from repro import DEFAULT_CONFIG
-from repro.control.analysis import response_metrics, step_response
+from repro.control.analysis import response_metrics
 from repro.control.pole_placement import (
     closed_loop,
     design_pid,
@@ -84,7 +84,7 @@ def main() -> None:
     print(f"  worst per-benchmark gain observed: {worst / a:.2f} x design\n")
 
     print("Step 6 — analytic step response")
-    y = step_response(loop, n_steps=30)
+    y = loop.step_response(30)
     m = response_metrics(y, reference=1.0, tolerance=0.02)
     print(format_series({"unit step response": y}, width=60))
     print(f"  overshoot {m.max_overshoot:.1%}, settles in {m.settling_steps} "

@@ -21,7 +21,7 @@ Two prediction variants are provided:
 * ``prediction="measured"`` (ablation).  Isci's runtime variant: scale
   the last interval's measured island BIPS linearly with frequency and
   measured power with ``V^2 f``, blended toward the worst case by
-  ``headroom_guard``.  This version is better informed than anything the
+  ``HEADROOM_GUARD``.  This version is better informed than anything the
   paper's text supports, and the ablation benches quantify how much of
   MaxBIPS's published handicap disappears once it is allowed runtime
   feedback.
@@ -46,43 +46,25 @@ class MaxBIPSScheme:
 
     name = "maxbips"
 
-    def __init__(
-        self,
-        dp_bins: int = 400,
-        exhaustive_limit: int = 5,
-        prediction: str = "static",
-        headroom_guard: float = 0.5,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        dp_bins:
-            Power-axis resolution of the knapsack DP used beyond
-            ``exhaustive_limit`` islands.
-        exhaustive_limit:
-            Maximum island count for exhaustive combination search
-            (``knobs ** islands`` evaluations).
-        prediction:
-            ``"static"`` (the paper's description) or ``"measured"``
-            (runtime-informed ablation) — see the module docstring.
-        headroom_guard:
-            Only for ``prediction="measured"``: how far predicted power
-            is pushed from the measured-scaled estimate toward the knob's
-            peak island power (0 = trust the measurement, 1 = full
-            worst-case provisioning).
-        """
-        if dp_bins < 10:
-            raise ValueError("dp_bins too coarse to be meaningful")
-        if exhaustive_limit < 1:
-            raise ValueError("exhaustive_limit must be >= 1")
+    #: Power-axis resolution of the knapsack DP used beyond
+    #: ``EXHAUSTIVE_LIMIT`` islands.
+    DP_BINS = 400
+    #: Maximum island count for exhaustive combination search
+    #: (``knobs ** islands`` evaluations).
+    EXHAUSTIVE_LIMIT = 5
+    #: Only for ``prediction="measured"``: how far predicted power is
+    #: pushed from the measured-scaled estimate toward the knob's peak
+    #: island power (0 = trust the measurement, 1 = full worst-case
+    #: provisioning).
+    HEADROOM_GUARD = 0.5
+
+    def __init__(self, prediction: str = "static") -> None:
+        """``prediction`` is ``"static"`` (the paper's description) or
+        ``"measured"`` (runtime-informed ablation) — see the module
+        docstring."""
         if prediction not in ("static", "measured"):
             raise ValueError(f"unknown prediction variant {prediction!r}")
-        if not 0.0 <= headroom_guard <= 1.0:
-            raise ValueError("headroom_guard must be in [0, 1]")
-        self.dp_bins = dp_bins
-        self.exhaustive_limit = exhaustive_limit
         self.prediction = prediction
-        self.headroom_guard = headroom_guard
         self._peak_table: np.ndarray | None = None
         self._static_bips: np.ndarray | None = None
 
@@ -166,7 +148,7 @@ class MaxBIPSScheme:
         )
         bips_pred = bips_measured[:, None] * freq_ratio
         scaled = power_measured[:, None] * energy_ratio
-        w = self.headroom_guard
+        w = self.HEADROOM_GUARD
         power_pred = (1.0 - w) * scaled + w * np.maximum(
             scaled, self._peak_table
         )
@@ -193,7 +175,7 @@ class MaxBIPSScheme:
     ) -> np.ndarray:
         """Grouped knapsack over power bins (conservative rounding up)."""
         n_islands, n_knobs = bips.shape
-        bins = self.dp_bins
+        bins = self.DP_BINS
         bin_width = budget / bins
         cost = np.minimum(
             np.ceil(power / max(bin_width, 1e-12)).astype(int), bins + 1
@@ -236,7 +218,7 @@ class MaxBIPSScheme:
             return
         bips_pred, power_pred = tables
         budget = sim.distributable_budget
-        if sim.config.n_islands <= self.exhaustive_limit:
+        if sim.config.n_islands <= self.EXHAUSTIVE_LIMIT:
             knobs = self._select_exhaustive(bips_pred, power_pred, budget)
         else:
             knobs = self._select_dp(bips_pred, power_pred, budget)

@@ -19,6 +19,5 @@ class StaticUniformScheme(CPMScheme):
 
     name = "static-uniform"
 
-    def __init__(self, **kwargs) -> None:
-        kwargs.pop("policy", None)
-        super().__init__(policy=UniformPolicy(), **kwargs)
+    def __init__(self) -> None:
+        super().__init__(policy=UniformPolicy())

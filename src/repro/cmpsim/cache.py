@@ -31,10 +31,6 @@ class CacheStats:
     def l1_miss_rate(self) -> float:
         return self.l1_misses / self.l1_accesses if self.l1_accesses else 0.0
 
-    @property
-    def l2_miss_rate(self) -> float:
-        return self.l2_misses / self.l2_accesses if self.l2_accesses else 0.0
-
 
 class SetAssociativeCache:
     """One level of set-associative cache with true-LRU replacement."""

@@ -24,7 +24,7 @@ from .. import units
 from ..arrayops import island_sums
 from ..config import CMPConfig
 from ..power.model import CorePowerModel
-from ..thermal.floorplan import Floorplan, grid_floorplan
+from ..thermal.floorplan import grid_floorplan
 from ..unit_types import (
     Bips,
     BipsArray,
@@ -99,7 +99,6 @@ class Chip:
         self,
         config: CMPConfig,
         specs: Sequence[BenchmarkSpec],
-        floorplan: Floorplan | None = None,
     ) -> None:
         if len(specs) != config.n_cores:
             raise ValueError(
@@ -112,7 +111,7 @@ class Chip:
         self.power_model = CorePowerModel(
             config.core, nominal_voltage=float(self.dvfs.voltages[-1])
         )
-        self.floorplan = floorplan or grid_floorplan(config.n_cores)
+        self.floorplan = grid_floorplan(config.n_cores)
         self.thermal = RCThermalModel(self.floorplan, config.thermal)
 
         self.island_of_core = np.array(

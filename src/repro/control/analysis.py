@@ -9,9 +9,9 @@ judged by, and Section IV reports them for the PIC:
   output stays inside a tolerance band around the reference;
 * **steady-state error** — the remaining offset once settled.
 
-:func:`response_metrics` computes all three from a recorded series, and
-:func:`step_response` produces the series analytically from a closed-loop
-transfer function.
+:func:`response_metrics` computes all three from a recorded series, such
+as a closed-loop transfer function's
+:meth:`~repro.control.lti.DiscreteTransferFunction.step_response`.
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import units
-from .lti import DiscreteTransferFunction
 
-__all__ = [
-    "ResponseMetrics",
-    "response_metrics",
-    "step_response",
-    "worst_case_metrics",
-]
+__all__ = ["ResponseMetrics", "response_metrics"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,6 @@ def response_metrics(
     output: np.ndarray | list[float],
     reference: float,
     tolerance: float = 0.02,
-    tail_fraction: float = 0.25,
 ) -> ResponseMetrics:
     """Compute overshoot / settling / steady-state error for one response.
 
@@ -70,10 +63,10 @@ def response_metrics(
     tolerance:
         Half-width of the settling band as a fraction of the reference
         (default 2%).
-    tail_fraction:
-        Fraction of the series (from the end) used to average the
-        steady-state error when the response settled late or not at all
-        inside the band; guards against reporting a single noisy sample.
+
+    The steady-state error averages the last quarter of the series, or
+    only its settled part when the response settles later than that; the
+    average guards against reporting a single noisy sample.
     """
     y = np.asarray(output, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -98,47 +91,10 @@ def response_metrics(
     elif outside_indices[-1] + 1 < y.size:
         settling = int(outside_indices[-1] + 1)
 
-    tail_len = max(1, int(round(y.size * tail_fraction)))
+    tail_len = max(1, int(round(y.size * 0.25)))
     if settling is not None:
         tail = y[max(settling, y.size - tail_len) :]
         sse = float(abs(tail.mean() - reference) / abs(reference))
     else:
         sse = float("nan")
     return ResponseMetrics(max_overshoot, max_undershoot, settling, sse)
-
-
-def step_response(
-    closed_loop_tf: DiscreteTransferFunction,
-    n_steps: int = 50,
-    amplitude: float = 1.0,
-) -> np.ndarray:
-    """Response of the closed loop to a reference step of ``amplitude``."""
-    return closed_loop_tf.step_response(n_steps) * amplitude
-
-
-def worst_case_metrics(
-    responses: list[np.ndarray],
-    references: list[float],
-    tolerance: float = 0.02,
-) -> ResponseMetrics:
-    """Aggregate: the worst overshoot/undershoot/settling over many segments.
-
-    The paper reports "the maximum overshoot ... is bounded within 4%" over
-    all islands and all GPM intervals; this helper computes exactly that
-    kind of bound from per-segment responses.
-    """
-    if len(responses) != len(references) or not responses:
-        raise ValueError("need one reference per response, at least one response")
-    per_segment = [
-        response_metrics(resp, ref, tolerance=tolerance)
-        for resp, ref in zip(responses, references)
-    ]
-    settlings = [m.settling_steps for m in per_segment]
-    worst_settling = None if any(s is None for s in settlings) else max(settlings)
-    sses = [m.steady_state_error for m in per_segment if m.settled]
-    return ResponseMetrics(
-        max_overshoot=max(m.max_overshoot for m in per_segment),
-        max_undershoot=max(m.max_undershoot for m in per_segment),
-        settling_steps=worst_settling,
-        steady_state_error=max(sses) if sses else float("nan"),
-    )

@@ -101,16 +101,12 @@ class DiscreteTransferFunction:
             return np.empty(0, dtype=complex)
         return np.roots(self.num)
 
-    def is_stable(self, margin: float = 0.0) -> bool:
-        """True when every pole lies strictly inside the unit circle.
-
-        ``margin`` shrinks the allowed region: poles must satisfy
-        ``|p| < 1 - margin``.
-        """
+    def is_stable(self) -> bool:
+        """True when every pole lies strictly inside the unit circle."""
         poles = self.poles()
         if poles.size == 0:
             return True
-        return bool(np.all(np.abs(poles) < 1.0 - margin))
+        return bool(np.all(np.abs(poles) < 1.0))
 
     def dc_gain(self) -> float:
         """Steady-state gain ``H(1)``; ``inf`` for a pole at z=1."""

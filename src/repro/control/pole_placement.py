@@ -30,12 +30,16 @@ from .lti import DiscreteTransferFunction
 from .pid import PIDGains
 
 __all__ = [
+    "G_MAX",
     "closed_loop",
     "design_pid",
     "integrator_plant",
     "pid_transfer_function",
     "stability_gain_limit",
 ]
+
+#: Upper end of the gain multipliers :func:`stability_gain_limit` scans.
+G_MAX = 10.0
 
 
 def integrator_plant(gain: float) -> DiscreteTransferFunction:
@@ -112,32 +116,26 @@ def design_pid(
     return gains
 
 
-def stability_gain_limit(
-    plant_gain: float,
-    gains: PIDGains,
-    g_max: float = 10.0,
-    resolution: float = units.MILLI,
-) -> float:
+def stability_gain_limit(plant_gain: float, gains: PIDGains) -> float:
     """Largest multiplier ``g`` keeping the loop stable when the true system
     gain is ``g * plant_gain`` (the paper's robustness analysis, Eq. 13).
 
     The closed-loop poles are continuous in ``g``; we bisect on the binary
     predicate "all poles inside the unit circle" between the designed gain
-    (g=1, stable by construction) and ``g_max``.  Returns ``g_max`` if the
-    loop is stable over the whole scanned range.
+    (g=1, stable by construction) and :data:`G_MAX`, to a resolution of
+    ``units.MILLI``.  Returns ``G_MAX`` if the loop is stable over the
+    whole scanned range.
     """
-    if g_max <= 1.0:
-        raise ValueError("g_max must exceed 1")
 
     def stable(g: float) -> bool:
         return closed_loop(g * plant_gain, gains).is_stable()
 
     if not stable(1.0):
         raise ValueError("loop is unstable at the designed gain (g=1)")
-    if stable(g_max):
-        return g_max
-    lo, hi = 1.0, g_max
-    while hi - lo > resolution:
+    if stable(G_MAX):
+        return G_MAX
+    lo, hi = 1.0, G_MAX
+    while hi - lo > units.MILLI:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             lo = mid

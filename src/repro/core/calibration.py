@@ -52,7 +52,7 @@ __all__ = [
     "Calibration",
     "CalibratedScheme",
     "CalibrationPoint",
-    "DEFAULT_HOLDOUT",
+    "HOLDOUT",
     "WhiteNoiseDVFSScheme",
     "calibrate",
     "calibration_requests",
@@ -62,8 +62,8 @@ __all__ = [
     "homogeneous_mix",
 ]
 
-#: Default held-out validation benchmark, as in the paper.
-DEFAULT_HOLDOUT = "bodytrack"
+#: The held-out validation benchmark, as in the paper ("randomly chosen").
+HOLDOUT = "bodytrack"
 
 
 class WhiteNoiseDVFSScheme:
@@ -72,13 +72,13 @@ class WhiteNoiseDVFSScheme:
     The paper validates its model "with added random white-noise to
     change the DVFS levels of the cores in a random manner".  This scheme
     applies an independent Gaussian frequency step per island per PIC
-    interval with a mild mean-reversion toward ``center_ghz`` (an
-    Ornstein–Uhlenbeck walk, reflected at the ladder's walls).  The
-    mean-reversion concentrates calibration samples in the operating
-    envelope the controllers will actually visit at realistic budgets —
-    a fit spread uniformly over the whole ladder leaves a systematic
-    transducer bias at the operating point, which shows up directly as
-    steady-state error on *actual* (not sensed) power.
+    interval with a mild mean-reversion toward a center in the upper part
+    of the ladder (an Ornstein–Uhlenbeck walk, reflected at the ladder's
+    walls).  The mean-reversion concentrates calibration samples in the
+    operating envelope the controllers will actually visit at realistic
+    budgets — a fit spread uniformly over the whole ladder leaves a
+    systematic transducer bias at the operating point, which shows up
+    directly as steady-state error on *actual* (not sensed) power.
 
     ``seed`` is a public attribute, so two runs that differ only in it
     have different cache keys; each :meth:`bind` starts the noise stream
@@ -87,32 +87,21 @@ class WhiteNoiseDVFSScheme:
 
     name = "white-noise-dvfs"
 
-    def __init__(
-        self,
-        seed: int = DEFAULT_SEED,
-        step_sigma_ghz: GigaHz = 0.12,
-        center_ghz: GigaHz | None = None,
-        reversion: float = 0.12,
-    ) -> None:
-        if step_sigma_ghz <= 0:
-            raise ValueError("step_sigma_ghz must be positive")
-        if not 0.0 <= reversion < 1.0:
-            raise ValueError("reversion must be in [0, 1)")
+    #: Standard deviation of each island's per-interval frequency step.
+    STEP_SIGMA_GHZ: GigaHz = 0.12
+    #: Fraction of the distance to the center closed per interval.
+    REVERSION = 0.12
+
+    def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self.seed = seed
-        self.step_sigma_ghz = step_sigma_ghz
-        self.center_ghz = center_ghz
-        self.reversion = reversion
 
     def bind(self, sim) -> None:
         self._rng = SeedSequenceFactory(self.seed).generator("calibration/white-noise")
-        if self.center_ghz is None:
-            # Default envelope center: upper part of the ladder, where
-            # 75–100%-of-max-power budgets land.
-            self.center_ghz = (
-                0.15 * sim.chip.dvfs.f_min + 0.85 * sim.chip.dvfs.f_max
-            )
+        # Envelope center: upper part of the ladder, where
+        # 75–100%-of-max-power budgets land.
+        self._center_ghz = 0.15 * sim.chip.dvfs.f_min + 0.85 * sim.chip.dvfs.f_max
         for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, self.center_ghz)
+            sim.chip.set_island_frequency(island, self._center_ghz)
 
     def on_gpm(self, sim) -> None:
         """No provisioning tier during excitation."""
@@ -122,13 +111,13 @@ class WhiteNoiseDVFSScheme:
         # One draw per tick: the same numbers, in island order, as one
         # scalar draw per island.
         steps = self._rng.normal(
-            0.0, self.step_sigma_ghz, size=sim.config.n_islands
+            0.0, self.STEP_SIGMA_GHZ, size=sim.config.n_islands
         ).tolist()
         proposals = []
         for current, step in zip(sim.chip.island_frequency.tolist(), steps):
             proposal = (
                 current
-                + self.reversion * (self.center_ghz - current)
+                + self.REVERSION * (self._center_ghz - current)
                 + step
             )
             # Reflect at the walls to keep the excitation exploring.
@@ -228,13 +217,11 @@ def homogeneous_mix(config: CMPConfig, benchmark_name: str) -> Mix:
     return Mix(name=f"cal-{benchmark_name}", islands=islands)
 
 
-def calibration_requests(
-    point: CalibrationPoint, n_gpm: int = 12
-) -> list[RunRequest]:
+def calibration_requests(point: CalibrationPoint) -> list[RunRequest]:
     """The excitation runs a calibration at ``point`` fits, in the order
     :func:`fit` reads them: one homogeneous run per PARSEC benchmark (in
     name order), then one on the point's own mix.  Each is a white-noise
-    run at a 100% budget for ``n_gpm`` GPM intervals; the homogeneous
+    run at a 100% budget for 12 GPM intervals; the homogeneous
     ones depend only on the point's config and seed, so points that
     differ only in their mix share them.  The import is deferred because
     the runner imports this module."""
@@ -244,7 +231,7 @@ def calibration_requests(
     mixes = [homogeneous_mix(config, name) for name in sorted(PARSEC_BENCHMARKS)]
     scheme = functools.partial(WhiteNoiseDVFSScheme, seed=seed)
     return [
-        RunRequest(config, scheme, mix, 1.0, seed, n_gpm)
+        RunRequest(config, scheme, mix, 1.0, seed, 12)
         for mix in [*mixes, point.mix]
     ]
 
@@ -274,15 +261,11 @@ def _per_island_transducers(result, n_islands: int) -> Tuple[LinearTransducer, .
 
 
 def fit(
-    point: CalibrationPoint,
-    results: Sequence[SimulationResult],
-    holdout: str = DEFAULT_HOLDOUT,
+    point: CalibrationPoint, results: Sequence[SimulationResult]
 ) -> Calibration:
     """Fit the calibration at ``point`` to the results of its
     :func:`calibration_requests`, in their order.  Pure: the same
     results always give the same calibration."""
-    if holdout not in PARSEC_BENCHMARKS:
-        raise ValueError(f"holdout {holdout!r} is not a PARSEC benchmark")
     config = point.config
     *benchmark_runs, mix_run = results
     runs = dict(zip(sorted(PARSEC_BENCHMARKS), benchmark_runs))
@@ -294,14 +277,14 @@ def fit(
         per_benchmark_gains[name] = fit_system_gain(df, dp)
         benchmark_transducers[name] = fit_transducer(*_transducer_samples(run))
 
-    design_names = [n for n in per_benchmark_gains if n != holdout]
+    design_names = [n for n in per_benchmark_gains if n != HOLDOUT]
     system_gain = float(
         np.mean([per_benchmark_gains[n].gain for n in design_names])
     )
 
     # Validate the averaged model on the held-out benchmark (Figure 5).
-    freq = runs[holdout].telemetry["island_frequency_ghz"]
-    power = runs[holdout].telemetry["island_power_frac"]
+    freq = runs[HOLDOUT].telemetry["island_frequency_ghz"]
+    power = runs[HOLDOUT].telemetry["island_power_frac"]
     errors = [
         prediction_error(power[:, i], np.diff(freq[:, i]), system_gain)
         for i in range(config.n_islands)
@@ -320,7 +303,7 @@ def fit(
         island_transducers=island_transducers,
         benchmark_transducers=benchmark_transducers,
         validation_error=validation_error,
-        holdout=holdout,
+        holdout=HOLDOUT,
         stability_limit=stability,
     )
 
@@ -329,8 +312,6 @@ def calibrate(
     config: CMPConfig,
     mix: Mix | None = None,
     seed: int = DEFAULT_SEED,
-    holdout: str = DEFAULT_HOLDOUT,
-    n_gpm: int = 12,
 ) -> Calibration:
     """Run the full calibration pipeline for a platform + mix: its
     :func:`calibration_requests` in this process, with no result cache,
@@ -343,7 +324,7 @@ def calibrate(
     from ..runner import run_many
 
     point = CalibrationPoint.of(config, mix, seed)
-    return fit(point, run_many(calibration_requests(point, n_gpm)), holdout)
+    return fit(point, run_many(calibration_requests(point)))
 
 
 #: This process's fitted default calibrations.  A memo of a pure

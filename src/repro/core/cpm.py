@@ -29,7 +29,7 @@ from ..gpm.performance_aware import PerformanceAwarePolicy
 from ..gpm.policy import GPMContext, ProvisioningPolicy
 from ..pic.bank import PICBank
 from ..rng import DEFAULT_SEED
-from ..unit_types import GigaHz, PowerFraction
+from ..unit_types import PowerFraction
 from ..workloads.mixes import Mix
 from .calibration import Calibration, CalibrationPoint
 
@@ -45,18 +45,10 @@ class CPMScheme:
         self,
         policy: ProvisioningPolicy | None = None,
         calibration: Calibration | None = None,
-        max_step_ghz: GigaHz = 1.0,
-        initial_frequency_ghz: GigaHz | None = None,
     ) -> None:
-        # ``not > 0`` also rejects NaN, which would make the PID's step
-        # limits (nan, nan): no limit at all.
-        if not max_step_ghz > 0:
-            raise ValueError("max_step_ghz must be positive")
         self.policy = policy or PerformanceAwarePolicy()
         self.manager = GlobalPowerManager(self.policy)
         self._calibration = calibration
-        self.max_step_ghz = max_step_ghz
-        self.initial_frequency_ghz = initial_frequency_ghz
         #: Every island's controller; built by :meth:`bind`.
         self.bank: PICBank | None = None
         self._context_static: dict | None = None
@@ -91,26 +83,24 @@ class CPMScheme:
             self._calibration = point.calibration()
         cal = self.calibration
         quantized = sim.config.dvfs.mode == "quantized"
-        f0 = self.initial_frequency_ghz
-        if f0 is None:
-            # Seed the operating point proportionally to the budget: a
-            # 100% budget starts at the top of the ladder (nothing to
-            # cap), tighter budgets start lower — shrinks the start-up
-            # transient before the controllers have any measurements.
-            table = sim.chip.dvfs
-            f0 = table.f_min + (table.f_max - table.f_min) * min(
-                1.0, sim.budget_fraction
-            )
+        # Seed the operating point proportionally to the budget: a 100%
+        # budget starts at the top of the ladder (nothing to cap), tighter
+        # budgets start lower — shrinks the start-up transient before the
+        # controllers have any measurements.
+        table = sim.chip.dvfs
+        f0 = table.f_min + (table.f_max - table.f_min) * min(
+            1.0, sim.budget_fraction
+        )
 
+        # Each PID step is limited to the bank's default 1 GHz.
         self.bank = self._make_bank(
             gains=cal.pid_gains,
             transducers=[
                 cal.island_transducers[i] for i in range(sim.config.n_islands)
             ],
-            table=sim.chip.dvfs,
+            table=table,
             quantized=quantized,
             initial_frequency=f0,
-            max_step_ghz=self.max_step_ghz,
         )
         sim.chip.island_frequency[:] = self.bank.frequency
 
@@ -184,17 +174,16 @@ def run_cpm(
     budget_fraction: PowerFraction = 0.8,
     n_gpm_intervals: int = 20,
     seed: int = DEFAULT_SEED,
-    calibration: Calibration | None = None,
 ):
     """Convenience entry point: run one CPM simulation through
-    :func:`repro.runner.run_one` (no result cache).  ``policy`` and
-    ``calibration`` become arguments of the request's scheme spec, so a
-    custom policy must be a module-level dataclass.
+    :func:`repro.runner.run_one` (no result cache).  ``policy`` becomes
+    an argument of the request's scheme spec, so a custom policy must be
+    a module-level dataclass.
 
     Returns the :class:`~repro.cmpsim.simulator.SimulationResult`.
     """
     from ..runner import RunRequest, run_one
 
-    scheme = functools.partial(CPMScheme, policy=policy, calibration=calibration)
+    scheme = functools.partial(CPMScheme, policy=policy)
     request = RunRequest(config, scheme, mix, budget_fraction, seed, n_gpm_intervals)
     return run_one(request)

@@ -192,11 +192,7 @@ def _outcome(
     )
 
 
-def run_cases(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    config: CMPConfig | None = None,
-) -> List[ChaosOutcome]:
+def run_cases(seed: int = DEFAULT_SEED, quick: bool = False) -> List[ChaosOutcome]:
     """Execute the full scenario grid; the data behind :func:`run`.
 
     The clean run and every faulty run are requests to one
@@ -208,10 +204,9 @@ def run_cases(
     whose sweep raises on the first failure: the expected crash must
     not abort ``repro experiment all``.
     """
-    if config is None:
-        # A small platform keeps the grid fast; the guard dynamics under
-        # test are per-island and do not need core count.
-        config = DEFAULT_CONFIG.with_islands(4, 2)
+    # A small platform keeps the grid fast; the guard dynamics under test
+    # are per-island and do not need core count.
+    config = DEFAULT_CONFIG.with_islands(4, 2)
     n_gpm = 12 if quick else 25
     onset = 40 if quick else 60
     durations = (40,) if quick else (40, 80)

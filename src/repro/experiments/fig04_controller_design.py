@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
-from ..control.analysis import response_metrics, step_response
+from ..control.analysis import response_metrics
 from ..control.pole_placement import closed_loop
 from ..core.calibration import CalibrationPoint, calibration_requests, fit_once
 from ..runner import RunRequest
@@ -33,7 +33,7 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
 
     loop = closed_loop(cal.system_gain, gains)
     poles = np.sort_complex(loop.poles())
-    response = step_response(loop, n_steps=12 if quick else 40)
+    response = loop.step_response(12 if quick else 40)
     metrics = response_metrics(response, reference=1.0, tolerance=0.02)
 
     result = ExperimentResult(

@@ -18,7 +18,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..control.identification import predict_power, prediction_error
 from ..core.calibration import (
-    DEFAULT_HOLDOUT,
+    HOLDOUT,
     CalibrationPoint,
     WhiteNoiseDVFSScheme,
     calibration_requests,
@@ -36,7 +36,7 @@ def plan(seed: int, quick: bool) -> list[RunRequest]:
     holdout = RunRequest(
         config,
         functools.partial(WhiteNoiseDVFSScheme, seed=seed + 1),
-        homogeneous_mix(config, DEFAULT_HOLDOUT),
+        homogeneous_mix(config, HOLDOUT),
         1.0,
         seed + 1,
         horizon(quick),

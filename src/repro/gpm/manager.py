@@ -24,22 +24,14 @@ __all__ = ["GlobalPowerManager"]
 class GlobalPowerManager:
     """First-tier manager: policy + feasibility enforcement."""
 
-    def __init__(
-        self, policy: ProvisioningPolicy, demand_headroom: float = 0.04
-    ) -> None:
-        """
-        Parameters
-        ----------
-        demand_headroom:
-            Relative margin above a demand-limited island's measured power
-            kept when reclaiming its surplus budget (the paper: "the GPM
-            would realize this fact and provision less power budget ...
-            allocate the extra budget ... to some other application").
-        """
-        if demand_headroom < 0:
-            raise ValueError("demand_headroom must be non-negative")
+    #: Relative margin above a demand-limited island's measured power
+    #: kept when reclaiming its surplus budget (the paper: "the GPM would
+    #: realize this fact and provision less power budget ... allocate the
+    #: extra budget ... to some other application").
+    DEMAND_HEADROOM = 0.04
+
+    def __init__(self, policy: ProvisioningPolicy) -> None:
         self.policy = policy
-        self.demand_headroom = demand_headroom
 
     def _demand_caps(self, context: GPMContext) -> PowerFractionArray:
         """Per-island effective upper bounds, tightened for islands that
@@ -55,7 +47,7 @@ class GlobalPowerManager:
         limited = pinned & unused
         caps[limited] = np.minimum(
             caps[limited],
-            window.island_power_frac[limited] * (1.0 + self.demand_headroom),
+            window.island_power_frac[limited] * (1.0 + self.DEMAND_HEADROOM),
         )
         return np.maximum(caps, context.island_min)
 

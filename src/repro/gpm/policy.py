@@ -84,14 +84,14 @@ def clamp_and_redistribute(
     total: PowerFraction,
     lower: PowerFractionArray,
     upper: PowerFractionArray,
-    max_rounds: int = 8,
 ) -> PowerFractionArray:
     """Scale ``shares`` to sum to ``total`` while honouring per-island bounds.
 
     Water-filling: clamp everything into [lower, upper], then move the
     remaining surplus/deficit proportionally among the islands that still
-    have headroom.  If the bounds make ``total`` infeasible the closest
-    feasible vector is returned (all-lower or all-upper).
+    have headroom, for at most 8 rounds.  If the bounds make ``total``
+    infeasible the closest feasible vector is returned (all-lower or
+    all-upper).
     """
     shares = np.asarray(shares, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -106,7 +106,7 @@ def clamp_and_redistribute(
         return upper.copy()
 
     result = np.clip(shares, lower, upper)
-    for _ in range(max_rounds):
+    for _ in range(8):
         gap = total - float(result.sum())
         if abs(gap) < 1e-12:
             break

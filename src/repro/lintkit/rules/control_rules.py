@@ -17,6 +17,7 @@ from typing import Iterable
 from ..findings import Finding
 from ..modgraph import dotted
 from .base import LintRule, ModuleInfo
+from .robustness_rules import _is_broad, _is_silent_body
 
 __all__ = ["SilentExceptRule", "UnboundedPIDRule"]
 
@@ -90,25 +91,10 @@ class SilentExceptRule(LintRule):
                     "too; name the exceptions you expect",
                 )
                 continue
-            if self._is_broad(node.type) and self._is_silent(node.body):
+            if _is_broad(node.type) and _is_silent_body(node.body):
                 yield self.finding(
                     module,
                     node,
                     "'except Exception' with an empty body silently hides "
                     "failures in the control path; handle or re-raise",
                 )
-
-    @staticmethod
-    def _is_broad(type_node: ast.AST) -> bool:
-        parts = dotted(type_node)
-        return parts is not None and parts[-1] in ("Exception", "BaseException")
-
-    @staticmethod
-    def _is_silent(body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ast.Pass):
-                continue
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-                continue  # docstring or `...`
-            return False
-        return True

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from ..cmpsim.telemetry import ResilienceLog
 from ..core.cpm import CPMScheme
-from ..gpm.guard import GPMGuard, GPMGuardConfig
+from ..gpm.guard import GPMGuard
 from ..pic.bank import PICBank, SensorGuardConfig
-from ..unit_types import GigaHz
 
 __all__ = ["GuardedCPMScheme"]
 
@@ -27,25 +26,8 @@ class GuardedCPMScheme(CPMScheme):
 
     name = "cpm-guarded"
 
-    def __init__(
-        self,
-        policy=None,
-        calibration=None,
-        max_step_ghz: GigaHz = 1.0,
-        initial_frequency_ghz: GigaHz | None = None,
-        sensor_guard: SensorGuardConfig | None = None,
-        gpm_guard: GPMGuardConfig | None = None,
-    ) -> None:
-        super().__init__(
-            policy=policy,
-            calibration=calibration,
-            max_step_ghz=max_step_ghz,
-            initial_frequency_ghz=initial_frequency_ghz,
-        )
-        self.sensor_guard = (
-            sensor_guard if sensor_guard is not None else SensorGuardConfig()
-        )
-        self.gpm_guard = gpm_guard if gpm_guard is not None else GPMGuardConfig()
+    def __init__(self, policy=None, calibration=None) -> None:
+        super().__init__(policy=policy, calibration=calibration)
         #: The bound run's log (``sim.log``); empty until bound.
         self.log = ResilienceLog()
         self._gpm_guard_state: GPMGuard | None = None
@@ -60,13 +42,12 @@ class GuardedCPMScheme(CPMScheme):
         self._gpm_guard_state = GPMGuard(
             island_min=self._context_static["island_min"],
             island_max=self._context_static["island_max"],
-            config=self.gpm_guard,
             log=self.log,
             self_constrained=getattr(self.policy, "self_constrained", False),
         )
 
     def _make_bank(self, **kwargs) -> PICBank:
-        return PICBank(guard=self.sensor_guard, log=self.log, **kwargs)
+        return PICBank(guard=SensorGuardConfig(), log=self.log, **kwargs)
 
     # ------------------------------------------------------------------
     def on_gpm(self, sim) -> None:

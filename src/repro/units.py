@@ -93,9 +93,9 @@ MICRO = 1e-6
 EPS = 1e-9
 
 
-def approx_eq(a: float, b: float, tol: float = EPS) -> bool:
-    """True when ``a`` and ``b`` agree to within ``tol`` (absolute)."""
-    return abs(a - b) <= tol
+def approx_eq(a: float, b: float) -> bool:
+    """True when ``a`` and ``b`` agree to within :data:`EPS` (absolute)."""
+    return abs(a - b) <= EPS
 
 
 def ms(value: Milliseconds) -> Seconds:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import ablations, fig07_provisioning
 from repro.experiments.ablations import (
     run_energy_floor,
     run_gpm_policy,
@@ -10,6 +11,8 @@ from repro.experiments.ablations import (
     run_quantization,
     run_transducer,
 )
+from repro.rng import DEFAULT_SEED
+from repro.runner import cache_key
 
 pytestmark = pytest.mark.slow
 
@@ -45,6 +48,14 @@ class TestGPMPolicy:
         for _name, deg, power in result.rows:
             assert deg < 0.15
             assert 0.5 < power < 0.9
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_default_policy_run_is_fig07s_run(self, quick):
+        """The "proportional (default)" row is fig07's run under one key,
+        so a shared result cache simulates it once."""
+        default_run = ablations._gpm_policy_plan(DEFAULT_SEED, quick)[-1]
+        (fig07_run,) = fig07_provisioning.plan(DEFAULT_SEED, quick)
+        assert cache_key(default_run) == cache_key(fig07_run)
 
 
 class TestMaxBIPSPrediction:

@@ -77,7 +77,7 @@ class TestMaxBIPS:
     def test_dp_selection_matches_exhaustive(self):
         """The knapsack DP and the exhaustive search agree (within the
         DP's power-bin resolution) on a real prediction table."""
-        scheme = MaxBIPSScheme(dp_bins=2000)
+        scheme = MaxBIPSScheme()
         sim = Simulation(DEFAULT_CONFIG, scheme, budget_fraction=0.8)
         sim.run(1)
         bips, power = scheme._prediction_table(sim)
@@ -91,11 +91,7 @@ class TestMaxBIPS:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MaxBIPSScheme(dp_bins=5)
-        with pytest.raises(ValueError):
             MaxBIPSScheme(prediction="psychic")
-        with pytest.raises(ValueError):
-            MaxBIPSScheme(headroom_guard=2.0)
 
 
 class TestStaticUniform:

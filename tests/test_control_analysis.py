@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.control.analysis import (
-    ResponseMetrics,
-    response_metrics,
-    step_response,
-    worst_case_metrics,
-)
+from repro.control.analysis import ResponseMetrics, response_metrics
 from repro.control.pole_placement import closed_loop, design_pid
 
 POLES = (-0.15 + 0j, 0.35 + 0.25j, 0.35 - 0.25j)
@@ -63,38 +58,11 @@ class TestStepResponse:
     def test_designed_loop_metrics(self):
         """The default design settles within ~6 invocations with zero SSE."""
         loop = closed_loop(0.13, design_pid(0.13, POLES))
-        y = step_response(loop, n_steps=40)
+        y = loop.step_response(40)
         m = response_metrics(y, reference=1.0, tolerance=0.05)
         assert m.settled
         assert m.settling_steps <= 8
         assert m.steady_state_error < 1e-3
-
-    def test_amplitude_scales(self):
-        loop = closed_loop(0.13, design_pid(0.13, POLES))
-        y1 = step_response(loop, n_steps=10, amplitude=1.0)
-        y2 = step_response(loop, n_steps=10, amplitude=2.5)
-        np.testing.assert_allclose(y2, 2.5 * y1, atol=1e-12)
-
-
-class TestWorstCase:
-    def test_takes_maxima(self):
-        a = np.concatenate([[1.2], np.ones(9)])   # 20% overshoot
-        b = np.concatenate([[0.0, 1.05], np.ones(8)])  # settles at 2
-        agg = worst_case_metrics([a, b], [1.0, 1.0], tolerance=0.03)
-        assert agg.max_overshoot == pytest.approx(0.2)
-        assert agg.settling_steps == 2
-
-    def test_unsettled_segment_dominates(self):
-        a = np.ones(10)
-        b = np.tile([1.5, 0.5], 5)
-        agg = worst_case_metrics([a, b], [1.0, 1.0], tolerance=0.03)
-        assert agg.settling_steps is None
-
-    def test_requires_matching_lengths(self):
-        with pytest.raises(ValueError):
-            worst_case_metrics([np.ones(5)], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            worst_case_metrics([], [])
 
 
 def test_metrics_dataclass_flags():

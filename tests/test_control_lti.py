@@ -53,10 +53,6 @@ class TestAnalysis:
         assert not first_order(1.0).is_stable()
         assert not first_order(-1.1).is_stable()
 
-    def test_stability_margin(self):
-        assert first_order(0.9).is_stable(margin=0.05)
-        assert not first_order(0.97).is_stable(margin=0.05)
-
     def test_dc_gain_integrator_is_infinite(self):
         assert first_order(1.0).dc_gain() == float("inf")
 

@@ -88,8 +88,3 @@ class TestStabilityLimit:
         bad = PIDGains(kp=1000.0, ki=1000.0, kd=1000.0)
         with pytest.raises(ValueError):
             stability_gain_limit(0.13, bad)
-
-    def test_bad_gmax_rejected(self):
-        gains = design_pid(0.13, POLES)
-        with pytest.raises(ValueError):
-            stability_gain_limit(0.13, gains, g_max=0.5)

@@ -34,12 +34,6 @@ class TestWhiteNoiseScheme:
         freqs = result.telemetry["island_frequency_ghz"]
         assert 1.4 < freqs.mean() < 2.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WhiteNoiseDVFSScheme(step_sigma_ghz=0.0)
-        with pytest.raises(ValueError):
-            WhiteNoiseDVFSScheme(reversion=1.0)
-
 
 class TestHomogeneousMix:
     def test_every_core_runs_the_benchmark(self):
@@ -94,11 +88,7 @@ class TestCalibration:
         assert a is b
 
     def test_determinism_across_fresh_runs(self):
-        a = calibrate(DEFAULT_CONFIG, n_gpm=4, seed=99)
-        b = calibrate(DEFAULT_CONFIG, n_gpm=4, seed=99)
+        a = calibrate(DEFAULT_CONFIG, seed=99)
+        b = calibrate(DEFAULT_CONFIG, seed=99)
         assert a.system_gain == b.system_gain
         assert a.pid_gains == b.pid_gains
-
-    def test_unknown_holdout_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate(DEFAULT_CONFIG, holdout="doom", n_gpm=4)

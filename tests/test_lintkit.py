@@ -404,6 +404,16 @@ class TestSilentExceptRule:
         )
         assert rule_ids(findings) == ["CTL002"]
 
+    def test_swallowed_broad_tuple_except_fires_once(self):
+        # ROB001 leaves silent bodies to CTL002, so CTL002 must see
+        # the broad member of a tuple too.
+        findings = lint_rules(
+            "try:\n    step()\nexcept (Exception, ValueError):\n    pass\n",
+            [SilentExceptRule(), SwallowedExceptionRule()],
+            path="mod.py",
+        )
+        assert rule_ids(findings) == ["CTL002"]
+
     def test_handled_broad_except_is_clean(self):
         findings = run_rule(
             SilentExceptRule(),

@@ -294,11 +294,11 @@ class TestCacheKey:
         assert cache_key(request(**change)) != cache_key(request())
 
     def test_scheme_params_enter_the_key(self):
-        loose, tight = (
-            request(scheme_factory=partial(CPMScheme, max_step_ghz=step))
-            for step in (1.0, 0.5)
+        static, measured = (
+            request(scheme_factory=partial(MaxBIPSScheme, prediction=mode))
+            for mode in ("static", "measured")
         )
-        assert cache_key(loose) != cache_key(tight)
+        assert cache_key(static) != cache_key(measured)
 
     def test_private_parameter_enters_the_key(self):
         """A parameter the scheme keeps only as ``self._gain`` is part of

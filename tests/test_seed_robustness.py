@@ -22,7 +22,7 @@ SEEDS = (101, 202, 303)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_calibration_quality_across_seeds(seed):
-    cal = calibrate(DEFAULT_CONFIG, seed=seed, n_gpm=8)
+    cal = calibrate(DEFAULT_CONFIG, seed=seed)
     assert cal.mean_transducer_r_squared > 0.9
     assert cal.validation_error < 0.10
     assert cal.stability_limit > 1.3
