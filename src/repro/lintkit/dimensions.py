@@ -47,7 +47,6 @@ from typing import Mapping, Sequence
 from .findings import Finding
 from .modgraph import ModuleInfo, follow_exports, qualified_name
 from .modgraph import dotted as _dotted
-from .modgraph import module_aliases as _module_aliases
 from .modgraph import module_identity as _module_identity
 
 __all__ = [
@@ -377,8 +376,8 @@ def _annotated_info(
 def _harvest(modules: Sequence[ModuleInfo]) -> _Program:
     program = _Program()
     for module in modules:
-        modname, is_package = _module_identity(module.path)
-        aliases = _module_aliases(module.tree, modname, is_package)
+        modname, _ = _module_identity(module.path)
+        aliases = module.aliases
         for local, target in aliases.items():
             program.exports[f"{modname}.{local}"] = target
         for stmt in module.tree.body:
@@ -519,8 +518,8 @@ class _ModuleChecker:
     def __init__(self, program: _Program, module: ModuleInfo) -> None:
         self.program = program
         self.module = module
-        self.modname, is_package = _module_identity(module.path)
-        self.aliases = _module_aliases(module.tree, self.modname, is_package)
+        self.modname, _ = _module_identity(module.path)
+        self.aliases = module.aliases
         self.findings: list[Finding] = []
 
     # -- reporting ----------------------------------------------------------

@@ -18,13 +18,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..modgraph import (
-    ModuleInfo,
-    dotted,
-    follow_exports,
-    module_aliases,
-    module_identity,
-)
+from ..modgraph import ModuleInfo, dotted, follow_exports, module_identity
 
 __all__ = [
     "Effect",
@@ -200,8 +194,8 @@ def summarize(modules: Sequence[ModuleInfo]) -> EffectProgram:
 
 
 def _summarize_module(program: EffectProgram, module: ModuleInfo) -> None:
-    modname, is_package = module_identity(module.path)
-    aliases = module_aliases(module.tree, modname, is_package)
+    modname, _ = module_identity(module.path)
+    aliases = module.aliases
     for local, target in aliases.items():
         program.exports[f"{modname}.{local}"] = target
     # Every name the module itself defines at top level: a bare call to
@@ -255,10 +249,17 @@ def _assigned_names(stmt: ast.stmt) -> list[str]:
     return names
 
 
-def _local_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Every name bound inside the function (params, assignments, loops,
-    ``with``/``except`` targets, comprehension variables, nested defs)."""
+def _local_bindings(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> tuple[set[str], set[str]]:
+    """(every name bound inside the function, every name it declares
+    ``global``), from one walk of its body.
+
+    Bound names are params, assignments, loops, ``with``/``except``
+    targets, comprehension variables and nested defs.
+    """
     bound: set[str] = set()
+    global_names: set[str] = set()
     args = node.args
     for arg in (
         list(args.posonlyargs)
@@ -304,7 +305,8 @@ def _local_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
         elif isinstance(sub, ast.Global):
             # ``global X`` makes X a *module* binding, never a local.
             bound.difference_update(sub.names)
-    return bound
+            global_names.update(sub.names)
+    return bound, global_names
 
 
 class _FunctionVisitor(ast.NodeVisitor):
@@ -324,11 +326,7 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.modname = modname
         self.aliases = aliases
         self.module_names = module_names
-        self.locals = _local_bindings(node)
-        self.global_names: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Global):
-                self.global_names.update(sub.names)
+        self.locals, self.global_names = _local_bindings(node)
         self.loop_depth = 0
         #: rng local name -> loop depth at creation.
         self.rng_created: dict[str, int] = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import PurePosixPath
 from typing import Container, Mapping
 
@@ -23,7 +24,6 @@ __all__ = [
     "dotted",
     "follow_exports",
     "matches_suffix",
-    "module_aliases",
     "module_identity",
     "qualified_name",
     "relative_base",
@@ -32,11 +32,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModuleInfo:
-    """Everything an analysis may inspect about one parsed module."""
+    """Everything an analysis may inspect about one parsed module.
+
+    The facts every analysis needs — the node list and the import-alias
+    table — are derived once per parse and kept on it, so a lint pass
+    walks each module's tree exactly once however many rules read it.
+    """
 
     path: str  # display path, POSIX separators
     source: str
     tree: ast.Module
+
+    @cached_property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """Every node of :attr:`tree`, in ``ast.walk`` order."""
+        return tuple(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> Mapping[str, str]:
+        """Local name -> canonical dotted target, for every import
+        statement (relative imports resolved against this module)."""
+        module, is_package = module_identity(self.path)
+        aliases: dict[str, str] = {}
+        for node in self.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+                    else:
+                        first = alias.name.split(".")[0]
+                        aliases[first] = first
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    base = relative_base(module, is_package, node.level)
+                    target = ".".join(
+                        base + ([node.module] if node.module else [])
+                    )
+                else:
+                    target = node.module or ""
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    bound = alias.asname or alias.name
+                    aliases[bound] = (
+                        f"{target}.{alias.name}" if target else alias.name
+                    )
+        return aliases
 
     @property
     def basename(self) -> str:
@@ -77,33 +118,6 @@ def relative_base(module: str, is_package: bool, level: int) -> list[str]:
     if extra:
         parts = parts[: max(len(parts) - extra, 0)]
     return parts
-
-
-def module_aliases(
-    tree: ast.Module, module: str, is_package: bool
-) -> dict[str, str]:
-    """Local name -> canonical dotted target, for every import statement."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    first = alias.name.split(".")[0]
-                    aliases[first] = first
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = relative_base(module, is_package, node.level)
-                target = ".".join(base + ([node.module] if node.module else []))
-            else:
-                target = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                aliases[bound] = f"{target}.{alias.name}" if target else alias.name
-    return aliases
 
 
 def dotted(node: ast.AST) -> list[str] | None:

@@ -68,7 +68,7 @@ class FrozenConfigRule(LintRule):
         return cls.name.endswith(_CONFIG_SUFFIXES)
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             dec, frozen = _dataclass_decorator(node)
@@ -97,7 +97,7 @@ class MutableDefaultRule(LintRule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

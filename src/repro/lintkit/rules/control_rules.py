@@ -41,7 +41,7 @@ class UnboundedPIDRule(LintRule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             parts = dotted(node.func)
@@ -80,7 +80,7 @@ class SilentExceptRule(LintRule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

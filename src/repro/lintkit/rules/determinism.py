@@ -14,7 +14,7 @@ import ast
 from typing import Iterable, Iterator
 
 from ..findings import Finding
-from ..modgraph import module_aliases, module_identity, qualified_name
+from ..modgraph import qualified_name
 from .base import LintRule, ModuleInfo
 
 __all__ = ["RandomModuleImportRule", "RngConstructionRule", "WallClockRule"]
@@ -36,10 +36,9 @@ _WALL_CLOCK_CALLS = {
 
 def _calls(module: ModuleInfo) -> Iterator[tuple[ast.Call, str]]:
     """Every call with a static target, as (node, resolved dotted name)."""
-    aliases = module_aliases(module.tree, *module_identity(module.path))
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Call):
-            target = qualified_name(node.func, aliases)
+            target = qualified_name(node.func, module.aliases)
             if target is not None:
                 yield node, target
 
@@ -83,7 +82,7 @@ class RandomModuleImportRule(LintRule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):

@@ -67,7 +67,7 @@ class SwallowedExceptionRule(LintRule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None or not _is_broad(node.type):

@@ -59,7 +59,7 @@ class MagicUnitLiteralRule(LintRule):
         return module.basename != _UNITS_MODULE
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value

@@ -46,8 +46,12 @@ def suppressions_for(source: str) -> dict[int, set[str]]:
     """Map line number -> suppressed rule ids for ``source``.
 
     Tokenization errors (the engine reports syntax errors separately)
-    degrade to "no suppressions" rather than raising.
+    degrade to "no suppressions" rather than raising.  A source the
+    pattern matches nowhere is not tokenized at all: every comment is a
+    substring of its source, so it cannot hold a suppression either.
     """
+    if _PATTERN.search(source) is None:
+        return {}
     suppressed: dict[int, set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)

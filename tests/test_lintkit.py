@@ -10,15 +10,24 @@ tree, which is the acceptance criterion for the whole subsystem.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
+import tokenize
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from repro.lintkit import Finding, all_rules, lint_paths, lint_sources
 from repro.lintkit.cli import main
-from repro.lintkit.engine import PARSE_ERROR_ID, display_path
+from repro.lintkit.engine import (
+    _MODULE_CACHE,
+    PARSE_ERROR_ID,
+    clear_module_cache,
+    display_path,
+)
+from repro.lintkit.modgraph import ModuleInfo
 from repro.lintkit.rules.api_rules import DeclaredAllRule, StaleAllRule
 from repro.lintkit.rules.config_rules import FrozenConfigRule, MutableDefaultRule
 from repro.lintkit.rules.control_rules import SilentExceptRule, UnboundedPIDRule
@@ -29,7 +38,7 @@ from repro.lintkit.rules.determinism import (
 )
 from repro.lintkit.rules.robustness_rules import SwallowedExceptionRule
 from repro.lintkit.rules.units_rules import MagicUnitLiteralRule
-from repro.lintkit.suppress import parse_comment
+from repro.lintkit.suppress import parse_comment, suppressions_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +56,20 @@ def run_rule(rule, source: str, path: str = "mod.py") -> list[Finding]:
 
 def rule_ids(findings) -> list[str]:
     return [f.rule_id for f in findings]
+
+
+def count_module_walks(monkeypatch) -> list[ast.Module]:
+    """Record every ``ast.walk`` over a whole module from now on."""
+    walked: list[ast.Module] = []
+    real_walk = ast.walk
+
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walked.append(node)
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    return walked
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +705,29 @@ class TestSuppressions:
         findings = lint_rules(src, [MagicUnitLiteralRule()])
         assert rule_ids(findings) == ["UNIT001"]
 
+    def test_marker_case_and_spacing_are_free(self):
+        src = (
+            "import numpy as np\n"
+            "a = np.random.default_rng(1)  #LINT:  IGNORE[det001]\n"
+            "b = ('# lint: ignore[DET001]', np.random.default_rng(2))\n"
+        )
+        findings = lint_rules(src, [RngConstructionRule()])
+        assert [(f.rule_id, f.line) for f in findings] == [("DET001", 3)]
+
+    def test_source_without_marker_is_never_tokenized(self, monkeypatch):
+        def refuse(readline):
+            raise AssertionError("tokenized a source with no suppression")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+        clean = "# an ordinary comment\nx = 1e9  # lint ignore, not a marker\n"
+        assert suppressions_for(clean) == {}
+        assert rule_ids(lint_rules(clean, [MagicUnitLiteralRule()])) == [
+            "UNIT001"
+        ]
+        # A source that does hold the text still goes through tokenize.
+        with pytest.raises(AssertionError, match="tokenized"):
+            suppressions_for("x = 1e9  # lint: ignore[UNIT001]\n")
+
     def test_parse_comment_multiple_ids(self):
         assert parse_comment("# lint: ignore[UNIT001, det001]") == {
             "UNIT001",
@@ -758,6 +804,65 @@ class TestEngine:
         report = lint_paths([tmp_path])
         assert report.files_checked == 1
         assert report.ok
+
+    def test_cold_run_walks_each_module_once(self, monkeypatch):
+        # Every analysis reads the node list and the alias table cached
+        # on the parse: k modules cost k whole-module walks and k alias
+        # tables, however many rules and passes consult them.
+        built: list[str] = []
+        real_aliases = ModuleInfo.__dict__["aliases"]
+
+        def counting_aliases(module):
+            built.append(module.path)
+            return real_aliases.func(module)
+
+        aliases = cached_property(counting_aliases)
+        aliases.__set_name__(ModuleInfo, "aliases")
+        walked = count_module_walks(monkeypatch)
+        monkeypatch.setattr(ModuleInfo, "aliases", aliases)
+        sources = {
+            f"src/pkg/mod{i}.py": textwrap.dedent(
+                f"""
+                import time
+                import numpy as np
+                from .base import helper
+
+                __all__ = ["Probe{i}", "sample"]
+
+                class Probe{i}:
+                    def read(self, rng: np.random.Generator) -> float:
+                        try:
+                            return helper(rng.normal()) * 1e9
+                        except Exception:
+                            return time.time()
+
+                def sample(seed, out=[]):
+                    global COUNT
+                    out.append(np.random.default_rng(seed))
+                    return out
+                """
+            )
+            for i in range(3)
+        }
+        report = lint_sources(sources)
+        assert {"DET001", "DET003", "UNIT001", "CFG002", "ROB001"} <= set(
+            rule_ids(report.findings)
+        )
+        assert len(walked) == len({id(tree) for tree in walked}) == 3
+        assert sorted(built) == sorted(sources)
+
+    def test_warm_run_reuses_the_cached_walk(self, monkeypatch):
+        clear_module_cache()
+        cold = lint_paths([REPO_ROOT / "tests" / "fixtures"])
+        nodes = {key: entry[1][0].nodes for key, entry in _MODULE_CACHE.items()}
+        walked = count_module_walks(monkeypatch)
+        warm = lint_paths([REPO_ROOT / "tests" / "fixtures"])
+        assert warm == cold
+        assert walked == []
+        assert _MODULE_CACHE.keys() == nodes.keys()
+        assert all(
+            nodes[key] is entry[1][0].nodes for key, entry in _MODULE_CACHE.items()
+        )
 
     def test_full_catalogue_runs_on_clean_source(self):
         src = textwrap.dedent(
