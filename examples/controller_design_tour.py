@@ -22,7 +22,7 @@ from repro.control.pole_placement import (
     pid_transfer_function,
     stability_gain_limit,
 )
-from repro.core.calibration import default_calibration
+from repro.core.calibration import HOLDOUT, default_calibration
 from repro.reporting import format_series
 
 __all__ = ["main", "poly_str"]
@@ -48,12 +48,12 @@ def main() -> None:
     print("Step 1 — system identification (Eq. 8)")
     cal = default_calibration(DEFAULT_CONFIG)
     a = cal.system_gain
-    print(f"  white-noise DVFS runs over PARSEC (holdout: {cal.holdout})")
+    print(f"  white-noise DVFS runs over PARSEC (holdout: {HOLDOUT})")
     for name, fit in sorted(cal.per_benchmark_gains.items()):
-        marker = " <- held out" if name == cal.holdout else ""
+        marker = " <- held out" if name == HOLDOUT else ""
         print(f"    {name:15s} a = {fit.gain:.4f}  (R^2 {fit.r_squared:.3f}){marker}")
     print(f"  averaged design gain a = {a:.4f} (fraction of max power per GHz)")
-    print(f"  one-step validation error on {cal.holdout}: "
+    print(f"  one-step validation error on {HOLDOUT}: "
           f"{cal.validation_error:.2%}\n")
 
     print("Step 2 — the open-loop plant (Eq. 9)")

@@ -176,7 +176,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .core.calibration import CalibrationPoint, calibration_requests, fit
+    from .core.calibration import (
+        HOLDOUT,
+        CalibrationPoint,
+        calibration_requests,
+        fit,
+    )
 
     point = CalibrationPoint.of(_build_config(args), None, args.seed)
     cal = fit(point, run_many(calibration_requests(point), cache_dir="auto"))
@@ -189,7 +194,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         ["mean transducer R^2", cal.mean_transducer_r_squared],
     ]
     for name, fit in sorted(cal.per_benchmark_gains.items()):
-        marker = " (holdout)" if name == cal.holdout else ""
+        marker = " (holdout)" if name == HOLDOUT else ""
         rows.append([f"gain: {name}{marker}", fit.gain])
     print(format_table(["quantity", "value"], rows, title="Calibration"))
     return 0

@@ -145,10 +145,8 @@ class Calibration:
     island_transducers: Tuple[LinearTransducer, ...]
     #: Per-benchmark transducers (the Figure 6 fits).
     benchmark_transducers: Dict[str, LinearTransducer]
-    #: One-step-ahead relative error of the averaged model on the holdout.
+    #: One-step-ahead relative error of the averaged model on ``HOLDOUT``.
     validation_error: float
-    #: Name of the held-out validation benchmark.
-    holdout: str
     #: Largest gain multiplier g keeping the closed loop stable.
     stability_limit: float
 
@@ -303,7 +301,6 @@ def fit(
         island_transducers=island_transducers,
         benchmark_transducers=benchmark_transducers,
         validation_error=validation_error,
-        holdout=HOLDOUT,
         stability_limit=stability,
     )
 

@@ -55,7 +55,7 @@ def render(results: Results, seed: int, quick: bool) -> ExperimentResult:
         experiment="fig05",
         description=(
             f"one-step model prediction vs actual power "
-            f"({cal.holdout} under white-noise DVFS, a={cal.system_gain:.4f})"
+            f"({HOLDOUT} under white-noise DVFS, a={cal.system_gain:.4f})"
         ),
         headers=("island", "mean |error| (one-step, relative)"),
     )

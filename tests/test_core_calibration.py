@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.calibration import (
+    HOLDOUT,
     WhiteNoiseDVFSScheme,
     homogeneous_mix,
     calibrate,
@@ -55,7 +56,8 @@ class TestCalibration:
             assert fit.gain > 0
             assert fit.r_squared > 0.5
         # Held-out validation (paper Figure 5: well within 10%).
-        assert cal.holdout == "bodytrack"
+        assert HOLDOUT == "bodytrack"
+        assert HOLDOUT in cal.per_benchmark_gains
         assert cal.validation_error < 0.10
         # Figure 6: strong linear fits, average R^2 near the paper's 0.96.
         assert cal.mean_transducer_r_squared > 0.9
@@ -78,7 +80,7 @@ class TestCalibration:
         design = [
             fit.gain
             for name, fit in calibration.per_benchmark_gains.items()
-            if name != calibration.holdout
+            if name != HOLDOUT
         ]
         assert calibration.system_gain == pytest.approx(np.mean(design))
 
