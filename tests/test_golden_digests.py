@@ -2,8 +2,8 @@
 
 A small matrix of platform × scheme × DVFS mode is simulated for a few
 GPM windows at a fixed seed, and every telemetry series (plus the run's
-total instruction count and, for a guarded scheme, its resilience event
-log) is hashed with SHA-256.  The committed digests
+GPM-window aggregates, its total instruction count and, for a guarded
+scheme, its resilience event log) is hashed with SHA-256.  The committed digests
 in ``tests/golden/telemetry_digests.json`` pin the simulator bit for bit:
 a refactor that claims to keep behaviour must leave them unchanged, and a
 change that moves them must say so.
@@ -32,6 +32,7 @@ from repro.baselines.maxbips import MaxBIPSScheme
 from repro.baselines.no_management import NoManagementScheme
 from repro.baselines.static_uniform import StaticUniformScheme
 from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.telemetry import WindowStats
 from repro.config import DEFAULT_CONFIG, DVFSConfig
 from repro.core.cpm import CPMScheme
 from repro.faults import (
@@ -131,6 +132,16 @@ def _log_digest(log) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _windows_digest(windows) -> str:
+    """Every GPM window's aggregates: each array field stacked to
+    ``(n_windows, n_fields, n_islands)``, plus the windows' durations."""
+    names = [f.name for f in dataclasses.fields(WindowStats) if f.name != "duration_s"]
+    stacked = np.array([[getattr(w, name) for name in names] for w in windows])
+    durations = np.array([w.duration_s for w in windows], dtype=float)
+    payload = _sha256(stacked) + _sha256(durations)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def _run_digests(config, make_scheme) -> dict[str, str]:
     scheme = make_scheme(config)
     result = Simulation(
@@ -140,6 +151,7 @@ def _run_digests(config, make_scheme) -> dict[str, str]:
         key: _sha256(values)
         for key, values in sorted(result.telemetry.finalize().items())
     }
+    digests["windows"] = _windows_digest(result.telemetry.windows)
     digests["total_instructions"] = _sha256(
         np.array(result.total_instructions, dtype=float)
     )
