@@ -84,8 +84,8 @@ __all__ = [
 #: The layout of a cache entry.  Bump it when that layout changes; a
 #: change to what a run computes needs no bump, because the key holds
 #: :func:`code_fingerprint`.  2: columnar telemetry entries.  3: the
-#: result carries the run's resilience log.
-CACHE_VERSION = 3
+#: result carries the run's resilience log.  4: columnar GPM windows.
+CACHE_VERSION = 4
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _CACHE_DISABLE_ENV = "REPRO_CACHE"
@@ -207,17 +207,27 @@ def code_fingerprint(root: pathlib.Path = _PACKAGE_ROOT) -> str:
     return digest.hexdigest()
 
 
+def _platform_text(config: CMPConfig, mix: Mix | None) -> str:
+    """The canonical text of a request's config and of its mix as the
+    simulator resolves it (``None`` is the config's default mix)."""
+    return f"{_stable(config, 'config')}|{_stable(mix_for_config(config, mix), 'mix')}"
+
+
 def cache_key(request: RunRequest) -> str:
     """Content hash of everything that determines the run's outcome:
     the config, the mix as the simulator resolves it (``None`` is the
     default mix), the scheme spec's canonical text, budget, seed and
     horizon, and :func:`code_fingerprint`.  It never calls the factory."""
+    return _keyed(request, _platform_text(request.config, request.mix))
+
+
+def _keyed(request: RunRequest, platform: str) -> str:
+    """:func:`cache_key` of ``request``, given its :func:`_platform_text`."""
     payload = "|".join(
         (
             f"v{CACHE_VERSION}",
             code_fingerprint(),
-            _stable(request.config, "config"),
-            _stable(mix_for_config(request.config, request.mix), "mix"),
+            platform,
             _stable(request.scheme_factory, "scheme_factory"),
             repr(float(request.budget_fraction)),
             repr(int(request.seed)),
@@ -673,13 +683,27 @@ def run_many(
     keys: list[str] = []
     first: dict[str, int] = {}
     results: dict[int, SimulationResult | None] = {}
+    # Each distinct (config, mix) pair is encoded once per sweep.  The
+    # memo is keyed by identity, not by ``==``: equal configs may encode
+    # differently (an int vs a float field), and each must keep its own
+    # key.  It holds the pair, so neither id can be reused meanwhile.
+    platforms: dict[tuple[int, int], tuple[CMPConfig, Mix | None, str]] = {}
+
+    def key_of(request: RunRequest) -> str:
+        config, mix = request.config, request.mix
+        known = platforms.get((id(config), id(mix)))
+        if known is None:
+            known = platforms[id(config), id(mix)] = (
+                config, mix, _platform_text(config, mix)
+            )
+        return _keyed(request, known[2])
 
     def enlist(batch: Iterable[RunRequest]) -> list[int]:
         """Add ``batch`` to the sweep: key and look up each request.
         Return, per request, the position of the first one with its key."""
         primaries = []
         for request in batch:
-            key = cache_key(request)
+            key = key_of(request)
             position = first.setdefault(key, len(keys))
             if position == len(keys):
                 results[position] = (

@@ -1,6 +1,7 @@
 """Parallel runner: ordering, bit-identity, the calibration wave, and the
 on-disk result cache."""
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -459,6 +460,37 @@ class TestDiskCache:
         assert resolve_cache_dir("auto") == tmp_path / "env"
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert resolve_cache_dir("auto") is None
+
+
+class TestKeyMemo:
+    """``run_many`` encodes each (config, mix) object pair once, and
+    keys each request exactly as :func:`cache_key` does."""
+
+    def test_equal_configs_that_encode_differently_keep_their_keys(self, tmp_path):
+        ints, floats = (
+            dataclasses.replace(DEFAULT_CONFIG, island_leakage_multipliers=m)
+            for m in ((1, 1, 1, 1), (1.0, 1.0, 1.0, 1.0))
+        )
+        assert ints == floats and hash(ints) == hash(floats)
+        requests = [
+            request(config=c, scheme_factory=NoManagementScheme)
+            for c in (ints, floats)
+        ]
+        keys = [cache_key(r) for r in requests]
+        assert keys[0] != keys[1]
+        run_many(requests, cache_dir=tmp_path)
+        assert sorted(p.stem for p in tmp_path.rglob("*.pkl")) == sorted(keys)
+
+    def test_cache_key_is_the_stored_key(self, tmp_path):
+        requests = [
+            request(scheme_factory=NoManagementScheme, budget_fraction=b)
+            for b in (0.7, 0.8)
+        ]
+        run_many(requests, cache_dir=tmp_path)
+        for r in requests:
+            key = cache_key(r)
+            with open(tmp_path / key[:2] / f"{key}.pkl", "rb") as fh:
+                assert pickle.load(fh)["key"] == key
 
 
 class TestSeedStream:
