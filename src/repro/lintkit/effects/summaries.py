@@ -303,10 +303,10 @@ def _local_bindings(
             for alias in sub.names:
                 bound.add(alias.asname or alias.name.split(".")[0])
         elif isinstance(sub, ast.Global):
-            # ``global X`` makes X a *module* binding, never a local.
-            bound.difference_update(sub.names)
             global_names.update(sub.names)
-    return bound, global_names
+    # ``global X`` makes X a *module* binding, never a local, wherever
+    # the walk met the declaration and the binding.
+    return bound - global_names, global_names
 
 
 class _FunctionVisitor(ast.NodeVisitor):

@@ -7,11 +7,14 @@ import time
 
 import numpy as np
 
-__all__ = ["Simulation", "helper_total", "make_noise", "retune"]
+__all__ = ["Simulation", "bump", "helper_total", "make_noise", "retune"]
 
 #: Module-level mutable tuning table: written by :func:`retune`, read by
 #: ``Simulation.run`` — the classic cache-unsound hidden input.
 _TUNING = {"gain": 1.0}
+
+#: Module-level counter rebound through a ``global`` declaration.
+_COUNT = 0
 
 
 class Simulation:
@@ -24,12 +27,20 @@ class Simulation:
     def run(self) -> float:
         started = time.perf_counter()  # expect: EFF003
         gain = _TUNING["gain"]  # expect: EFF002
-        return helper_total() * gain * self.scale + 0.0 * started
+        return helper_total() * gain * self.scale + 0.0 * started * bump()
 
 
 def retune(gain: float) -> None:
     """Mutates shared module state; the worker path reaches this."""
     _TUNING["gain"] = gain  # expect: EFF001
+
+
+def bump() -> int:
+    """Reads a ``global``-declared name that it also rebinds."""
+    global _COUNT
+    count = _COUNT + 1  # expect: EFF002
+    _COUNT = count  # expect: EFF001
+    return count
 
 
 def helper_total() -> float:

@@ -268,6 +268,29 @@ class TestEff002CacheSoundness:
         )
         assert "EFF002" not in rule_ids(constant)
 
+    def test_read_of_a_name_declared_global_before_its_binding_fires(self):
+        # ``global`` precedes the binding in walk order, yet the name is
+        # still the module's, so its read is a hidden input.
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT = COUNT + 1
+                return COUNT
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return bump() * self.seed
+            """
+        )
+        reads = [f for f in findings if f.rule_id == "EFF002"]
+        assert reads and all("COUNT" in f.message for f in reads)
+
     def test_env_read_outside_cached_path_is_silent(self):
         # Mirrors the real runner: reading env to choose the *cache
         # location* is outside Simulation.__init__/run, hence sound.
@@ -834,7 +857,7 @@ class TestMutationFixture:
                 marker = re.search(r"# expect: (EFF\d{3})", line)
                 if marker:
                     expected.append((rel, lineno, marker.group(1)))
-        assert len(expected) == 7, "fixture must seed exactly seven violations"
+        assert len(expected) == 9, "fixture must seed exactly nine violations"
         assert {m for _, _, m in expected} == {
             "EFF001",
             "EFF002",
