@@ -6,7 +6,9 @@ fault-free guarded CPM run at 32c8i (``guarded_32c8i``), and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
 parallel (fresh cache), cold parallel with a per-run deadline
 (``timeout_s``, which should cost no more than without), and warm
-parallel (cache hits).
+parallel (cache hits).  The warm sweep's read path is also split by
+layer (``warm_hit``): ms per hit for the cache key, the entry's file
+read and its unpickle, and the numpy arrays one entry holds.
 
 Writes ``BENCH_runtime.json`` at the repo root (``--out`` overrides).
 The host CPU count is recorded in the output: on single-core runners the
@@ -23,12 +25,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import pathlib
+import pickle
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 try:
@@ -41,7 +47,7 @@ from repro.cmpsim.simulator import Simulation
 from repro.core.cpm import CPMScheme
 from repro.resilience import GuardedCPMScheme
 from repro.rng import DEFAULT_SEED
-from repro.runner import RunRequest, run_many
+from repro.runner import RunRequest, cache_key, run_many
 
 __all__ = [
     "CONFIGS",
@@ -49,6 +55,7 @@ __all__ = [
     "SWEEP_BUDGETS",
     "bench_configs",
     "bench_sweep",
+    "bench_warm_hits",
     "main",
 ]
 
@@ -110,7 +117,58 @@ def bench_configs(n_gpm: int, repeats: int) -> list[dict]:
     return rows
 
 
-def bench_sweep(n_gpm: int, jobs: int) -> dict:
+class _ArrayCounter(pickle.Pickler):
+    """A pickler that counts the numpy arrays it writes."""
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.arrays = 0
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            self.arrays += 1
+        return NotImplemented
+
+
+def bench_warm_hits(requests, cache: str, repeats: int) -> dict:
+    """ms per warm hit, layer by layer, over a cache ``requests`` filled.
+
+    ``cache_key_ms`` is :func:`cache_key` called alone, which encodes the
+    request's config every time; ``run_many`` encodes each distinct
+    config once per call, so ``other_ms`` (the whole warm ``run_many``
+    less the file reads and unpickles) holds its keys and bookkeeping.
+    """
+    n = len(requests)
+    paths = [
+        pathlib.Path(cache) / key[:2] / f"{key}.pkl"
+        for key in map(cache_key, requests)
+    ]
+    blobs = [path.read_bytes() for path in paths]
+    key_s = _time(lambda: [cache_key(r) for r in requests], repeats)
+    read_s = _time(lambda: [path.read_bytes() for path in paths], repeats)
+    unpickle_s = _time(lambda: [pickle.loads(blob) for blob in blobs], repeats)
+    warm_s = _time(lambda: run_many(requests, jobs=1, cache_dir=cache), repeats)
+    counter = _ArrayCounter(io.BytesIO())
+    counter.dump(pickle.loads(blobs[0]))
+    out = {
+        "hits": n,
+        "warm_ms_per_hit": round(warm_s / n * 1e3, 4),
+        "cache_key_ms": round(key_s / n * 1e3, 4),
+        "read_ms": round(read_s / n * 1e3, 4),
+        "unpickle_ms": round(unpickle_s / n * 1e3, 4),
+        "other_ms": round((warm_s - read_s - unpickle_s) / n * 1e3, 4),
+        "arrays_per_entry": counter.arrays,
+        "entry_kb": round(sum(map(len, blobs)) / n / 1024, 1),
+    }
+    print(
+        f"warm hit: {out['warm_ms_per_hit']:.3f} ms (key {out['cache_key_ms']:.3f}, "
+        f"read {out['read_ms']:.3f}, unpickle {out['unpickle_ms']:.3f} ms; "
+        f"{out['arrays_per_entry']} arrays per entry)"
+    )
+    return out
+
+
+def bench_sweep(n_gpm: int, jobs: int, repeats: int) -> dict:
     """Time a 4-point budget sweep four ways; pooled vs serial."""
     requests = [
         RunRequest(
@@ -127,6 +185,7 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
         cold_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
         warm_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
+        warm_hit = bench_warm_hits(requests, cache, repeats)
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
         supervised_s = _time(
             lambda: run_many(
@@ -145,6 +204,7 @@ def bench_sweep(n_gpm: int, jobs: int) -> dict:
         f"runner_jobs{jobs}_warm_s": round(warm_s, 4),
         f"speedup_jobs{jobs}_cold_vs_serial": round(serial_s / cold_s, 2),
         f"speedup_jobs{jobs}_warm_vs_serial": round(serial_s / warm_s, 2),
+        "warm_hit": warm_hit,
     }
     print(
         f"sweep ({len(SWEEP_BUDGETS)} budgets): serial {serial_s:.3f}s, "
@@ -177,7 +237,7 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
         },
         "configs": bench_configs(tick_gpm, repeats),
-        "sweep": bench_sweep(sweep_gpm, args.jobs),
+        "sweep": bench_sweep(sweep_gpm, args.jobs, repeats),
         "notes": [
             "us_per_tick is the best-of-repeats wall time of one serial run "
             "(calibration warmed) divided by its PIC ticks; guarded_32c8i is "
@@ -188,6 +248,13 @@ def main(argv=None) -> int:
             "runner_jobsN_supervised_cold_s is the cold sweep with "
             "timeout_s=600: a deadline only changes the failure policy on "
             "the same worker pool, so it should read like the cold line.",
+            "sweep.warm_hit splits one warm hit into layers, each the best "
+            "of repeats over every request: cache_key_ms is cache_key() "
+            "alone (one full config encoding), read_ms and unpickle_ms the "
+            "entry's file read and pickle.loads, other_ms the rest of a warm "
+            "run_many(jobs=1) (its keys, encoding each distinct config once, "
+            "and bookkeeping); arrays_per_entry counts the numpy arrays one "
+            "entry pickles.",
         ],
     }
     out_path = pathlib.Path(args.out)
