@@ -5,7 +5,7 @@ cannot defend: one internal unit system (``repro.units``), role-derived
 deterministic RNG streams (``repro.rng``), frozen configuration values,
 saturated controllers, and declared public APIs.  lintkit turns each
 convention into a rule that runs over the source tree with nothing but
-the standard library's :mod:`ast`::
+the standard library's :mod:`ast` and :mod:`symtable`::
 
     python -m repro.lintkit src/                 # lint, exit 1 on findings
     python -m repro.lintkit src/ --format json   # machine-readable output

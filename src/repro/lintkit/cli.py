@@ -68,14 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> str:
-    lines = []
-    for rule in all_rules():
-        lines.append(f"{rule.rule_id}  {rule.title}")
-        lines.append(f"        {rule.rationale}")
-    for rule_id, title, rationale in DIM_RULES + EFF_RULES:
-        lines.append(f"{rule_id}  {title}")
-        lines.append(f"        {rationale}")
-    return "\n".join(lines)
+    catalogue = [(r.rule_id, r.title, r.rationale) for r in all_rules()]
+    catalogue += DIM_RULES + EFF_RULES
+    return "\n".join(f"{i}  {title}\n        {text}" for i, title, text in catalogue)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

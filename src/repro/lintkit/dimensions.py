@@ -45,9 +45,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .findings import Finding
-from .modgraph import ModuleInfo, follow_exports, qualified_name
+from .modgraph import (
+    Definition,
+    FunctionNode,
+    ModuleInfo,
+    ProgramIndex,
+    qualified_name,
+)
 from .modgraph import dotted as _dotted
-from .modgraph import module_identity as _module_identity
 
 __all__ = [
     "DIM_RULES",
@@ -255,7 +260,6 @@ class _FuncSig:
     params: tuple[_Param, ...]
     returns_dim: Dim | None
     returns_class: str | None
-    is_method: bool
 
 
 @dataclass
@@ -270,28 +274,24 @@ class _ClassSig:
 
 @dataclass
 class _Program:
-    """Whole-program symbol tables built by the harvest pass."""
+    """Whole-program signature tables built by the harvest pass, next to
+    the shared :class:`~repro.lintkit.modgraph.ProgramIndex`."""
 
+    index: ProgramIndex
     functions: dict[str, _FuncSig] = field(default_factory=dict)
     classes: dict[str, _ClassSig] = field(default_factory=dict)
-    #: ``module.name`` -> canonical target for import re-exports.
-    exports: dict[str, str] = field(default_factory=dict)
     #: Unit-annotated module-level constants.
     attrs: dict[str, Dim] = field(default_factory=dict)
 
-    def resolve(self, fq: str) -> str:
-        """Follow re-export chains to a canonical defining name."""
-        return follow_exports(fq, self.exports, self.functions, self.classes)
-
     def callable_at(self, fq: str) -> "_FuncSig | _ClassSig | None":
-        fq = self.resolve(fq)
+        fq = self.index.resolve(fq)
         return self.functions.get(fq) or self.classes.get(fq)
 
     def class_at(self, fq: str) -> _ClassSig | None:
-        return self.classes.get(self.resolve(fq))
+        return self.classes.get(self.index.resolve(fq))
 
     def attr_dim(self, fq: str) -> Dim | None:
-        return self.attrs.get(self.resolve(fq))
+        return self.attrs.get(self.index.resolve(fq))
 
 
 # ---------------------------------------------------------------------------
@@ -373,37 +373,26 @@ def _annotated_info(
 # ---------------------------------------------------------------------------
 
 
-def _harvest(modules: Sequence[ModuleInfo]) -> _Program:
-    program = _Program()
-    for module in modules:
-        modname, _ = _module_identity(module.path)
-        aliases = module.aliases
-        for local, target in aliases.items():
-            program.exports[f"{modname}.{local}"] = target
+def _harvest(index: ProgramIndex) -> _Program:
+    program = _Program(index)
+    for fq, function in index.functions.items():
+        program.functions[fq] = _harvest_function(function, fq)
+    for fq, cls in index.classes.items():
+        program.classes[fq] = _harvest_class(cls, index.methods[fq])
+    for module in index.modules:
         for stmt in module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                sig = _harvest_function(
-                    stmt, f"{modname}.{stmt.name}", modname, aliases
-                )
-                program.functions[sig.fq] = sig
-            elif isinstance(stmt, ast.ClassDef):
-                _harvest_class(program, stmt, modname, aliases)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
             ):
-                dim, _cls = _annotation_info(stmt.annotation, aliases)
+                dim, _cls = _annotation_info(stmt.annotation, module.aliases)
                 if dim is not None:
-                    program.attrs[f"{modname}.{stmt.target.id}"] = dim
+                    program.attrs[f"{module.name}.{stmt.target.id}"] = dim
     return program
 
 
-def _harvest_function(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    fq: str,
-    modname: str,
-    aliases: Mapping[str, str],
-    is_method: bool = False,
-) -> _FuncSig:
+def _harvest_function(function: Definition[FunctionNode], fq: str) -> _FuncSig:
+    node, modname = function.node, function.module.name
+    aliases = function.module.aliases
     params: list[_Param] = []
     args = node.args
     for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
@@ -417,7 +406,6 @@ def _harvest_function(
         params=tuple(params),
         returns_dim=ret_dim,
         returns_class=_qualify(ret_class, modname),
-        is_method=is_method,
     )
 
 
@@ -432,11 +420,9 @@ def _decorator_names(node: ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef
 
 
 def _harvest_class(
-    program: _Program,
-    node: ast.ClassDef,
-    modname: str,
-    aliases: Mapping[str, str],
-) -> None:
+    cls: Definition[ast.ClassDef], methods: Sequence[Definition[FunctionNode]]
+) -> _ClassSig:
+    node, modname, aliases = cls.node, cls.module.name, cls.module.aliases
     fq = f"{modname}.{node.name}"
     sig = _ClassSig(fq=fq, is_dataclass="dataclass" in _decorator_names(node))
     for stmt in node.body:
@@ -448,19 +434,18 @@ def _harvest_class(
                 sig.fields[name] = dim
             elif class_fq is not None:
                 sig.field_classes[name] = _qualify(class_fq, modname)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            method = _harvest_function(
-                stmt, f"{fq}.{stmt.name}", modname, aliases, is_method=True
-            )
-            sig.methods[stmt.name] = method
-            if "property" in _decorator_names(stmt):
-                if method.returns_dim is not None:
-                    sig.fields[stmt.name] = method.returns_dim
-                elif method.returns_class is not None:
-                    sig.field_classes[stmt.name] = method.returns_class
-            if stmt.name == "__init__":
-                _harvest_init_attrs(sig, stmt, method, modname, aliases)
-    program.classes[fq] = sig
+    for definition in methods:
+        func = definition.node
+        method = _harvest_function(definition, f"{fq}.{func.name}")
+        sig.methods[func.name] = method
+        if "property" in _decorator_names(func):
+            if method.returns_dim is not None:
+                sig.fields[func.name] = method.returns_dim
+            elif method.returns_class is not None:
+                sig.field_classes[func.name] = method.returns_class
+        if func.name == "__init__":
+            _harvest_init_attrs(sig, func, method, modname, aliases)
+    return sig
 
 
 def _harvest_init_attrs(
@@ -518,7 +503,7 @@ class _ModuleChecker:
     def __init__(self, program: _Program, module: ModuleInfo) -> None:
         self.program = program
         self.module = module
-        self.modname, _ = _module_identity(module.path)
+        self.modname = module.name
         self.aliases = module.aliases
         self.findings: list[Finding] = []
 
@@ -611,7 +596,7 @@ class _ModuleChecker:
                     env[stmt.target.id] = _DimValue(declared_dim)
                 elif declared_class is not None:
                     env[stmt.target.id] = _Instance(
-                        self.program.resolve(
+                        self.program.index.resolve(
                             _qualify(declared_class, self.modname)
                         )
                     )
@@ -727,7 +712,7 @@ class _ModuleChecker:
             if dim is not None:
                 env[arg.arg] = _DimValue(dim)
             elif class_fq is not None:
-                resolved = self.program.resolve(
+                resolved = self.program.index.resolve(
                     _qualify(class_fq, self.modname)
                 )
                 if resolved in self.program.classes:
@@ -855,7 +840,7 @@ class _ModuleChecker:
             if node.attr in cls.fields:
                 return _DimValue(cls.fields[node.attr])
             if node.attr in cls.field_classes:
-                resolved = self.program.resolve(cls.field_classes[node.attr])
+                resolved = self.program.index.resolve(cls.field_classes[node.attr])
                 if resolved in self.program.classes:
                     return _Instance(resolved)
                 return None
@@ -902,7 +887,7 @@ class _ModuleChecker:
         if sig.returns_dim is not None:
             return _DimValue(sig.returns_dim)
         if sig.returns_class is not None:
-            resolved_class = self.program.resolve(sig.returns_class)
+            resolved_class = self.program.index.resolve(sig.returns_class)
             if resolved_class in self.program.classes:
                 return _Instance(resolved_class)
         return None
@@ -1073,11 +1058,11 @@ class DimensionAnalysis:
 
     name = "dimensions"
 
-    def run(self, modules: Sequence[ModuleInfo]) -> list[Finding]:
+    def run(self, index: ProgramIndex) -> list[Finding]:
         """Harvest every module, then check each non-exempt one."""
-        program = _harvest(modules)
+        program = _harvest(index)
         findings: list[Finding] = []
-        for module in modules:
+        for module in index.modules:
             if module.basename in _EXEMPT_BASENAMES:
                 continue
             findings.extend(_ModuleChecker(program, module).check())

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..findings import Finding
-from ..modgraph import ModuleInfo, matches_suffix
+from ..modgraph import ProgramIndex, matches_suffix
 from .summaries import Effect, EffectProgram, FunctionSummary, summarize
 
 __all__ = [
@@ -155,8 +155,8 @@ class EffectAnalysis:
 
     name = "effects"
 
-    def run(self, modules: Sequence[ModuleInfo]) -> list[Finding]:
-        program = summarize(modules)
+    def run(self, index: ProgramIndex) -> list[Finding]:
+        program = summarize(index)
         findings: list[Finding] = []
         reachable_any: set[str] = set()
         for root in ROOTS:
@@ -179,10 +179,10 @@ def _callees(program: EffectProgram, summary: FunctionSummary) -> set[str]:
     """Resolved call-graph successors of one function."""
     out: set[str] = set()
     for raw in summary.calls_named:
-        fq = program.resolve(raw)
+        fq = program.index.resolve(raw)
         if fq in program.functions:
             out.add(fq)
-        elif fq in program.classes:
+        elif fq in program.index.classes:
             init = f"{fq}.__init__"
             if init in program.functions:
                 out.add(init)

@@ -16,9 +16,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..modgraph import ModuleInfo, dotted, follow_exports, module_identity
+from ..modgraph import (
+    Definition,
+    FunctionNode,
+    ProgramIndex,
+    child_scopes,
+    comprehension_targets,
+    dotted,
+    function_scope,
+)
 
 __all__ = [
     "Effect",
@@ -156,7 +164,6 @@ class FunctionSummary:
     """Local effects and outgoing calls of one function or method."""
 
     fq: str
-    name: str
     path: str
     line: int
     #: Statically resolved dotted callee names (module functions, classes).
@@ -168,145 +175,47 @@ class FunctionSummary:
 
 @dataclass
 class EffectProgram:
-    """Whole-program tables produced by the summary pass."""
+    """Whole-program tables produced by the summary pass, next to the
+    shared :class:`~repro.lintkit.modgraph.ProgramIndex`."""
 
+    index: ProgramIndex
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     #: method name -> fq of every in-tree method with that name.
     methods_by_name: dict[str, set[str]] = field(default_factory=dict)
-    #: class fq -> method names (for constructor-call resolution).
-    classes: dict[str, set[str]] = field(default_factory=dict)
-    #: ``module.local`` -> canonical dotted target (import re-exports).
-    exports: dict[str, str] = field(default_factory=dict)
-    #: Module-level *data* bindings (assignments, not defs/classes).
+    #: Module-level *data* bindings (not defs, classes or bare imports),
+    #: wherever the module binds them.
     data_globals: set[str] = field(default_factory=set)
 
-    def resolve(self, fq: str) -> str:
-        """Follow import/re-export chains to a canonical defining name."""
-        return follow_exports(fq, self.exports, self.functions, self.classes)
 
-
-def summarize(modules: Sequence[ModuleInfo]) -> EffectProgram:
-    """Run the summary pass over every module."""
-    program = EffectProgram()
-    for module in modules:
-        _summarize_module(program, module)
+def summarize(index: ProgramIndex) -> EffectProgram:
+    """Run the summary pass over every function and method in ``index``."""
+    program = EffectProgram(index)
+    # Every name a module binds at top level: a bare call to anything
+    # *not* in this set (and not imported) is a builtin.
+    module_names: dict[str, set[str]] = {}
+    for module in index.modules:
+        names = module_names[module.path] = set(module.aliases)
+        for symbol in module.scopes.get_symbols():
+            if symbol.is_assigned() or symbol.is_declared_global():
+                names.add(symbol.get_name())
+                if not symbol.is_namespace():
+                    program.data_globals.add(f"{module.name}.{symbol.get_name()}")
+    functions = list(index.functions.items())
+    for class_fq, methods in index.methods.items():
+        for method in methods:
+            fq = f"{class_fq}.{method.node.name}"
+            functions.append((fq, method))
+            program.methods_by_name.setdefault(method.node.name, set()).add(fq)
+    for fq, function in functions:
+        node = function.node
+        summary = FunctionSummary(fq, function.module.path, node.lineno)
+        visitor = _FunctionVisitor(
+            program, summary, function, module_names[function.module.path]
+        )
+        for stmt in node.body:
+            visitor.visit(stmt)
+        program.functions[fq] = summary
     return program
-
-
-def _summarize_module(program: EffectProgram, module: ModuleInfo) -> None:
-    modname, _ = module_identity(module.path)
-    aliases = module.aliases
-    for local, target in aliases.items():
-        program.exports[f"{modname}.{local}"] = target
-    # Every name the module itself defines at top level: a bare call to
-    # anything *not* in this set (and not imported) is a builtin.
-    module_names: set[str] = set(aliases)
-    for stmt in module.tree.body:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            for name in _assigned_names(stmt):
-                program.data_globals.add(f"{modname}.{name}")
-                module_names.add(name)
-        elif isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            module_names.add(stmt.name)
-    for stmt in module.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _summarize_function(
-                program,
-                module,
-                stmt,
-                f"{modname}.{stmt.name}",
-                aliases,
-                module_names,
-            )
-        elif isinstance(stmt, ast.ClassDef):
-            class_fq = f"{modname}.{stmt.name}"
-            methods = set()
-            for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.add(sub.name)
-                    fq = f"{class_fq}.{sub.name}"
-                    _summarize_function(
-                        program, module, sub, fq, aliases, module_names
-                    )
-                    program.methods_by_name.setdefault(sub.name, set()).add(fq)
-            program.classes[class_fq] = methods
-
-
-def _assigned_names(stmt: ast.stmt) -> list[str]:
-    names: list[str] = []
-    targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(el.id for el in target.elts if isinstance(el, ast.Name))
-    return names
-
-
-def _local_bindings(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[set[str], set[str]]:
-    """(every name bound inside the function, every name it declares
-    ``global``), from one walk of its body.
-
-    Bound names are params, assignments, loops, ``with``/``except``
-    targets, comprehension variables and nested defs.
-    """
-    bound: set[str] = set()
-    global_names: set[str] = set()
-    args = node.args
-    for arg in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        bound.add(arg.arg)
-
-    def collect_target(target: ast.AST) -> None:
-        for sub in ast.walk(target):
-            if isinstance(sub, ast.Name):
-                bound.add(sub.id)
-
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in targets:
-                if isinstance(target, (ast.Name, ast.Tuple, ast.List, ast.Starred)):
-                    collect_target(target)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            collect_target(sub.target)
-        elif isinstance(sub, ast.comprehension):
-            collect_target(sub.target)
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    collect_target(item.optional_vars)
-        elif isinstance(sub, ast.ExceptHandler):
-            if sub.name:
-                bound.add(sub.name)
-        elif isinstance(sub, ast.NamedExpr):
-            collect_target(sub.target)
-        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if sub is not node:
-                bound.add(sub.name)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            for alias in sub.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(sub, ast.Global):
-            global_names.update(sub.names)
-    # ``global X`` makes X a *module* binding, never a local, wherever
-    # the walk met the declaration and the binding.
-    return bound - global_names, global_names
 
 
 class _FunctionVisitor(ast.NodeVisitor):
@@ -316,17 +225,18 @@ class _FunctionVisitor(ast.NodeVisitor):
         self,
         program: EffectProgram,
         summary: FunctionSummary,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        modname: str,
-        aliases: Mapping[str, str],
+        function: Definition[FunctionNode],
         module_names: set[str],
     ) -> None:
         self.program = program
         self.summary = summary
-        self.modname = modname
-        self.aliases = aliases
+        self.modname = function.module.name
+        self.aliases = function.module.aliases
         self.module_names = module_names
-        self.locals, self.global_names = _local_bindings(node)
+        #: The compiler's locals of this function, plus those of the
+        #: comprehensions and class bodies the visitor is inside.
+        self.locals, self.global_names = function_scope(function.scope)
+        self.scope = function.scope
         self.loop_depth = 0
         #: rng local name -> loop depth at creation.
         self.rng_created: dict[str, int] = {}
@@ -338,13 +248,11 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.rng_reported: set[str] = set()
         #: local name -> True when bound to an unordered (set-like) value.
         self.unordered_locals: set[str] = set()
-        self._mark_generator_params(node)
+        self._mark_generator_params(function.node)
 
     # -- helpers ------------------------------------------------------------
 
-    def _mark_generator_params(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
+    def _mark_generator_params(self, node: FunctionNode) -> None:
         args = node.args
         for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
             ann = arg.annotation
@@ -358,35 +266,42 @@ class _FunctionVisitor(ast.NodeVisitor):
     def _effect(
         self, node: ast.AST, kind: str, detail: str, symbol: str = ""
     ) -> None:
-        self.summary.effects.append(
-            Effect(
-                kind=kind,
-                detail=detail,
-                line=getattr(node, "lineno", self.summary.line),
-                col=getattr(node, "col_offset", 0),
-                symbol=symbol,
-            )
-        )
+        line = getattr(node, "lineno", self.summary.line)
+        col = getattr(node, "col_offset", 0)
+        self.summary.effects.append(Effect(kind, detail, line, col, symbol))
 
     def _resolve_dotted(self, node: ast.AST) -> str | None:
         """Canonical dotted name for an expression rooted at a non-local
         name, or None (rooted at a local variable / not a name chain)."""
         parts = dotted(node)
-        if parts is None:
+        if parts is None or parts[0] in self.locals:
             return None
-        if parts[0] in self.locals:
-            return None
-        head = self.aliases.get(parts[0])
-        if head is None:
-            head = f"{self.modname}.{parts[0]}"
+        head = self.aliases.get(parts[0], f"{self.modname}.{parts[0]}")
         return ".".join([head] + parts[1:])
 
     def _is_module_global(self, fq: str | None) -> bool:
         if fq is None:
             return False
-        return self.program.resolve(fq) in self.program.data_globals or (
+        return self.program.index.resolve(fq) in self.program.data_globals or (
             fq in self.program.data_globals
         )
+
+    def _read_global(self, node: ast.AST, name: str) -> None:
+        fq = f"{self.modname}.{name}"
+        if fq in self.program.data_globals:
+            self._effect(
+                node, "global-read", f"read of module-level binding {fq}", symbol=fq
+            )
+
+    def _rebind_global(self, node: ast.AST, name: str) -> None:
+        """Any binding of a name the function declares ``global``."""
+        if name in self.global_names and name not in self.locals:
+            self._effect(
+                node,
+                "global-write",
+                f"assignment to module global {name!r}",
+                symbol=f"{self.modname}.{name}",
+            )
 
     def _consume_rng(
         self, name: str, node: ast.AST, what: str, retained: bool = False
@@ -459,19 +374,23 @@ class _FunctionVisitor(ast.NodeVisitor):
 
     # -- statements ---------------------------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_nested_def(node)
+    def visit_FunctionDef(self, node: FunctionNode) -> None:
+        self._rebind_global(node, node.name)
+        self._visit_closure_body(node, *node.body)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_nested_def(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        """A nested class body runs here, with its own names as locals."""
+        self._rebind_global(node, node.name)
+        for part in [*node.decorator_list, *node.bases, *node.keywords]:
+            self.visit(part)
+        outer, self.scope = self.scope, child_scopes(self.scope)[node.name, node.lineno]
+        self._visit_with_locals(function_scope(self.scope)[0], node.body)
+        self.scope = outer
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._visit_closure_body(node, node.body)
-
-    def _visit_nested_def(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        self._visit_closure_body(node, *node.body)
 
     def _visit_closure_body(self, closure: ast.AST, *body: ast.AST) -> None:
         """A nested function capturing an RNG local is a consumer of it."""
@@ -487,13 +406,7 @@ class _FunctionVisitor(ast.NodeVisitor):
         # Do not descend: the closure body runs in its own scope; its
         # effects surface when (if) it is a named function of its own.
 
-    def visit_For(self, node: ast.For) -> None:
-        self._handle_for(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._handle_for(node)
-
-    def _handle_for(self, node: ast.For | ast.AsyncFor) -> None:
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         if self._is_unordered_expr(node.iter) and any(
             isinstance(sub, ast.AugAssign)
             for stmt in node.body
@@ -507,12 +420,15 @@ class _FunctionVisitor(ast.NodeVisitor):
                 "hash order; iterate over sorted(...) instead",
             )
         self.visit(node.iter)
+        self._check_global_store(node.target, node.target)
         self.loop_depth += 1
         for stmt in node.body:
             self.visit(stmt)
         self.loop_depth -= 1
         for stmt in node.orelse:
             self.visit(stmt)
+
+    visit_AsyncFor = visit_For
 
     def visit_While(self, node: ast.While) -> None:
         self.visit(node.test)
@@ -533,8 +449,43 @@ class _FunctionVisitor(ast.NodeVisitor):
             self.visit(node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.target, ast.Name) and node.target.id not in self.locals:
+            # ``C += 1`` under ``global C`` reads the binding it rebinds.
+            self._read_global(node.target, node.target.id)
         self._check_global_store(node.target, node)
         self.visit(node.value)
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        if node.name is not None:
+            self._rebind_global(node, node.name)
+        self.generic_visit(node)
+
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> None:
+        for alias in node.names:
+            self._rebind_global(node, alias.asname or alias.name.split(".")[0])
+
+    visit_ImportFrom = visit_Import
+
+    def visit_ListComp(
+        self, node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp
+    ) -> None:
+        """The first iterable is evaluated outside the comprehension;
+        everything else sees its targets as locals."""
+        outer = node.generators[0]
+        self.visit(outer.iter)
+        inner = [c for c in ast.iter_child_nodes(node) if c is not outer]
+        self._visit_with_locals(
+            comprehension_targets(node), [outer.target, *outer.ifs, *inner]
+        )
+
+    def _visit_with_locals(self, names: set[str], parts: Sequence[ast.AST]) -> None:
+        shadowing = names - self.locals
+        self.locals |= shadowing
+        for part in parts:
+            self.visit(part)
+        self.locals -= shadowing
+
+    visit_SetComp = visit_GeneratorExp = visit_DictComp = visit_ListComp
 
     def _handle_assign(
         self, targets: Sequence[ast.expr], value: ast.expr
@@ -573,13 +524,7 @@ class _FunctionVisitor(ast.NodeVisitor):
     def _check_global_store(self, target: ast.AST, node: ast.AST) -> None:
         """Flag writes that land in module-level (shared) state."""
         if isinstance(target, ast.Name):
-            if target.id in self.global_names:
-                self._effect(
-                    node,
-                    "global-write",
-                    f"assignment to module global {target.id!r}",
-                    symbol=f"{self.modname}.{target.id}",
-                )
+            self.visit_Name(target)
             return
         if isinstance(target, ast.Starred):
             self._check_global_store(target.value, node)
@@ -660,7 +605,7 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _record_named_call(self, node: ast.Call, fq: str) -> None:
-        resolved = self.program.resolve(fq)
+        resolved = self.program.index.resolve(fq)
         effect = _CALL_EFFECTS.get(resolved) or _CALL_EFFECTS.get(fq)
         tail = fq.rsplit(".", 1)[-1]
         if (
@@ -749,38 +694,16 @@ class _FunctionVisitor(ast.NodeVisitor):
                     node,
                     "global-read",
                     f"read of module-level binding {fq}",
-                    symbol=self.program.resolve(fq),
+                    symbol=self.program.index.resolve(fq),
                 )
                 return
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load) and node.id not in self.locals:
-            fq = f"{self.modname}.{node.id}"
-            if fq in self.program.data_globals:
-                self._effect(
-                    node,
-                    "global-read",
-                    f"read of module-level binding {fq}",
-                    symbol=fq,
-                )
+        if node.id in self.locals:
+            return
+        if isinstance(node.ctx, ast.Load):
+            self._read_global(node, node.id)
+        else:
+            self._rebind_global(node, node.id)
 
-
-def _summarize_function(
-    program: EffectProgram,
-    module: ModuleInfo,
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    fq: str,
-    aliases: Mapping[str, str],
-    module_names: set[str],
-) -> None:
-    modname, _ = module_identity(module.path)
-    summary = FunctionSummary(
-        fq=fq, name=node.name, path=module.path, line=node.lineno
-    )
-    visitor = _FunctionVisitor(
-        program, summary, node, modname, aliases, module_names
-    )
-    for stmt in node.body:
-        visitor.visit(stmt)
-    program.functions[fq] = summary

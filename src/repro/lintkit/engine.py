@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .dimensions import DimensionAnalysis
 from .effects import EffectAnalysis
 from .findings import Finding
-from .modgraph import ModuleInfo
+from .modgraph import ModuleInfo, ProgramIndex
 from .rules import LintRule, all_rules
 from .suppress import is_suppressed, suppressions_for
 
@@ -126,7 +126,9 @@ def clear_module_cache() -> None:
 
 
 def _module(path: str, source: str) -> ModuleInfo:
-    return ModuleInfo(path=path, source=source, tree=ast.parse(source, path))
+    module = ModuleInfo(path=path, source=source, tree=ast.parse(source, path))
+    module.scopes  # raises what the compiler's scoping rejects, as the parser does
+    return module
 
 
 def load_module(path: Path) -> ModuleInfo:
@@ -194,9 +196,11 @@ def _lint(
             for rule in rule_list:
                 if rule.applies_to(module):
                     candidates.extend(rule.check(module))
-    for analysis_cls in _WHOLE_PROGRAM_ANALYSES:
-        if analysis_cls.name in analyses:
-            candidates.extend(analysis_cls().run(modules))
+    selected = [a for a in _WHOLE_PROGRAM_ANALYSES if a.name in analyses]
+    if selected:
+        index = ProgramIndex.build(modules)
+        for analysis_cls in selected:
+            candidates.extend(analysis_cls().run(index))
     suppressed = 0
     for finding in candidates:
         if is_suppressed(

@@ -1,28 +1,35 @@
-"""The parsed-module record and the one name resolver every analysis uses.
+"""The parsed-module record, the program index and the one name resolver.
 
 The per-module rules and both multi-module passes —
 :mod:`repro.lintkit.dimensions` (physical units) and
 :mod:`repro.lintkit.effects` (purity/effects) — need the same
 ingredients before they can reason about a name: a dotted module name
 for every display path, an import-alias table resolving local names to
-canonical dotted targets (including relative imports), a reader for
-dotted attribute chains, and a walk along package re-export chains.
-They live here so no two analyses can drift apart on how a name
-resolves.
+canonical dotted targets (including relative imports), the compiler's
+symbol table for scopes, a reader for dotted attribute chains, and one
+:class:`ProgramIndex` of the whole program's exports and top-level
+definitions, built once per lint pass.  They live here so no two
+analyses can drift apart on how a name resolves.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+import symtable
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Container, Mapping
+from typing import Generic, Mapping, Sequence, TypeVar
 
 __all__ = [
+    "Definition",
+    "FunctionNode",
     "ModuleInfo",
+    "ProgramIndex",
+    "child_scopes",
+    "comprehension_targets",
     "dotted",
-    "follow_exports",
+    "function_scope",
     "matches_suffix",
     "module_identity",
     "qualified_name",
@@ -34,9 +41,10 @@ __all__ = [
 class ModuleInfo:
     """Everything an analysis may inspect about one parsed module.
 
-    The facts every analysis needs — the node list and the import-alias
-    table — are derived once per parse and kept on it, so a lint pass
-    walks each module's tree exactly once however many rules read it.
+    The facts every analysis needs — the node list, the import-alias
+    table, the symbol table and the line table — are derived once per
+    parse and kept on it, so a lint pass walks each module's tree
+    exactly once however many rules read it.
     """
 
     path: str  # display path, POSIX separators
@@ -47,6 +55,32 @@ class ModuleInfo:
     def nodes(self) -> tuple[ast.AST, ...]:
         """Every node of :attr:`tree`, in ``ast.walk`` order."""
         return tuple(ast.walk(self.tree))
+
+    @cached_property
+    def scopes(self) -> symtable.SymbolTable:
+        """The compiler's symbol table: which names each scope binds or
+        declares ``global``, by CPython's own scoping rules.
+
+        Raises SyntaxError for a module the parser accepts but the
+        compiler rejects (``def f(): x = 1; global x``).
+        """
+        return symtable.symtable(self.source, self.path, "exec")
+
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """Source lines, numbered as the parser numbers them."""
+        return tuple(self.source.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+
+    def segment(self, node: ast.expr) -> str:
+        """Source text of a one-line expression (AST column offsets are
+        UTF-8 byte offsets, so the line is sliced as bytes)."""
+        line = self.lines[node.lineno - 1].encode("utf-8")
+        return line[node.col_offset : node.end_col_offset].decode("utf-8")
+
+    @cached_property
+    def name(self) -> str:
+        """Dotted module name (``repro.power.model``)."""
+        return module_identity(self.path)[0]
 
     @cached_property
     def aliases(self) -> Mapping[str, str]:
@@ -145,26 +179,121 @@ def qualified_name(node: ast.AST, aliases: Mapping[str, str]) -> str | None:
     return ".".join([head] + parts[1:])
 
 
-def follow_exports(
-    fq: str,
-    exports: Mapping[str, str],
-    functions: Container[str],
-    classes: Container[str],
-) -> str:
-    """Follow re-export chains from ``fq`` to a defining name.
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
-    ``exports`` maps ``module.local`` to the import target bound there;
-    the walk stops at the first name in ``functions`` or ``classes``, at
-    a dead end, or on a cycle.
+
+def function_scope(table: symtable.SymbolTable) -> tuple[set[str], set[str]]:
+    """(local names, names declared ``global``) of one function's table;
+    a comprehension's targets are not among them."""
+    symbols = table.get_symbols()
+    return (
+        {symbol.get_name() for symbol in symbols if symbol.is_local()},
+        {symbol.get_name() for symbol in symbols if symbol.is_declared_global()},
+    )
+
+
+def comprehension_targets(
+    node: ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp,
+) -> set[str]:
+    """Names a comprehension binds, local inside it on every Python: the
+    compiler gives it its own table before 3.12 and inlines list, set and
+    dict comprehensions into the enclosing one from 3.12 on (PEP 709)."""
+    return {
+        sub.id
+        for generator in node.generators
+        for sub in ast.walk(generator.target)
+        if isinstance(sub, ast.Name)
+    }
+
+
+_Node = TypeVar("_Node", bound=ast.stmt)
+
+
+@dataclass(frozen=True)
+class Definition(Generic[_Node]):
+    """One top-level function or class, or a method of a top-level
+    class, with the module it lives in and its own symbol table."""
+
+    module: ModuleInfo
+    node: _Node
+    scope: symtable.SymbolTable
+
+
+@dataclass
+class ProgramIndex:
+    """What both whole-program passes need to resolve a name, built once
+    per lint pass: the re-export table and every top-level definition.
+
+    Each pass keeps only its own facts (signatures and units, effect
+    summaries) next to it.
     """
-    seen = set()
-    while fq not in functions and fq not in classes and fq not in seen:
-        seen.add(fq)
-        target = exports.get(fq)
-        if target is None:
-            break
-        fq = target
-    return fq
+
+    modules: Sequence[ModuleInfo]
+    #: ``module.local`` -> the import target bound there.
+    exports: dict[str, str] = field(default_factory=dict)
+    #: fq -> top-level function (the last definition of a name wins).
+    functions: dict[str, Definition[FunctionNode]] = field(default_factory=dict)
+    #: fq -> top-level class.
+    classes: dict[str, Definition[ast.ClassDef]] = field(default_factory=dict)
+    #: class fq -> its methods, in body order.
+    methods: dict[str, list[Definition[FunctionNode]]] = field(
+        default_factory=dict
+    )
+
+    @classmethod
+    def build(cls, modules: Sequence[ModuleInfo]) -> "ProgramIndex":
+        """Index every module's exports and top-level definitions."""
+        index = cls(modules)
+        for module in modules:
+            for local, target in module.aliases.items():
+                index.exports[f"{module.name}.{local}"] = target
+            scopes = child_scopes(module.scopes)
+            for stmt in module.tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    index.functions[f"{module.name}.{stmt.name}"] = Definition(
+                        module, stmt, scopes[stmt.name, stmt.lineno]
+                    )
+                elif isinstance(stmt, ast.ClassDef):
+                    fq = f"{module.name}.{stmt.name}"
+                    scope = scopes[stmt.name, stmt.lineno]
+                    index.classes[fq] = Definition(module, stmt, scope)
+                    method_scopes = child_scopes(scope)
+                    index.methods[fq] = [
+                        Definition(module, sub, method_scopes[sub.name, sub.lineno])
+                        for sub in stmt.body
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    ]
+        return index
+
+    def resolve(self, fq: str) -> str:
+        """Follow re-export chains from ``fq`` to a defining name.
+
+        The walk stops at the first top-level function or class, at a
+        dead end, or on a cycle.
+        """
+        seen = set()
+        while fq not in self.functions and fq not in self.classes and fq not in seen:
+            seen.add(fq)
+            target = self.exports.get(fq)
+            if target is None:
+                break
+            fq = target
+        return fq
+
+
+def child_scopes(
+    table: symtable.SymbolTable,
+) -> dict[tuple[str, int], symtable.SymbolTable]:
+    """A scope's child tables by (name, first line): how a def node finds
+    its own table.  A generic def's table sits one level down, under its
+    type-parameter table (PEP 695, 3.12+)."""
+    scopes: dict[tuple[str, int], symtable.SymbolTable] = {}
+    for child in table.get_children():
+        key = (child.get_name(), child.get_lineno())
+        if child.get_type() not in ("function", "class"):
+            child = child_scopes(child).get(key, child)
+        scopes[key] = child
+    return scopes
 
 
 def matches_suffix(fq: str, suffix: str) -> bool:

@@ -33,77 +33,47 @@ def _is_public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def _assigned_names(stmt: ast.stmt) -> list[str]:
-    names: list[str] = []
-    targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(
-                el.id for el in target.elts if isinstance(el, ast.Name)
-            )
-    return names
-
-
 def module_exports(module: ModuleInfo) -> tuple[set[str], set[str]]:
     """(all bound top-level names, names that *should* be exported).
 
+    Read off the module's symbol table, so a name bound under a
+    top-level ``if``/``try``/``for``/``with`` counts like any other.
     Definitions and assignments are exports everywhere.  Imported names
     are exports only in a package ``__init__.py`` (where ``from .mod
     import X`` is a deliberate re-export); in a leaf module an import is a
     dependency, not API.
     """
+    from_imports = {
+        alias.asname or alias.name: node.module
+        for node in module.nodes
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
     bound: set[str] = set()
     public: set[str] = set()
-
-    def visit(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound.add(stmt.name)
-                if _is_public(stmt.name):
-                    public.add(stmt.name)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                for name in _assigned_names(stmt):
-                    bound.add(name)
-                    if _is_public(name) and not (
-                        name.startswith("__") and name.endswith("__")
-                    ):
-                        public.add(name)
-            elif isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    bound.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(stmt, ast.ImportFrom):
-                if stmt.module == "__future__":
-                    continue
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    name = alias.asname or alias.name
-                    bound.add(name)
-                    if module.is_package_init and _is_public(name):
-                        public.add(name)
-            elif isinstance(stmt, (ast.If, ast.Try)):
-                visit(stmt.body)
-                visit(stmt.orelse)
-                for handler in getattr(stmt, "handlers", []):
-                    visit(handler.body)
-                visit(getattr(stmt, "finalbody", []))
-
-    visit(module.tree.body)
+    for symbol in module.scopes.get_symbols():
+        name = symbol.get_name()
+        if symbol.is_assigned():
+            bound.add(name)
+            if _is_public(name):
+                public.add(name)
+        elif symbol.is_imported() and from_imports.get(name) != "__future__":
+            bound.add(name)
+            if module.is_package_init and _is_public(name) and name in from_imports:
+                public.add(name)
     return bound, public
 
 
 def _find_all(module: ModuleInfo) -> tuple[ast.stmt | None, list[str] | None]:
     """(the ``__all__`` statement, its names) — names None if not literal."""
     for stmt in module.tree.body:
-        if "__all__" not in _assigned_names(stmt):
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             continue
-        value = getattr(stmt, "value", None)
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if "__all__" not in bound:
+            continue
+        value = stmt.value
         if isinstance(value, (ast.List, ast.Tuple)) and all(
             isinstance(el, ast.Constant) and isinstance(el.value, str)
             for el in value.elts

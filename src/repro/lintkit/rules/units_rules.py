@@ -68,11 +68,9 @@ class MagicUnitLiteralRule(LintRule):
             suggestion = _MAGIC.get(float(value))
             if suggestion is None:
                 continue
-            segment = ast.get_source_segment(module.source, node)
-            if segment is None or not _SCIENTIFIC.match(segment.strip()):
+            segment = module.segment(node).strip()
+            if not _SCIENTIFIC.match(segment):
                 continue
             yield self.finding(
-                module,
-                node,
-                f"magic conversion literal {segment.strip()}: {suggestion}",
+                module, node, f"magic conversion literal {segment}: {suggestion}"
             )

@@ -27,35 +27,26 @@ SARIF_SCHEMA = (
 
 def _rule_catalogue() -> list[dict[str, object]]:
     """Every rule id the driver can emit, in catalogue order."""
-    rules: list[dict[str, object]] = [
-        {
-            "id": rule.rule_id,
-            "name": rule.title,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-        }
-        for rule in all_rules()
-    ]
-    rules.extend(
+    entries = [(r.rule_id, r.title, r.title, r.rationale) for r in all_rules()]
+    entries += [(i, title, title, text) for i, title, text in DIM_RULES + EFF_RULES]
+    entries.append(
+        (
+            PARSE_ERROR_ID,
+            "syntax error",
+            "file could not be parsed",
+            "The Python parser or the compiler's scoping rejected this file; "
+            "no rules ran.",
+        )
+    )
+    return [
         {
             "id": rule_id,
-            "name": title,
-            "shortDescription": {"text": title},
-            "fullDescription": {"text": rationale},
+            "name": name,
+            "shortDescription": {"text": short},
+            "fullDescription": {"text": full},
         }
-        for rule_id, title, rationale in DIM_RULES + EFF_RULES
-    )
-    rules.append(
-        {
-            "id": PARSE_ERROR_ID,
-            "name": "syntax error",
-            "shortDescription": {"text": "file could not be parsed"},
-            "fullDescription": {
-                "text": "The Python parser rejected this file; no rules ran."
-            },
-        }
-    )
-    return rules
+        for rule_id, name, short, full in entries
+    ]
 
 
 def sarif_payload(report: LintReport) -> dict[str, object]:

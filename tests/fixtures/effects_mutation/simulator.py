@@ -27,7 +27,7 @@ class Simulation:
     def run(self) -> float:
         started = time.perf_counter()  # expect: EFF003
         gain = _TUNING["gain"]  # expect: EFF002
-        return helper_total() * gain * self.scale + 0.0 * started * bump()
+        return helper_total() * gain * self.scale + 0.0 * started * bump() + _scoped()
 
 
 def retune(gain: float) -> None:
@@ -63,3 +63,47 @@ def make_noise(seed: int, n: int) -> list[float]:
 
 def _sample(rng: np.random.Generator) -> float:
     return float(rng.normal())
+
+
+# -- scoping: each binding below is local, module-global or local to a
+# -- comprehension exactly as the compiler's symbol table says.
+
+#: Module-level counters rebound under ``global`` by ``+=`` and ``for``.
+_HITS = 0
+_LAST = 0
+
+
+def _scoped() -> int:
+    return _hit() + _last() + _nested() + _shadowed([1, 2])
+
+
+def _hit() -> int:
+    """``+=`` under ``global`` reads the binding it rebinds."""
+    global _HITS
+    _HITS += 1  # expect: EFF001, EFF002
+    return 0
+
+
+def _last() -> int:
+    """A ``for`` target under ``global`` rebinds the module's name."""
+    global _LAST
+    for _LAST in range(3):  # expect: EFF001
+        pass
+    return 0
+
+
+def _nested() -> int:
+    """A nested def's local does not make the name local out here."""
+    seen = _HITS  # expect: EFF002
+
+    def inner() -> int:
+        _HITS = 2
+        return _HITS
+
+    return seen + inner()
+
+
+def _shadowed(values: list[int]) -> int:
+    """A comprehension's target is local to the comprehension only."""
+    doubled = [_HITS * 2 for _HITS in values]
+    return len(doubled) + _HITS  # expect: EFF002

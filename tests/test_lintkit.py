@@ -239,6 +239,14 @@ class TestMagicUnitLiteralRule:
         assert rule_ids(findings) == ["UNIT001"]
         assert literal in findings[0].message
 
+    def test_literal_after_non_ascii_text_is_sliced_by_bytes(self):
+        # AST column offsets count UTF-8 bytes, not characters.
+        findings = run_rule(
+            MagicUnitLiteralRule(), 'x = ("µs→ns", value * 1e-9)\n'
+        )
+        assert rule_ids(findings) == ["UNIT001"]
+        assert "literal 1e-9:" in findings[0].message
+
     def test_decimal_notation_is_clean(self):
         # 0.001 == 1e-3 but is written as an ordinary number, not a
         # conversion-factor idiom.

@@ -15,8 +15,11 @@ same way they bind to the real tree.
 from __future__ import annotations
 
 import re
+import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.lintkit import lint_paths, lint_sources
 from repro.lintkit.cli import main
@@ -290,6 +293,187 @@ class TestEff002CacheSoundness:
         )
         reads = [f for f in findings if f.rule_id == "EFF002"]
         assert reads and all("COUNT" in f.message for f in reads)
+
+    def test_augmented_assignment_to_a_global_reads_and_writes_it(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT += 1
+                return 0
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return bump() * self.seed
+            """
+        )
+        assert sorted(rule_ids(findings)) == ["EFF001", "EFF002"]
+        assert all(f.line == 6 for f in findings)
+
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            "for COUNT in range(3):\n        pass",
+            "with open_counter() as COUNT:\n        pass",
+            "try:\n        pass\n    except ValueError as COUNT:\n        pass",
+            "if (COUNT := 2):\n        pass",
+            "import COUNT",
+            "from os import sep as COUNT",
+            "def COUNT():\n        pass",
+            "del COUNT",
+        ],
+    )
+    def test_every_binding_of_a_global_name_is_a_write(self, binding):
+        findings = analyze(
+            simulator=f"""
+def open_counter():
+    return None
+
+COUNT = 0
+
+def rebind():
+    global COUNT
+    {binding}
+    return 0
+
+class Simulation:
+    def __init__(self, seed):
+        self.seed = seed
+
+    def run(self):
+        return rebind() + COUNT * self.seed
+"""
+        )
+        assert sorted(rule_ids(findings)) == ["EFF001", "EFF002"]
+
+    def test_a_nested_def_local_does_not_hide_the_outer_read(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT = 1
+
+            def peek():
+                seen = COUNT
+
+                def inner():
+                    COUNT = 2
+                    return COUNT
+
+                return seen + inner()
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return peek() * self.seed
+            """
+        )
+        assert rule_ids(findings) == ["EFF002"]
+        assert findings[0].line == 9
+
+    def test_a_nested_class_body_reads_its_own_names(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+            LIMIT = 0
+
+            def bump():
+                global COUNT, LIMIT
+                COUNT = 1
+                LIMIT = 1
+
+            def make():
+                class Box:
+                    LIMIT = 5
+                    doubled = LIMIT * COUNT
+
+                return Box
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return make().doubled * self.seed
+            """
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("EFF002", 13)]
+        assert "COUNT" in findings[0].message
+
+    def test_a_comprehension_target_is_local_to_the_comprehension(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT = 1
+
+            def peek(values):
+                doubled = [COUNT * 2 for COUNT in values]
+                squares = {COUNT: COUNT * COUNT for COUNT in values}
+                return len(doubled) + len(squares) + COUNT
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return peek([1, 2]) * self.seed
+            """
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("EFF002", 11)]
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 695 syntax")
+    def test_generic_defs_are_read_from_their_own_tables(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT = 1
+
+            def peek[T](value: T) -> T:
+                return COUNT
+
+            class Box[T]:
+                def get(self) -> int:
+                    return COUNT
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return peek(1) + Box().get()
+            """
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [
+            ("EFF002", 9),
+            ("EFF002", 13),
+        ]
+
+    def test_a_module_the_compiler_rejects_is_a_syntax_error(self):
+        findings = effect_findings(
+            {
+                SIM_PATH: textwrap.dedent(CLEAN_SIMULATOR),
+                RUN_PATH: textwrap.dedent(CLEAN_RUNNER),
+                "src/mini/late.py": "def f():\n    x = 1\n    global x\n",
+            }
+        )
+        assert [(f.path, f.rule_id, f.line) for f in findings] == [
+            ("src/mini/late.py", "E000", 3)
+        ]
 
     def test_env_read_outside_cached_path_is_silent(self):
         # Mirrors the real runner: reading env to choose the *cache
@@ -854,11 +1038,16 @@ class TestMutationFixture:
             for lineno, line in enumerate(
                 path.read_text().splitlines(), start=1
             ):
-                marker = re.search(r"# expect: (EFF\d{3})", line)
+                marker = re.search(
+                    r"# expect: ((?:E000|EFF\d{3})(?:, (?:E000|EFF\d{3}))*)", line
+                )
                 if marker:
-                    expected.append((rel, lineno, marker.group(1)))
-        assert len(expected) == 9, "fixture must seed exactly nine violations"
+                    expected.extend(
+                        (rel, lineno, rule) for rule in marker.group(1).split(", ")
+                    )
+        assert len(expected) == 15, "fixture must seed exactly 15 violations"
         assert {m for _, _, m in expected} == {
+            "E000",
             "EFF001",
             "EFF002",
             "EFF003",
@@ -876,9 +1065,14 @@ class TestMutationFixture:
         # the *direct call site* (that overlap is inherent — DET003 also
         # dislikes time.perf_counter); everything else in the rule
         # catalogue must accept the fixture, so it cannot rot into
-        # testing something other than what it claims.
+        # testing something other than what it claims.  The one module
+        # the compiler rejects is a syntax error whatever the analysis.
         report = lint_paths([FIXTURE_DIR], analyses=("rules",))
-        assert all(f.rule_id.startswith("DET") for f in report.findings), [
+        assert all(
+            f.rule_id.startswith("DET")
+            or (f.rule_id == "E000" and f.path.endswith("/late_global.py"))
+            for f in report.findings
+        ), [
             f.render() for f in report.findings
         ]
 
@@ -901,11 +1095,12 @@ class TestRepositoryTree:
         from repro.lintkit.effects.propagate import _reach
         from repro.lintkit.effects.summaries import summarize
         from repro.lintkit.engine import iter_python_files, load_module
+        from repro.lintkit.modgraph import ProgramIndex
 
         modules = [
             load_module(p) for p in iter_python_files([REPO_ROOT / "src"])
         ]
-        program = summarize(modules)
+        program = summarize(ProgramIndex.build(modules))
         for root in ROOTS:
             for suffix in root.suffixes:
                 # Every suffix must bind, not just one per root: a stale
