@@ -41,7 +41,9 @@ def module_exports(module: ModuleInfo) -> tuple[set[str], set[str]]:
     Definitions and assignments are exports everywhere.  Imported names
     are exports only in a package ``__init__.py`` (where ``from .mod
     import X`` is a deliberate re-export); in a leaf module an import is a
-    dependency, not API.
+    dependency, not API.  A lazy module's table entries (PEP 562) are
+    bound and public like definitions, so ``__all__`` is checked against
+    the table: a name missing from either side is a finding.
     """
     from_imports = {
         alias.asname or alias.name: node.module
@@ -49,8 +51,8 @@ def module_exports(module: ModuleInfo) -> tuple[set[str], set[str]]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    bound: set[str] = set()
-    public: set[str] = set()
+    bound = set(module.lazy_exports)
+    public = {name for name in bound if _is_public(name)}
     for symbol in module.scopes.get_symbols():
         name = symbol.get_name()
         if symbol.is_assigned():

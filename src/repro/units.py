@@ -34,19 +34,23 @@ the helpers below.  The rule catalogue (DIM001–DIM005) is documented in
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from .unit_types import (
-    BipsLike,
-    GigaHz,
-    Joules,
-    Microseconds,
-    Milliseconds,
-    Nanojoules,
-    Nanoseconds,
-    Seconds,
-    SecondsLike,
-)
+# Annotations only (never read at run time), so importing this module
+# loads neither NumPy nor the alias module: the stdlib-only linter reads
+# its constants.
+if TYPE_CHECKING:
+    from .unit_types import (
+        BipsLike,
+        GigaHz,
+        Joules,
+        Microseconds,
+        Milliseconds,
+        Nanojoules,
+        Nanoseconds,
+        Seconds,
+        SecondsLike,
+    )
 
 __all__ = [
     "EPS",
@@ -144,7 +148,10 @@ def bips(instructions, seconds: SecondsLike, check: bool = True) -> BipsLike:
     ``check=False`` skips the interval validation, for the chip kernel,
     which validates its interval once per run.
     """
-    # Written as "not > 0" so a NaN interval is rejected too.
-    if check and not np.all(np.asarray(seconds) > 0.0):
-        raise ValueError(f"interval must be positive, got {seconds}")
+    if check:
+        import numpy as np
+
+        # Written as "not > 0" so a NaN interval is rejected too.
+        if not np.all(np.asarray(seconds) > 0.0):
+            raise ValueError(f"interval must be positive, got {seconds}")
     return instructions / seconds / 1e9

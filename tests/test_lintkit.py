@@ -672,6 +672,65 @@ class TestStaleAllRule:
         )
         assert findings == []
 
+    LAZY_INIT = """
+        import importlib
+
+        _EXPORTS = {{{table}}}
+
+        __all__ = [{names}]
+
+        def __getattr__(name):
+            value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+            globals()[name] = value
+            return value
+        """
+
+    def lazy_findings(self, table: str, names: str) -> list[Finding]:
+        return run_rule(
+            StaleAllRule(),
+            self.LAZY_INIT.format(table=table, names=names),
+            path="src/repro/__init__.py",
+        )
+
+    def test_lazy_table_matching_all_is_clean(self):
+        findings = self.lazy_findings(
+            '"Chip": ".cmpsim", "run_cpm": ".core"', '"Chip", "run_cpm"'
+        )
+        assert findings == []
+
+    def test_lazy_table_typo_in_all_fires(self):
+        findings = self.lazy_findings(
+            '"Chip": ".cmpsim", "run_cpm": ".core"', '"Chip", "run_cmp"'
+        )
+        messages = " ".join(f.message for f in findings)
+        assert rule_ids(findings) == ["API002", "API002"]
+        assert "not defined in the module: run_cmp" in messages
+        assert "missing from __all__: run_cpm" in messages
+
+    def test_lazy_table_typo_in_table_fires(self):
+        findings = self.lazy_findings(
+            '"Chip": ".cmpsim", "run_cmp": ".core"', '"Chip", "run_cpm"'
+        )
+        messages = " ".join(f.message for f in findings)
+        assert rule_ids(findings) == ["API002", "API002"]
+        assert "not defined in the module: run_cpm" in messages
+        assert "missing from __all__: run_cmp" in messages
+
+    def test_table_without_module_getattr_exports_nothing(self):
+        """A string-to-string dict is only a lazy table when the module's
+        ``__getattr__`` reads it."""
+        findings = run_rule(
+            StaleAllRule(),
+            """
+            _EXPORTS = {"Chip": ".cmpsim"}
+
+            __all__ = ["Chip"]
+            """,
+            path="src/repro/__init__.py",
+        )
+        assert rule_ids(findings) == ["API002"]
+        assert "not defined in the module: Chip" in findings[0].message
+
 
 # ---------------------------------------------------------------------------
 # Inline suppressions
