@@ -28,8 +28,10 @@ Two prediction variants are provided:
 
 Selection maximizes total predicted BIPS subject to total predicted
 power staying under the budget (exhaustive for a handful of islands,
-grouped-knapsack DP beyond that) and applies the chosen knobs open-loop;
-knobs are restricted to the discrete table.
+grouped-knapsack DP beyond that) and applies the chosen knobs open-loop
+at every GPM interval; knobs are restricted to the discrete table.  In
+static mode neither the table nor the budget changes during a run, so
+the selection runs once, at bind.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class MaxBIPSScheme:
         self.prediction = prediction
         self._peak_table: np.ndarray | None = None
         self._static_bips: np.ndarray | None = None
+        #: Static mode's (knobs, set-points), selected once at bind.
+        self._static_choice: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def bind(self, sim: Simulation) -> None:
@@ -81,6 +85,13 @@ class MaxBIPSScheme:
         self._static_bips = (
             cores[:, None] * sim.chip.dvfs.frequencies[None, :]
         )
+        # A static table under a fixed budget selects the same knobs in
+        # every window, so select once; on_gpm applies the choice.
+        self._static_choice = None
+        if self.prediction == "static":
+            self._static_choice = self._select(
+                sim, self._static_bips, self._peak_table
+            )
 
     def _build_peak_table(self, sim: Simulation) -> np.ndarray:
         """Peak island power (fraction of max chip power) per knob.
@@ -212,17 +223,27 @@ class MaxBIPSScheme:
         return knobs
 
     # ------------------------------------------------------------------
-    def on_gpm(self, sim: Simulation) -> None:
-        tables = self._prediction_table(sim)
-        if tables is None:
-            return
-        bips_pred, power_pred = tables
+    def _select(
+        self, sim: Simulation, bips_pred: np.ndarray, power_pred: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(knob per island, its predicted power): the most predicted
+        BIPS whose predicted power fits the distributable budget."""
         budget = sim.distributable_budget
         if sim.config.n_islands <= self.EXHAUSTIVE_LIMIT:
             knobs = self._select_exhaustive(bips_pred, power_pred, budget)
         else:
             knobs = self._select_dp(bips_pred, power_pred, budget)
+        return knobs, power_pred[np.arange(sim.config.n_islands), knobs]
+
+    def on_gpm(self, sim: Simulation) -> None:
+        if self._static_choice is not None:
+            knobs, setpoints = self._static_choice
+        else:
+            tables = self._prediction_table(sim)
+            if tables is None:
+                return
+            knobs, setpoints = self._select(sim, *tables)
         freqs = sim.chip.dvfs.frequencies
         for island in range(sim.config.n_islands):
             sim.chip.set_island_frequency(island, float(freqs[knobs[island]]))
-        sim.setpoints = power_pred[np.arange(sim.config.n_islands), knobs]
+        sim.setpoints = setpoints.copy()

@@ -93,6 +93,52 @@ class TestMaxBIPS:
         with pytest.raises(ValueError):
             MaxBIPSScheme(prediction="psychic")
 
+    @pytest.mark.parametrize("selector", ["_select_exhaustive", "_select_dp"])
+    def test_static_mode_selects_only_at_bind(self, monkeypatch, selector):
+        """The static table and the budget are fixed at bind, so no GPM
+        window re-runs the selection (exhaustive at 4 islands, DP at 16)."""
+        config = (
+            DEFAULT_CONFIG
+            if selector == "_select_exhaustive"
+            else DEFAULT_CONFIG.with_islands(64, 16)
+        )
+        scheme = MaxBIPSScheme(prediction="static")
+        sim = Simulation(config, scheme, budget_fraction=0.8)
+        select = getattr(MaxBIPSScheme, selector)
+        bind = MaxBIPSScheme.bind
+        bound = []
+
+        def bind_then_forbid(self, sim):
+            bind(self, sim)
+            bound.append(True)
+
+        def guarded(self, *args):
+            assert not bound, f"{selector} called after bind"
+            return select(self, *args)
+
+        monkeypatch.setattr(MaxBIPSScheme, "bind", bind_then_forbid)
+        monkeypatch.setattr(MaxBIPSScheme, selector, guarded)
+        result = sim.run(4)
+        knobs = result.telemetry["island_frequency_ghz"]
+        assert bound and np.all(knobs[1:] == knobs[0])
+
+    def test_measured_mode_selects_every_window(self, monkeypatch):
+        calls = []
+        select = MaxBIPSScheme._select_exhaustive
+
+        def counted(self, *args):
+            calls.append(True)
+            return select(self, *args)
+
+        monkeypatch.setattr(MaxBIPSScheme, "_select_exhaustive", counted)
+        sim = Simulation(
+            DEFAULT_CONFIG, MaxBIPSScheme(prediction="measured"),
+            budget_fraction=0.8,
+        )
+        sim.run(4)
+        # No measurement exists at the first window, so it selects nothing.
+        assert len(calls) == 3
+
 
 class TestStaticUniform:
     def test_near_equal_setpoints(self):
