@@ -249,12 +249,14 @@ class Simulation:
         instruction_totals = np.zeros(cfg.n_cores)
 
         for t in range(total_ticks):
+            # Taken before either tier runs: a V/F change made in on_gpm
+            # pays the transition overhead like one made in on_pic.
+            previous_freq = self.chip.island_frequency.copy()
             is_gpm_tick = self.tick % pics_per_gpm == 0
             if is_gpm_tick:
                 self._complete_window()
                 self.scheme.on_gpm(self)
 
-            previous_freq = self.chip.island_frequency.copy()
             self.scheme.on_pic(self)
             transitioned = (
                 np.abs(self.chip.island_frequency - previous_freq) > units.EPS

@@ -1,5 +1,7 @@
 """Simulation driver: cadence, telemetry, window accounting, schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,54 @@ class TestTelemetry:
         assert result.mean_chip_bips > 0
         assert result.duration_s == pytest.approx(10e-3)
         assert result.scheme_name == "no-management"
+
+
+class RetuneAtSecondWindow(RecordingScheme):
+    """Drops island 0 to the lowest knob entering tick 10, from ``on_gpm``
+    or ``on_pic``, and records every finished tick's core instructions."""
+
+    def __init__(self, hook: str):
+        super().__init__()
+        self.hook = hook
+        self.instructions: list[np.ndarray] = []
+
+    def bind(self, sim):
+        self.island0 = np.flatnonzero(sim.chip.island_of_core == 0)
+
+    def _retune(self, sim, hook):
+        if hook == self.hook and sim.tick == 10:
+            sim.chip.set_island_frequency(0, sim.chip.dvfs.f_min)
+
+    def on_gpm(self, sim):
+        self._retune(sim, "gpm")
+
+    def on_pic(self, sim):
+        self._retune(sim, "pic")
+        if sim.last_result is not None:
+            self.instructions.append(sim.last_result.core_instructions.copy())
+
+
+class TestTransitionOverhead:
+    def _run(self, config, hook):
+        scheme = RetuneAtSecondWindow(hook)
+        Simulation(config, scheme, budget_fraction=0.8).run(2)
+        return np.array(scheme.instructions), scheme.island0
+
+    def test_gpm_tier_change_pays_like_a_pic_tier_change(self):
+        np.testing.assert_array_equal(
+            self._run(DEFAULT_CONFIG, "gpm")[0], self._run(DEFAULT_CONFIG, "pic")[0]
+        )
+
+    def test_gpm_tier_change_loses_the_overhead(self):
+        free = dataclasses.replace(
+            DEFAULT_CONFIG,
+            dvfs=dataclasses.replace(DEFAULT_CONFIG.dvfs, transition_overhead=0.0),
+        )
+        taxed, island0 = self._run(DEFAULT_CONFIG, "gpm")
+        untaxed, _ = self._run(free, "gpm")
+        np.testing.assert_array_equal(taxed[:10], untaxed[:10])
+        np.testing.assert_allclose(
+            taxed[10, island0] / untaxed[10, island0], 1.0 - 0.005, rtol=1e-12
+        )
+        others = np.setdiff1d(np.arange(DEFAULT_CONFIG.n_cores), island0)
+        np.testing.assert_array_equal(taxed[10, others], untaxed[10, others])
