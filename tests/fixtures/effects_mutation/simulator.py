@@ -74,7 +74,7 @@ _LAST = 0
 
 
 def _scoped() -> int:
-    return _hit() + _last() + _nested() + _shadowed([1, 2])
+    return _hit() + _last() + _nested() + _shadowed([1, 2]) + _closures()
 
 
 def _hit() -> int:
@@ -107,3 +107,53 @@ def _shadowed(values: list[int]) -> int:
     """A comprehension's target is local to the comprehension only."""
     doubled = [_HITS * 2 for _HITS in values]
     return len(doubled) + _HITS  # expect: EFF002
+
+
+# -- nested scopes: a nested def's decorators and defaults run where the
+# -- def statement runs, and its body is part of the enclosing function.
+
+
+def _closures() -> int:
+    return int(_stamp() + _scaled(1.0) + _tick() + _env_reader() + _boxed())
+
+
+def _stamp() -> float:
+    """A nested def's default value is evaluated by the enclosing call."""
+
+    def stamp(now: float = time.time()) -> float:  # expect: EFF003
+        return now
+
+    return stamp()
+
+
+def _scaled(value: float) -> float:
+    """So is a lambda's."""
+    scale = lambda x, gain=_TUNING["gain"]: x * gain  # expect: EFF002
+    return scale(value)
+
+
+def _tick() -> int:
+    """A nested def's body rebinding a module global."""
+
+    def tick() -> int:
+        global _LAST
+        _LAST = 1  # expect: EFF001
+        return 0
+
+    return tick()
+
+
+def _env_reader() -> int:
+    """A lambda's body reading the environment."""
+    read = lambda: len(os.getenv("REPRO_MODE", ""))  # expect: EFF002, EFF003
+    return read()
+
+
+def _boxed() -> int:
+    """A comprehension in a class body does not see the class's names."""
+
+    class Box:
+        _HITS = 5
+        seen = [_HITS for _ in range(2)]  # expect: EFF002
+
+    return len(Box.seen)

@@ -409,6 +409,58 @@ class Simulation:
         assert [(f.rule_id, f.line) for f in findings] == [("EFF002", 13)]
         assert "COUNT" in findings[0].message
 
+    def test_a_nested_def_runs_its_decorators_here(self):
+        findings = analyze(
+            simulator="""
+            import time
+
+            def tag(stamp):
+                return lambda fn: fn
+
+            def peek():
+                @tag(time.time())
+                def inner():
+                    return 0
+
+                return inner()
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return peek() * self.seed
+            """
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("EFF003", 8)]
+
+    def test_a_nested_def_reads_the_enclosing_local_not_the_global(self):
+        findings = analyze(
+            simulator="""
+            COUNT = 0
+
+            def bump():
+                global COUNT
+                COUNT = 1
+
+            def peek():
+                COUNT = 3
+
+                def inner():
+                    return COUNT + (lambda: COUNT)()
+
+                return inner()
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    return peek() * self.seed
+            """
+        )
+        assert findings == []
+
     def test_a_comprehension_target_is_local_to_the_comprehension(self):
         findings = analyze(
             simulator="""
@@ -1045,7 +1097,7 @@ class TestMutationFixture:
                     expected.extend(
                         (rel, lineno, rule) for rule in marker.group(1).split(", ")
                     )
-        assert len(expected) == 15, "fixture must seed exactly 15 violations"
+        assert len(expected) == 21, "fixture must seed exactly 21 violations"
         assert {m for _, _, m in expected} == {
             "E000",
             "EFF001",
