@@ -1,8 +1,9 @@
 """End-to-end runtime benchmark: simulator tick cost and runner speedup.
 
 Measures the wall-clock cost of one simulated PIC tick (µs per tick,
-best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i and of a
-fault-free guarded CPM run at 32c8i (``guarded_32c8i``), and times a
+best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i, of a
+fault-free guarded CPM run at 32c8i (``guarded_32c8i``), and of the
+MaxBIPS and no-management baselines at 32c8i, and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
 parallel (fresh cache), cold parallel with a per-run deadline
 (``timeout_s``, which should cost no more than without), and warm
@@ -42,6 +43,7 @@ try:
 except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.baselines import MaxBIPSScheme, NoManagementScheme
 from repro.config import DEFAULT_CONFIG
 from repro.cmpsim.simulator import Simulation
 from repro.core.cpm import CPMScheme
@@ -66,6 +68,8 @@ CONFIGS = (
     ("32c8i", 32, 8, CPMScheme),
     ("64c16i", 64, 16, CPMScheme),
     ("guarded_32c8i", 32, 8, GuardedCPMScheme),
+    ("maxbips_32c8i", 32, 8, MaxBIPSScheme),
+    ("no_management_32c8i", 32, 8, NoManagementScheme),
 )
 
 
@@ -241,7 +245,10 @@ def main(argv=None) -> int:
         "notes": [
             "us_per_tick is the best-of-repeats wall time of one serial run "
             "(calibration warmed) divided by its PIC ticks; guarded_32c8i is "
-            "GuardedCPMScheme with no fault, so it prices the sensor guard.",
+            "GuardedCPMScheme with no fault, so it prices the sensor guard; "
+            "maxbips_32c8i (static prediction table) and "
+            "no_management_32c8i price the baselines' GPM tiers against "
+            "a tick with no controller work.",
             "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
             "this host; with cpu_count=1 the pool adds no parallelism and "
             "the warm gain comes from the result cache.",
