@@ -3,7 +3,9 @@
 Measures the wall-clock cost of one simulated PIC tick (µs per tick,
 best of a few runs) of a CPM run at 8c4i, 32c8i and 64c16i, of a
 fault-free guarded CPM run at 32c8i (``guarded_32c8i``), and of the
-MaxBIPS and no-management baselines at 32c8i, and times a
+MaxBIPS and no-management baselines at 32c8i, the runs per second of
+CPM fleets of 1, 8 and 64 members at 32c8i (one process, one
+chip-kernel call per tick for the whole fleet), and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
 parallel (fresh cache), cold parallel with a per-run deadline
 (``timeout_s``, which should cost no more than without), and warm
@@ -45,7 +47,7 @@ except ImportError:  # running from a checkout without an installed package
 
 from repro.baselines import MaxBIPSScheme, NoManagementScheme
 from repro.config import DEFAULT_CONFIG
-from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.simulator import Fleet, Simulation
 from repro.core.cpm import CPMScheme
 from repro.resilience import GuardedCPMScheme
 from repro.rng import DEFAULT_SEED
@@ -55,7 +57,9 @@ __all__ = [
     "CONFIGS",
     "REPO_ROOT",
     "SWEEP_BUDGETS",
+    "FLEET_WIDTHS",
     "bench_configs",
+    "bench_fleets",
     "bench_sweep",
     "bench_warm_hits",
     "main",
@@ -71,6 +75,9 @@ CONFIGS = (
     ("maxbips_32c8i", 32, 8, MaxBIPSScheme),
     ("no_management_32c8i", 32, 8, NoManagementScheme),
 )
+
+#: Members per fleet in the runs-per-second lines (32c8i, CPM).
+FLEET_WIDTHS = (1, 8, 64)
 
 
 def _time(fn, repeats: int) -> float:
@@ -118,6 +125,43 @@ def bench_configs(n_gpm: int, repeats: int) -> list[dict]:
             }
         )
         print(f"{name}: {seconds / ticks * 1e6:6.1f} us/tick")
+    return rows
+
+
+def bench_fleets(n_gpm: int, repeats: int) -> list[dict]:
+    """Runs per second of a 32c8i CPM fleet at each of :data:`FLEET_WIDTHS`.
+
+    Members share the platform and the seed (so one calibration) and
+    differ in budget; each fleet runs in this process.
+    """
+    config = DEFAULT_CONFIG.with_islands(32, 8)
+    _single_run_seconds(config, CPMScheme, 1, 1)  # warm the calibration memo
+    rows = []
+    for width in FLEET_WIDTHS:
+        budgets = np.linspace(0.7, 0.95, width)
+
+        def once():
+            sims = [
+                Simulation(config, CPMScheme(), budget_fraction=b, seed=DEFAULT_SEED)
+                for b in budgets.tolist()
+            ]
+            Fleet(sims).run(n_gpm)
+
+        seconds = _time(once, repeats)
+        ticks = n_gpm * config.control.pics_per_gpm
+        rows.append(
+            {
+                "members": width,
+                "n_gpm_intervals": n_gpm,
+                "seconds": round(seconds, 4),
+                "runs_per_s": round(width / seconds, 2),
+                "us_per_member_tick": round(seconds / (width * ticks) * 1e6, 1),
+            }
+        )
+        print(
+            f"fleet of {width:2d} at 32c8i: {width / seconds:7.2f} runs/s "
+            f"({seconds / (width * ticks) * 1e6:5.1f} us per member-tick)"
+        )
     return rows
 
 
@@ -241,6 +285,7 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
         },
         "configs": bench_configs(tick_gpm, repeats),
+        "fleets": bench_fleets(sweep_gpm, repeats),
         "sweep": bench_sweep(sweep_gpm, args.jobs, repeats),
         "notes": [
             "us_per_tick is the best-of-repeats wall time of one serial run "
@@ -249,6 +294,11 @@ def main(argv=None) -> int:
             "maxbips_32c8i (static prediction table) and "
             "no_management_32c8i price the baselines' GPM tiers against "
             "a tick with no controller work.",
+            "fleets: runs per second of a 32c8i CPM fleet (members share "
+            "the seed and differ in budget) run in this process at the "
+            "paper horizon, best of repeats; a fleet of 1 is a plain "
+            "Simulation.run, and us_per_member_tick is the wall time per "
+            "member per PIC tick.",
             "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
             "this host; with cpu_count=1 the pool adds no parallelism and "
             "the warm gain comes from the result cache.",

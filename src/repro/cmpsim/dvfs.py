@@ -20,6 +20,11 @@ import numpy as np
 from ..config import PENTIUM_M_VF_TABLE
 from ..unit_types import GigaHz, GigaHzLike, VoltsLike
 
+try:
+    from numpy._core.multiarray import interp as _interp
+except ImportError:  # NumPy 1.x
+    from numpy.core.multiarray import interp as _interp
+
 __all__ = ["DVFSTable"]
 
 
@@ -72,15 +77,18 @@ class DVFSTable:
         """
         f = np.asarray(frequency, dtype=float)
         # The ufunc reductions skip ndarray.min/max's Python wrappers: this
-        # runs once per tick in the chip kernel.
+        # runs once per tick in the chip kernel.  Both propagate NaN, and
+        # the check is written so that a NaN fails it.
         lowest = np.minimum.reduce(f, axis=None, initial=self._f_min)
         highest = np.maximum.reduce(f, axis=None, initial=self._f_max)
-        if lowest < self._f_min - 1e-12 or highest > self._f_max + 1e-12:
+        if not (lowest >= self._f_min - 1e-12 and highest <= self._f_max + 1e-12):
             raise ValueError(
                 f"frequency {frequency} outside ladder "
                 f"[{self.f_min}, {self.f_max}] GHz"
             )
-        result = np.interp(f, self.frequencies, self.voltages)
+        # np.interp's compiled core: the wrapper only re-validates the
+        # ladder arrays, which the constructor already did.
+        result = _interp(f, self.frequencies, self.voltages, None, None)
         if result.ndim == 0:
             return float(result)
         return result

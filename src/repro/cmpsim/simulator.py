@@ -10,17 +10,20 @@ Measurement semantics: a scheme invoked at tick *t* sees measurements up
 to and including tick *t-1* (``sim.last_result`` plus the aggregated GPM
 windows) and actuates frequencies that take effect *during* tick *t* —
 the causal ordering a real controller lives with.
+
+A :class:`Fleet` advances several simulations that share a config in
+lockstep, with one chip-kernel call per tick over their stacked state;
+:meth:`Simulation.run` is a fleet of one, so there is one tick loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass, fields
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .. import units
-from ..arrayops import island_sums
 from ..config import CMPConfig
 from ..rng import DEFAULT_SEED, SeedSequenceFactory
 from ..unit_types import PowerFraction, Seconds
@@ -29,10 +32,12 @@ from ..workloads.mixes import Mix, mix_for_config
 from .chip import Chip, IntervalResult, WorkloadTerms
 from .telemetry import ResilienceLog, Telemetry, WindowStats
 
-__all__ = ["PowerScheme", "Simulation", "SimulationResult"]
+__all__ = ["Fleet", "PowerScheme", "Simulation", "SimulationResult"]
 
 #: The per-core workload signals a tick consumes, in workload_terms order.
 _WORKLOAD_FIELDS = ("alpha", "cpi_base", "l1_mpki", "l2_mpki")
+#: :class:`WorkloadTerms`' fields, in order.
+_TERMS = tuple(f.name for f in fields(WorkloadTerms))
 
 
 @runtime_checkable
@@ -137,8 +142,9 @@ class Simulation:
         self.tick = 0
         self.time_s: Seconds = 0.0
 
-        # GPM-window accumulators.
-        self._window_sums: dict[str, np.ndarray] | None = None
+        # The current GPM window's sums, (5, n_islands) in WindowStats
+        # order; a fleet makes it a row of its stacked sums.
+        self._window_sums = np.zeros((5, config.n_islands))
         self._window_ticks = 0
 
     # ------------------------------------------------------------------
@@ -157,48 +163,24 @@ class Simulation:
     # ------------------------------------------------------------------
     # Window accounting
     # ------------------------------------------------------------------
-    def _reset_window(self) -> None:
-        n = self.config.n_islands
-        self._window_sums = {
-            "power": np.zeros(n),
-            "bips": np.zeros(n),
-            "util": np.zeros(n),
-            "energy": np.zeros(n),
-            "instructions": np.zeros(n),
-        }
-        self._window_ticks = 0
-
-    def _accumulate_window(self, result: IntervalResult) -> None:
-        assert self._window_sums is not None
-        sums = self._window_sums
-        sums["power"] += result.island_power_frac
-        sums["bips"] += result.island_bips
-        sums["util"] += result.island_utilization
-        sums["energy"] += result.island_power_w * result.dt
-        sums["instructions"] += island_sums(
-            self.chip.island_of_core,
-            result.core_instructions,
-            self.config.n_islands,
-        )
-        self._window_ticks += 1
-
     def _complete_window(self) -> None:
-        if self._window_sums is None or self._window_ticks == 0:
+        if self._window_ticks == 0:
             return
         n = self._window_ticks
-        sums = self._window_sums
+        power, bips, util, energy, instructions = self._window_sums
         self.telemetry.push_window(
             WindowStats(
-                island_power_frac=sums["power"] / n,
-                island_bips=sums["bips"] / n,
-                island_utilization=sums["util"] / n,
+                island_power_frac=power / n,
+                island_bips=bips / n,
+                island_utilization=util / n,
                 island_setpoints=self.setpoints.copy(),
-                island_energy_j=sums["energy"].copy(),
-                island_instructions=sums["instructions"].copy(),
+                island_energy_j=energy.copy(),
+                island_instructions=instructions.copy(),
                 duration_s=n * self.config.control.pic_interval_s,
             )
         )
-        self._reset_window()
+        self._window_sums.fill(0.0)
+        self._window_ticks = 0
 
     # ------------------------------------------------------------------
     # Main loop
@@ -224,62 +206,10 @@ class Simulation:
                     column[:, core] = [getattr(s, field) for s in samples]
         return self.chip.workload_terms(*raw)
 
-    def run(self, n_gpm_intervals: int) -> SimulationResult:
-        """Simulate ``n_gpm_intervals`` GPM windows; returns the result.
-
-        The whole run's workload is drawn up front (exact: workload
-        evolution never observes the control loop) and turned into the
-        chip kernel's workload terms once; each tick then evaluates row
-        ``t``.  Instructions are retired once per instance at the end,
-        summed with the same per-tick IEEE adds as one ``retire()`` per
-        tick.
-        """
-        if n_gpm_intervals < 1:
-            raise ValueError("need at least one GPM interval")
-        cfg = self.config
-        dt = cfg.control.pic_interval_s
-        pics_per_gpm = cfg.control.pics_per_gpm
-
-        self.scheme.bind(self)
-        self._reset_window()
-
-        total_ticks = n_gpm_intervals * pics_per_gpm
-        self.telemetry.reserve(total_ticks)
-        terms = self._workload_terms(total_ticks)
-        instruction_totals = np.zeros(cfg.n_cores)
-
-        for t in range(total_ticks):
-            # Taken before either tier runs: a V/F change made in on_gpm
-            # pays the transition overhead like one made in on_pic.
-            previous_freq = self.chip.island_frequency.copy()
-            is_gpm_tick = self.tick % pics_per_gpm == 0
-            if is_gpm_tick:
-                self._complete_window()
-                self.scheme.on_gpm(self)
-
-            self.scheme.on_pic(self)
-            transitioned = (
-                np.abs(self.chip.island_frequency - previous_freq) > units.EPS
-            )
-
-            result = self.chip.compute_interval(terms, t, dt, transitioned)
-            instruction_totals += result.core_instructions
-
-            self._accumulate_window(result)
-            self.telemetry.record(
-                self.time_s, result, self.setpoints, self.sensed_power, is_gpm_tick
-            )
-            self.last_result = result
-            self.tick += 1
-            self.time_s += dt
-
-        for instance, total in zip(self.instances, instruction_totals.tolist()):
-            instance.retire(total)
-
-        self._complete_window()
+    def _result(self) -> SimulationResult:
         return SimulationResult(
             telemetry=self.telemetry,
-            config=cfg,
+            config=self.config,
             mix_name=self.mix.name,
             scheme_name=self.scheme.name,
             budget_fraction=self.budget_fraction,
@@ -289,3 +219,110 @@ class Simulation:
             ),
             log=self.log,
         )
+
+    def run(self, n_gpm_intervals: int) -> SimulationResult:
+        """Simulate ``n_gpm_intervals`` GPM windows; returns the result.
+
+        The run is a fleet of one: see :meth:`Fleet.run`.
+        """
+        return Fleet([self]).run(n_gpm_intervals)[0]
+
+
+class Fleet:
+    """Simulations that share a config, advanced in lockstep.
+
+    Each member keeps everything a run owns: its scheme, mix, seed,
+    budget, telemetry, log, ``setpoints``, ``sensed_power``,
+    ``last_result`` and tick.  What the fleet stacks is the chip state:
+    every member's ``chip.island_frequency`` and temperatures are rows
+    of one ``(n_runs, n_islands)`` and one ``(n_runs, n_cores)`` array
+    (:meth:`~repro.cmpsim.chip.Chip.stack`), so a tick is one chip-kernel
+    call for all members, and no scheme knows it is in a fleet.  Every
+    member's telemetry, GPM windows, instruction total and resilience
+    log equal its solo run's bit for bit, whatever fleet it is in.
+    """
+
+    def __init__(self, members: Sequence[Simulation]) -> None:
+        if not members:
+            raise ValueError("a fleet needs at least one simulation")
+        if len({id(sim) for sim in members}) != len(members):
+            raise ValueError("a simulation can be in a fleet only once")
+        self.members = list(members)
+
+    def run(self, n_gpm_intervals: int) -> list[SimulationResult]:
+        """Simulate ``n_gpm_intervals`` GPM windows of every member;
+        returns their results in member order.
+
+        Each member binds its scheme, then the whole run's workload is
+        drawn up front (exact: workload evolution never observes the
+        control loop) and turned into the chip kernel's workload terms
+        once; each tick then evaluates row ``t`` for every member.  A
+        scheme raising aborts the fleet with its exception.
+        Instructions are retired once per instance at the end, summed
+        with the same per-tick IEEE adds as one ``retire()`` per tick.
+        """
+        if n_gpm_intervals < 1:
+            raise ValueError("need at least one GPM interval")
+        sims = self.members
+        cfg = sims[0].config
+        dt = cfg.control.pic_interval_s
+        pics_per_gpm = cfg.control.pics_per_gpm
+        n_runs = len(sims)
+
+        chip = Chip.stack([sim.chip for sim in sims])
+        # Every member's window sums, flat over runs like the kernel's
+        # window terms; each member keeps its islands' columns.
+        window_sums = np.hstack([sim._window_sums for sim in sims])
+        n_islands = cfg.n_islands
+        for k, sim in enumerate(sims):
+            sim._window_sums = window_sums[:, k * n_islands : (k + 1) * n_islands]
+            sim.scheme.bind(sim)
+
+        total_ticks = n_gpm_intervals * pics_per_gpm
+        # Row t of the fleet's terms holds every member's cores, member by
+        # member; each member derives its own block, then drops it.
+        n_cores = cfg.n_cores
+        stacked = [np.empty((total_ticks, n_runs * n_cores)) for _ in _TERMS]
+        for k, sim in enumerate(sims):
+            sim.telemetry.reserve(total_ticks)
+            own = sim._workload_terms(total_ticks)
+            for column, name in zip(stacked, _TERMS):
+                column[:, k * n_cores : (k + 1) * n_cores] = getattr(own, name)
+        terms = WorkloadTerms(*stacked)
+        instruction_totals = np.zeros(n_runs * n_cores)
+        frequency = chip.island_frequency
+
+        for t in range(total_ticks):
+            # Taken before either tier runs: a V/F change made in on_gpm
+            # pays the transition overhead like one made in on_pic.
+            previous_freq = frequency.copy()
+            gpm_ticks = []
+            for sim in sims:
+                is_gpm_tick = sim.tick % pics_per_gpm == 0
+                if is_gpm_tick:
+                    sim._complete_window()
+                    sim.scheme.on_gpm(sim)
+                sim.scheme.on_pic(sim)
+                gpm_ticks.append(is_gpm_tick)
+            transitioned = np.abs(frequency - previous_freq) > units.EPS
+
+            result = chip.compute_interval(terms, t, dt, transitioned)
+            instruction_totals += result.core_instructions
+            window_sums += result.window_terms
+
+            for sim, row, is_gpm_tick in zip(sims, result.rows(), gpm_ticks):
+                sim._window_ticks += 1
+                sim.telemetry.record(
+                    sim.time_s, row, sim.setpoints, sim.sensed_power, is_gpm_tick
+                )
+                sim.last_result = row
+                sim.tick += 1
+                sim.time_s += dt
+
+        for sim, totals in zip(
+            sims, instruction_totals.reshape(n_runs, -1).tolist()
+        ):
+            for instance, total in zip(sim.instances, totals):
+                instance.retire(total)
+            sim._complete_window()
+        return [sim._result() for sim in sims]

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, Protocol, Sequence, Tuple, runtime_check
 
 import numpy as np
 
+from ..cmpsim.simulator import Fleet, Simulation
 from ..config import CMPConfig
 from ..control.identification import GainFit, fit_system_gain, prediction_error
 from ..control.pid import PIDGains
@@ -311,17 +312,27 @@ def calibrate(
     seed: int = DEFAULT_SEED,
 ) -> Calibration:
     """Run the full calibration pipeline for a platform + mix: its
-    :func:`calibration_requests` in this process, with no result cache,
-    then :func:`fit`.
+    :func:`calibration_requests` in this process as one fleet, with no
+    result cache, then :func:`fit`.
 
     Deterministic for a given (config, mix, seed); see
     :func:`default_calibration` for the memoized variant experiments use.
-    The import is deferred because the runner imports this module.
     """
-    from ..runner import run_many
-
     point = CalibrationPoint.of(config, mix, seed)
-    return fit(point, run_many(calibration_requests(point)))
+    requests = calibration_requests(point)
+    fleet = Fleet(
+        [
+            Simulation(
+                r.config,
+                r.scheme_factory(),
+                mix=r.mix,
+                budget_fraction=r.budget_fraction,
+                seed=r.seed,
+            )
+            for r in requests
+        ]
+    )
+    return fit(point, fleet.run(requests[0].n_gpm_intervals))
 
 
 #: This process's fitted default calibrations.  A memo of a pure

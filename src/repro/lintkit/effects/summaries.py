@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import symtable
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..modgraph import (
     FunctionNode,
@@ -243,12 +243,22 @@ class _FunctionVisitor(ast.NodeVisitor):
         node: FunctionNode | ast.Lambda,
         scope: symtable.SymbolTable,
         names: tuple[set[str], set[str]],
+        imported: Mapping[str, str] | None = None,
     ) -> None:
         self.program = program
         self.summary = summary
         self.module = module
         self.modname = module.name
         self.aliases = module.aliases
+        #: Local names bound by an import inside this function (or the
+        #: function it is nested in) -> their canonical dotted targets.
+        first, last = node.lineno, node.end_lineno or node.lineno
+        self.imported = {
+            **(imported or {}),
+            **module.import_aliases(
+                n for n in module.imports if first <= n.lineno <= last
+            ),
+        }
         self.module_names = module_names
         #: The function's non-global names and its ``global``
         #: declarations; the locals grow by those of the comprehensions
@@ -293,11 +303,17 @@ class _FunctionVisitor(ast.NodeVisitor):
 
     def _resolve_dotted(self, node: ast.AST) -> str | None:
         """Canonical dotted name for an expression rooted at a non-local
-        name, or None (rooted at a local variable / not a name chain)."""
+        name or at a local bound by an import, or None (rooted at a
+        local variable / not a name chain)."""
         parts = dotted(node)
-        if parts is None or parts[0] in self.locals:
+        if parts is None:
             return None
-        head = self.aliases.get(parts[0], f"{self.modname}.{parts[0]}")
+        if parts[0] in self.locals:
+            head = self.imported.get(parts[0])
+            if head is None:
+                return None
+        else:
+            head = self.aliases.get(parts[0], f"{self.modname}.{parts[0]}")
         return ".".join([head] + parts[1:])
 
     def _is_module_global(self, fq: str | None) -> bool:
@@ -469,6 +485,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             closure,
             scope,
             names,
+            self.imported,
         )
         for part in body:
             child.visit(part)

@@ -19,7 +19,7 @@ import symtable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Generic, Mapping, Sequence, TypeVar
+from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "Definition",
@@ -83,12 +83,26 @@ class ModuleInfo:
         return module_identity(self.path)[0]
 
     @cached_property
+    def imports(self) -> tuple[ast.Import | ast.ImportFrom, ...]:
+        """Every import statement, module-level or not, in walk order."""
+        return tuple(
+            node for node in self.nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+        )
+
+    @cached_property
     def aliases(self) -> Mapping[str, str]:
         """Local name -> canonical dotted target, for every import
         statement (relative imports resolved against this module)."""
+        return self.import_aliases(self.imports)
+
+    def import_aliases(
+        self, imports: Iterable[ast.Import | ast.ImportFrom]
+    ) -> dict[str, str]:
+        """Local name -> canonical dotted target for ``imports``, import
+        statements of this module (relative ones resolved against it)."""
         module, is_package = module_identity(self.path)
         aliases: dict[str, str] = {}
-        for node in self.nodes:
+        for node in imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -96,17 +110,15 @@ class ModuleInfo:
                     else:
                         first = alias.name.split(".")[0]
                         aliases[first] = first
-            elif isinstance(node, ast.ImportFrom):
-                target = _absolute(
-                    "." * node.level + (node.module or ""), module, is_package
-                )
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    aliases[bound] = (
-                        f"{target}.{alias.name}" if target else alias.name
-                    )
+                continue
+            target = _absolute(
+                "." * node.level + (node.module or ""), module, is_package
+            )
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                aliases[bound] = f"{target}.{alias.name}" if target else alias.name
         return aliases
 
     @cached_property

@@ -18,6 +18,9 @@ serial loops it replaces did not have:
   calibration is fitted here once and passed to each run explicitly,
   so workers never repeat the paper's offline calibration step.
 * deduplication — requests with the same cache key are simulated once.
+* fleets — misses that share a config and a horizon run as
+  :class:`~repro.cmpsim.simulator.Fleet`\\ s, one task each, advanced by
+  one chip-kernel call per tick (one run per task under supervision).
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
   spec, budget, seed, horizon) and of the simulator's own source
@@ -54,7 +57,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cmpsim.simulator import PowerScheme, Simulation, SimulationResult
+from .cmpsim.simulator import Fleet, PowerScheme, Simulation, SimulationResult
 from .config import CMPConfig
 from .core.calibration import (
     FITTED,
@@ -331,38 +334,64 @@ def _cache_store(
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _execute(
-    request: RunRequest,
-    directory: pathlib.Path | None,
-    key: str,
-    calibration: Calibration | None = None,
-    scheme: PowerScheme | None = None,
-) -> SimulationResult:
-    """Run one request and store its result under ``key`` (worker-side
-    entry point; :func:`run_many` has already looked the key up).
+#: One fleet member as :func:`_execute` takes it: the request, its
+#: cache key, its default calibration (or None) and its scheme if the
+#: caller already built it (or None).
+_Member = tuple[RunRequest, str, "Calibration | None", "PowerScheme | None"]
 
-    ``calibration`` is the request's default calibration, fitted by
-    the sweep's calibration wave; without it the scheme calibrates (or
-    hits the in-process memo) when it binds.  ``scheme`` is the
-    request's scheme if the caller already built it, so an in-process
-    sweep calls each factory once per run.
+
+def _execute(
+    members: Sequence[_Member], directory: pathlib.Path | None
+) -> list[SimulationResult]:
+    """Run ``members`` as one fleet and store each result under its key
+    (worker-side entry point; :func:`run_many` has already looked the
+    keys up and grouped requests that share a config and a horizon).
+
+    A member's calibration is its request's default calibration, fitted
+    by the sweep's calibration wave; without it the scheme calibrates
+    (or hits the in-process memo) when it binds.  A member's scheme is
+    the request's scheme if the caller already built it, so an
+    in-process sweep calls each factory once per run.
     """
-    if scheme is None:
-        scheme = request.scheme_factory()
-    if calibration is not None:
-        assert isinstance(scheme, CalibratedScheme)
-        scheme.use_calibration(calibration)
-    sim = Simulation(
-        request.config,
-        scheme,
-        mix=request.mix,
-        budget_fraction=request.budget_fraction,
-        seed=request.seed,
-    )
-    result = sim.run(request.n_gpm_intervals)
+    sims = []
+    for request, _, calibration, scheme in members:
+        if scheme is None:
+            scheme = request.scheme_factory()
+        if calibration is not None:
+            assert isinstance(scheme, CalibratedScheme)
+            scheme.use_calibration(calibration)
+        sims.append(
+            Simulation(
+                request.config,
+                scheme,
+                mix=request.mix,
+                budget_fraction=request.budget_fraction,
+                seed=request.seed,
+            )
+        )
+    results = Fleet(sims).run(members[0][0].n_gpm_intervals)
     if directory is not None:
-        _cache_store(directory, key, result)
-    return result
+        for (_, key, _, _), result in zip(members, results):
+            _cache_store(directory, key, result)
+    return results
+
+
+def _fleets(
+    positions: Sequence[int],
+    group_of: Callable[[int], Any],
+    width_of: Callable[[int], int],
+) -> list[list[int]]:
+    """Split ``positions`` into fleets: each group of positions that
+    share ``group_of`` (config text and horizon) is cut, in order, into
+    fleets of at most ``width_of(group size)`` members."""
+    groups: dict[Any, list[int]] = {}
+    for i in positions:
+        groups.setdefault(group_of(i), []).append(i)
+    fleets = []
+    for group in groups.values():
+        width = width_of(len(group))
+        fleets += [group[j : j + width] for j in range(0, len(group), width)]
+    return fleets
 
 
 def _calibration_points(
@@ -639,9 +668,12 @@ def run_many(
     share it.
 
     Every sweep follows one plan on one executor (this process, or a
-    pool of ``min(jobs, misses)`` long-lived workers): resolve cache hits
+    pool of up to ``jobs`` long-lived workers): resolve cache hits
     here, so a fully-warm sweep neither builds a scheme nor starts a
-    worker; run the *calibration wave*, then the misses.  The wave
+    worker; run the *calibration wave*, then the misses.  The misses of
+    each phase that share a config (by its canonical text) and a horizon
+    run as fleets of at most ``ceil(group size / jobs)`` members, one
+    task each; a member's result equals its solo run's bit for bit.  The wave
     serves each default calibration the misses need from this
     process's memo
     (:data:`~repro.core.calibration.FITTED`) or, failing that, runs its
@@ -650,7 +682,8 @@ def run_many(
     them here and memoizes the fit; each run is handed its calibration.
 
     One failure policy covers both executors.  A deadline, a retry or
-    quarantine sends even a single miss to a worker when ``jobs > 1``:
+    quarantine sends even a single miss to a worker when ``jobs > 1``,
+    and makes every task one run, since each belongs to one run:
 
     * ``timeout_s`` — per-run wall-clock deadline; a run past it is
       terminated.  Needs worker processes, so it is not enforced in
@@ -661,7 +694,8 @@ def run_many(
       up on.  Runs that merely *raise* are not retried: the simulator is
       deterministic, so a clean exception would only repeat.
     * ``on_error`` — ``"raise"`` (default) aborts the sweep on the first
-      abandoned request with the run's own exception (a RuntimeError
+      abandoned request with the run's own exception, a fleet member's
+      included (a RuntimeError
       with its message if it cannot be pickled), or a RuntimeError for
       a crash or timeout; ``"quarantine"`` records a :class:`RunFailure`
       in ``failures``, leaves ``None`` in that result slot, and keeps
@@ -728,10 +762,32 @@ def run_many(
         dict.fromkeys(i for ps in wave.values() for i in ps if results[i] is None)
     )
     excited = set(excite)
-    todo = excite + [i for i in pending if i not in excited]
+    runs = [i for i in pending if i not in excited]
     n_jobs = resolve_jobs(jobs)
     supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
-    in_process = n_jobs <= 1 or (len(todo) <= 1 and not supervised)
+
+    # Misses that share a config and a horizon run as fleets, one task
+    # each, of at most ceil(group size / workers) members, so every
+    # worker gets work.  A supervised sweep runs one run per task: a
+    # deadline, a retry and a quarantine each belong to one run.
+    config_texts: dict[int, str] = {}  # by identity; request_list holds each
+
+    def group_of(i: int) -> tuple[str, int]:
+        request = request_list[i]
+        text = config_texts.get(id(request.config))
+        if text is None:
+            text = _stable(request.config, "config")
+            config_texts[id(request.config)] = text
+        return text, request.n_gpm_intervals
+
+    def width_of(size: int) -> int:
+        return 1 if supervised else -(-size // n_jobs)
+
+    wave_fleets = _fleets(excite, group_of, width_of)
+    run_fleets = _fleets(runs, group_of, width_of)
+    in_process = n_jobs <= 1 or (
+        len(wave_fleets) + len(run_fleets) <= 1 and not supervised
+    )
     if in_process and timeout_s is not None:
         warnings.warn(
             "run_many: timeout_s requires jobs > 1; running serially "
@@ -740,22 +796,36 @@ def run_many(
             stacklevel=2,
         )
 
-    def task(i: int, calibration: Calibration | None) -> tuple[Callable, tuple]:
-        # A worker builds its own scheme from the pickled spec.
-        scheme = schemes.get(i) if in_process else None
-        return _execute, (request_list[i], directory, keys[i], calibration, scheme)
+    fleet_of: dict[int, list[int]] = {}
 
+    def task(fleet: list[int]) -> tuple[Callable, tuple]:
+        # A task is keyed by its first member.  A run gets its point's
+        # fit (the wave's runs need none); a worker builds its own
+        # schemes from the pickled specs.
+        fleet_of[fleet[0]] = fleet
+        members = [
+            (
+                request_list[i],
+                keys[i],
+                FITTED[point_of[i]] if i in point_of else None,
+                schemes.get(i) if in_process else None,
+            )
+            for i in fleet
+        ]
+        return _execute, (members, directory)
+
+    def run_fleets_of(tasks: dict[int, tuple[Callable, tuple]], label: str) -> None:
+        done = _run_tasks(executor, tasks, retries, on_error, failed, label)
+        for first, fleet_results in done.items():
+            results.update(zip(fleet_of[first], fleet_results))
+
+    n_tasks = max(len(wave_fleets), len(run_fleets))
     executor = (
-        _InProcess() if in_process else _Pool(min(n_jobs, len(todo)), timeout_s)
+        _InProcess() if in_process else _Pool(min(n_jobs, n_tasks), timeout_s)
     )
     failed: list[RunFailure] = []
     try:
-        results.update(
-            _run_tasks(
-                executor, {i: task(i, None) for i in excite},
-                retries, on_error, failed, "calibration run",
-            )
-        )
+        run_fleets_of({f[0]: task(f) for f in wave_fleets}, "calibration run")
         lost = {f.index: f for f in failed}
         broken: dict[CalibrationPoint, RunFailure] = {}
         for point, positions in wave.items():
@@ -774,21 +844,23 @@ def run_many(
         for i in range(len(primary), len(keys)):
             results.pop(i, None)
         tasks: dict[int, tuple[Callable, tuple]] = {}
-        for i in pending:
-            point = point_of.get(i)
-            if point in broken:
-                failed.append(
-                    dataclasses.replace(
-                        broken[point],
-                        index=i,
-                        message=f"calibration failed: {broken[point].message}",
+        for fleet in run_fleets:
+            healthy = []
+            for i in fleet:
+                point = point_of.get(i)
+                if point in broken:
+                    failed.append(
+                        dataclasses.replace(
+                            broken[point],
+                            index=i,
+                            message=f"calibration failed: {broken[point].message}",
+                        )
                     )
-                )
-            elif i not in excited:
-                tasks[i] = task(i, None if point is None else FITTED[point])
-        results.update(
-            _run_tasks(executor, tasks, retries, on_error, failed, "request")
-        )
+                else:
+                    healthy.append(i)
+            if healthy:
+                tasks[healthy[0]] = task(healthy)
+        run_fleets_of(tasks, "request")
     finally:
         executor.close()
     for failure in failed:

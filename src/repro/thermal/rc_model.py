@@ -13,6 +13,9 @@ default parameters (time constant ~24 ms).
 
 from __future__ import annotations
 
+import copy
+from typing import Sequence
+
 import numpy as np
 
 from ..config import ThermalConfig
@@ -35,7 +38,46 @@ class RCThermalModel:
         self.n_cores = floorplan.n_cores
         self._adjacency = floorplan.core_adjacency().astype(float)
         self._degree = self._adjacency.sum(axis=1)
-        self.temperatures = np.full(self.n_cores, self.config.ambient_c, dtype=float)
+        self._attach(np.full(self.n_cores, self.config.ambient_c, dtype=float))
+
+    def _attach(self, temperatures: np.ndarray) -> None:
+        """Hold ``temperatures`` (``(n_cores,)``, or ``(n_runs, n_cores)``
+        stacked) as the state.  :meth:`step` works on its flat view,
+        with the degrees tiled to match, and on its ``(..., n_cores, 1)``
+        column view, the operand of the lateral term's matrix-vector
+        products."""
+        self._temperatures = temperatures
+        #: The state as one flat array over runs and cores.
+        self.flat_temperatures = temperatures.reshape(-1)
+        self._column = temperatures[..., None]
+        n_runs = len(self.flat_temperatures) // self.n_cores
+        self._flat_degree = np.tile(self._degree, n_runs)
+
+    @property
+    def temperatures(self) -> CelsiusArray:
+        """Per-core temperatures, updated in place by :meth:`step`.
+
+        In a fleet (:meth:`repro.cmpsim.chip.Chip.stack`) this is one row
+        of the fleet's ``(n_runs, n_cores)`` state; assigning copies the
+        values into it, so the row stays shared.
+        """
+        return self._temperatures
+
+    @temperatures.setter
+    def temperatures(self, value: CelsiusArray) -> None:
+        self._temperatures[...] = value
+
+    @classmethod
+    def stack(cls, models: Sequence[RCThermalModel]) -> RCThermalModel:
+        """One model over ``models``' temperatures stacked into ``(n_runs,
+        n_cores)``; each of ``models`` keeps its own as a row view.  They
+        must share a floorplan and config, whose constants it takes from
+        the first."""
+        fleet = copy.copy(models[0])
+        fleet._attach(np.stack([m.temperatures for m in models]))
+        for model, row in zip(models, fleet._temperatures):
+            model._attach(row)
+        return fleet
 
     def reset(self, temperature_c: Celsius | None = None) -> None:
         """Set every node to ``temperature_c`` (default: ambient)."""
@@ -60,7 +102,12 @@ class RCThermalModel:
         """Advance ``dt`` seconds under per-core power; returns temperatures.
 
         ``check=False`` skips the shape and :meth:`check_dt` validation,
-        for the chip kernel, which validates both once per run.
+        for the chip kernel, which validates both once per run.  There
+        the temperatures may be a fleet's stacked ``(n_runs, n_cores)``
+        state and ``core_power_w`` flat over it.  The lateral term is one
+        matrix-vector product per run (a batched ``matmul`` of ``(n_cores,
+        1)`` columns): the BLAS call a single run makes.  A matrix-matrix
+        product over the stacked rows may sum in another order.
         """
         p = np.asarray(core_power_w, dtype=float)
         if check:
@@ -68,14 +115,15 @@ class RCThermalModel:
                 raise ValueError(f"need one power value per core ({self.n_cores})")
             self.check_dt(dt)
         cfg = self.config
-        t = self.temperatures
+        t = self.flat_temperatures
         vertical = (t - cfg.ambient_c) / cfg.vertical_resistance_k_per_w
+        neighbours = (self._adjacency @ self._column).reshape(-1)
         lateral = (
-            self._degree * t - self._adjacency @ t
+            self._flat_degree * t - neighbours
         ) / cfg.lateral_resistance_k_per_w
-        dT = (p - vertical - lateral) * (dt / cfg.heat_capacity_j_per_k)
-        self.temperatures = t + dT
-        return self.temperatures
+        dT = (p.reshape(-1) - vertical - lateral) * (dt / cfg.heat_capacity_j_per_k)
+        t += dT
+        return self._temperatures
 
     def steady_state(self, core_power_w: WattsArray) -> CelsiusArray:
         """Analytic equilibrium temperatures for constant per-core power.

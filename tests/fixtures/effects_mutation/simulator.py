@@ -74,7 +74,7 @@ _LAST = 0
 
 
 def _scoped() -> int:
-    return _hit() + _last() + _nested() + _shadowed([1, 2]) + _closures()
+    return _hit() + _last() + _nested() + _shadowed([1, 2]) + _closures() + _imports()
 
 
 def _hit() -> int:
@@ -157,3 +157,15 @@ def _boxed() -> int:
         seen = [_HITS for _ in range(2)]  # expect: EFF002
 
     return len(Box.seen)
+
+
+# -- function-local imports: a name an import binds inside a function is
+# -- resolved through the module's import resolution, like a module-level one.
+
+
+def _imports() -> int:
+    """Calls through a local ``from … import`` and a local ``import … as``."""
+    from .helpers import stamp2
+    import time as t
+
+    return int(stamp2() + t.time())  # expect: EFF003

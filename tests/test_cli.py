@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.simulator import Fleet
 
 pytestmark = pytest.mark.slow
 
@@ -55,13 +55,13 @@ class TestRunCommand:
         cold = capsys.readouterr().out
         calibration_memo.clear()
         simulated = []
-        original = Simulation.run
+        original = Fleet.run
 
-        def recording_run(sim, n_gpm_intervals):
-            simulated.append(sim.scheme)
-            return original(sim, n_gpm_intervals)
+        def recording_run(fleet, n_gpm_intervals):
+            simulated.extend(sim.scheme for sim in fleet.members)
+            return original(fleet, n_gpm_intervals)
 
-        monkeypatch.setattr(Simulation, "run", recording_run)
+        monkeypatch.setattr(Fleet, "run", recording_run)
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
         assert simulated == []

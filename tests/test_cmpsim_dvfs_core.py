@@ -35,6 +35,15 @@ class TestDVFSTable:
         with pytest.raises(ValueError):
             t.voltage_at(0.3)
 
+    def test_nan_frequency_is_outside_the_ladder(self):
+        # A NaN fails every comparison, so the range check must be
+        # written to fail on it rather than to pass.
+        t = DVFSTable()
+        with pytest.raises(ValueError, match="outside ladder"):
+            t.voltage_at(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="outside ladder"):
+            t.voltage_at(float("nan"))
+
     def test_quantize_nearest(self):
         t = DVFSTable()
         assert t.quantize(1.29) == pytest.approx(1.2)

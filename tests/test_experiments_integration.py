@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.simulator import Fleet
 from repro.core import calibration
 from repro.core.cpm import CPMScheme
 from repro.experiments import ALL_EXPERIMENTS
@@ -75,10 +75,10 @@ def test_experiment_all_simulates_each_request_once(
     monkeypatch.setenv("REPRO_CACHE", "0")
     calibration_memo.clear()
     seen = []
-    original = Simulation.run
+    original = Fleet.run
 
-    def recording_run(sim, n_gpm_intervals):
-        seen.append(
+    def recording_run(fleet, n_gpm_intervals):
+        seen.extend(
             (
                 describe(sim.scheme),
                 repr(sim.config),
@@ -87,10 +87,11 @@ def test_experiment_all_simulates_each_request_once(
                 sim.seeds.root_seed,
                 n_gpm_intervals,
             )
+            for sim in fleet.members
         )
-        return original(sim, n_gpm_intervals)
+        return original(fleet, n_gpm_intervals)
 
-    monkeypatch.setattr(Simulation, "run", recording_run)
+    monkeypatch.setattr(Fleet, "run", recording_run)
     assert cli_main(["experiment", "all", "--quick"]) == 0
     assert "== fig19" in capsys.readouterr().out
     assert any("WhiteNoiseDVFSScheme" in run[0] for run in seen)
@@ -131,13 +132,13 @@ def test_warm_experiment_all_simulates_only_the_expected_crash(
     cold = capsys.readouterr().out
     calibration_memo.clear()
     simulated = []
-    original = Simulation.run
+    original = Fleet.run
 
-    def recording_run(sim, n_gpm_intervals):
-        simulated.append(sim.scheme)
-        return original(sim, n_gpm_intervals)
+    def recording_run(fleet, n_gpm_intervals):
+        simulated.extend(sim.scheme for sim in fleet.members)
+        return original(fleet, n_gpm_intervals)
 
-    monkeypatch.setattr(Simulation, "run", recording_run)
+    monkeypatch.setattr(Fleet, "run", recording_run)
     assert cli_main(["experiment", "all", "--quick"]) == 0
     assert capsys.readouterr().out == cold
     (scheme,) = simulated

@@ -51,7 +51,7 @@ from repro.faults import (
 from repro.gpm import EnergyAwarePolicy, ThermalAwarePolicy, VariationAwarePolicy
 from repro.resilience import GuardedCPMScheme
 
-__all__ = ["GOLDEN_PATH", "compute_digests"]
+__all__ = ["GOLDEN_PATH", "compute_digests", "result_digests"]
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "telemetry_digests.json"
 GOLDEN_SEED = 2010
@@ -147,6 +147,11 @@ def _run_digests(config, make_scheme) -> dict[str, str]:
     result = Simulation(
         config, scheme, budget_fraction=BUDGET, seed=GOLDEN_SEED
     ).run(GOLDEN_WINDOWS)
+    return result_digests(result, scheme)
+
+
+def result_digests(result, scheme) -> dict[str, str]:
+    """Every digest of one run's ``result``; ``scheme`` is the run's."""
     digests = {
         key: _sha256(values)
         for key, values in sorted(result.telemetry.finalize().items())

@@ -1097,7 +1097,7 @@ class TestMutationFixture:
                     expected.extend(
                         (rel, lineno, rule) for rule in marker.group(1).split(", ")
                     )
-        assert len(expected) == 21, "fixture must seed exactly 21 violations"
+        assert len(expected) == 23, "fixture must seed exactly 23 violations"
         assert {m for _, _, m in expected} == {
             "E000",
             "EFF001",
@@ -1132,6 +1132,53 @@ class TestMutationFixture:
 # ---------------------------------------------------------------------------
 # Acceptance: the repository's own tree is effect-clean
 # ---------------------------------------------------------------------------
+
+
+class TestFunctionLocalImports:
+    """A name an import binds inside a function resolves through the
+    module's import resolution, like a module-level import's name."""
+
+    def test_calls_through_local_imports_reach_their_targets(self):
+        findings = analyze(
+            simulator="""
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    from .helpers import stamp2
+                    import time as t
+                    return stamp2() + t.time()
+            """,
+            extra={
+                "src/mini/helpers.py": """
+                import time
+
+                def stamp2():
+                    return time.time()
+                """
+            },
+        )
+        assert sorted((f.path, f.rule_id) for f in findings) == [
+            ("src/mini/helpers.py", "EFF003"),
+            ("src/mini/simulator.py", "EFF003"),
+        ]
+
+    def test_a_plain_local_still_resolves_to_nothing(self):
+        findings = analyze(
+            simulator="""
+            import time
+
+            class Simulation:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                def run(self):
+                    time = lambda: 0.0
+                    return time()
+            """
+        )
+        assert findings == []
 
 
 class TestRepositoryTree:

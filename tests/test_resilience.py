@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cmpsim.dvfs import DVFSTable
-from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.simulator import Fleet, Simulation
 from repro.cmpsim.telemetry import ResilienceLog, WindowStats
 from repro.config import DEFAULT_CONFIG
 from repro.control.pid import PIDGains
@@ -412,6 +412,22 @@ class TestFaultySchemeWrapper:
         with pytest.raises(Exception):
             self.run_small(wrapped)
 
+    def test_transient_dropout_fails_at_the_tick_its_nan_is_applied(self):
+        # The unguarded PID turns the NaN reading into a NaN frequency
+        # request; the chip kernel's ladder check rejects it on the tick
+        # it would take effect, before any NaN power is computed.
+        sim = Simulation(
+            SMALL,
+            inject(CPMScheme(), TransientSensorDropout(0, FaultWindow(20, 40))),
+            budget_fraction=BUDGET,
+            seed=9,
+        )
+        with pytest.raises(ValueError, match="outside ladder"):
+            sim.run(6)
+        assert sim.tick == 20
+        assert np.isnan(sim.chip.island_frequency[0])
+        assert np.isfinite(sim.telemetry.finalize()["chip_power_frac"]).all()
+
     def test_transient_dropout_survived_by_guarded(self):
         base = GuardedCPMScheme()
         wrapped = inject(base, TransientSensorDropout(0, FaultWindow(20, 40)))
@@ -511,13 +527,13 @@ class TestChaosCache:
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         cold = run_cases(quick=True)
         simulated = []
-        original = Simulation.run
+        original = Fleet.run
 
-        def recording_run(sim, n_gpm_intervals):
-            simulated.append(sim.scheme)
-            return original(sim, n_gpm_intervals)
+        def recording_run(fleet, n_gpm_intervals):
+            simulated.extend(sim.scheme for sim in fleet.members)
+            return original(fleet, n_gpm_intervals)
 
-        monkeypatch.setattr(Simulation, "run", recording_run)
+        monkeypatch.setattr(Fleet, "run", recording_run)
         warm = run_cases(quick=True)
         (scheme,) = simulated
         assert type(scheme.inner) is CPMScheme

@@ -14,7 +14,7 @@ import pytest
 
 from repro.baselines.maxbips import MaxBIPSScheme
 from repro.baselines.no_management import NoManagementScheme
-from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.simulator import Fleet, Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.calibration import (
     CalibrationPoint,
@@ -230,13 +230,13 @@ class TestCalibrationWave:
         assert len(list(tmp_path.rglob("*.pkl"))) == 1 + 9
         calibration_memo.clear()
         simulated = []
-        original = Simulation.run
+        original = Fleet.run
 
-        def recording_run(sim, n_gpm_intervals):
-            simulated.append(type(sim.scheme).__name__)
-            return original(sim, n_gpm_intervals)
+        def recording_run(fleet, n_gpm_intervals):
+            simulated.extend(type(sim.scheme).__name__ for sim in fleet.members)
+            return original(fleet, n_gpm_intervals)
 
-        monkeypatch.setattr(Simulation, "run", recording_run)
+        monkeypatch.setattr(Fleet, "run", recording_run)
         run_one(mix2, cache_dir=tmp_path)
         # Only the point's own mix run is new, then the run itself.
         assert simulated == ["WhiteNoiseDVFSScheme", "CPMScheme"]
@@ -244,7 +244,7 @@ class TestCalibrationWave:
         calibration_memo.clear()
         assert_results_identical(run_one(mix1, cache_dir=tmp_path), cold)
         assert simulated == []
-        monkeypatch.setattr(Simulation, "run", original)
+        monkeypatch.setattr(Fleet, "run", original)
         assert_results_identical(cold, run_one(mix1))
 
     @pytest.mark.slow
@@ -369,19 +369,19 @@ class TestCacheKey:
 class TestDeduplication:
     def test_duplicate_request_simulated_once(self, monkeypatch):
         runs = []
-        original = Simulation.run
+        original = Fleet.run
 
-        def counting_run(sim, n_gpm_intervals):
-            runs.append(sim.seeds.root_seed)
-            return original(sim, n_gpm_intervals)
+        def counting_run(fleet, n_gpm_intervals):
+            runs.extend(sim.seeds.root_seed for sim in fleet.members)
+            return original(fleet, n_gpm_intervals)
 
-        monkeypatch.setattr(Simulation, "run", counting_run)
+        monkeypatch.setattr(Fleet, "run", counting_run)
         unmanaged = partial(request, scheme_factory=NoManagementScheme)
         results = run_many([unmanaged(), unmanaged(seed=8), unmanaged()], jobs=1)
         assert sorted(runs) == [7, 8]
         assert results[0] is results[2]
         assert results[1] is not results[0]
-        monkeypatch.setattr(Simulation, "run", original)
+        monkeypatch.setattr(Fleet, "run", original)
         assert_results_identical(results[0], run_one(unmanaged()))
 
 

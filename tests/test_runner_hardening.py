@@ -14,7 +14,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.cmpsim.simulator import Simulation
+from repro.baselines.no_management import NoManagementScheme
+from repro.cmpsim.simulator import Fleet
 from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme
 from repro.runner import (
@@ -201,13 +202,13 @@ class TestQuarantine:
 
     def test_failing_duplicate_fails_at_every_position(self, monkeypatch):
         runs = []
-        original = Simulation.run
+        original = Fleet.run
 
-        def counting_run(sim, n_gpm_intervals):
-            runs.append(type(sim.scheme).__name__)
-            return original(sim, n_gpm_intervals)
+        def counting_run(fleet, n_gpm_intervals):
+            runs.extend(type(sim.scheme).__name__ for sim in fleet.members)
+            return original(fleet, n_gpm_intervals)
 
-        monkeypatch.setattr(Simulation, "run", counting_run)
+        monkeypatch.setattr(Fleet, "run", counting_run)
         failures: list[RunFailure] = []
         results = run_many(
             [request(RaisingScheme), request(seed=6), request(RaisingScheme)],
@@ -270,6 +271,86 @@ class TestQuarantine:
         supervised = run_many(reqs, jobs=2, timeout_s=60.0)
         for a, b in zip(serial, supervised):
             assert_results_identical(a, b)
+
+
+class RaisingUnmanagedScheme(NoManagementScheme):
+    """Raises mid-run; needs no calibration, so no wave runs before it."""
+
+    name = "raising-unmanaged"
+
+    def on_pic(self, sim):
+        if sim.tick > 0:
+            raise ValueError("boom")
+        super().on_pic(sim)
+
+
+def _record_fleet_sizes(monkeypatch, log_path):
+    """Have every fleet, in this process or a forked worker, append its
+    member count to ``log_path``; return a reader of the counts."""
+    original = Fleet.run
+
+    def recording_run(fleet, n_gpm_intervals):
+        with open(log_path, "a") as fh:
+            fh.write(f"{len(fleet.members)}\n")
+        return original(fleet, n_gpm_intervals)
+
+    monkeypatch.setattr(Fleet, "run", recording_run)
+    return lambda: sorted(int(n) for n in open(log_path).read().split())
+
+
+class TestFleetsUnderTheFailurePolicy:
+    """Unsupervised misses that share a config and a horizon run as
+    fleets; a supervised sweep runs one run per task, because a deadline,
+    a retry and a quarantine each belong to one run."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(jobs=1, on_error="quarantine"),
+            dict(jobs=1, retries=1),
+            dict(jobs=2, timeout_s=60.0),
+            dict(jobs=2, on_error="quarantine"),
+        ],
+        ids=["quarantine", "retries", "pool-with-deadline", "pool-quarantine"],
+    )
+    def test_supervised_sweep_runs_one_run_per_task(
+        self, options, monkeypatch, tmp_path
+    ):
+        sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
+        reqs = [request(NoManagementScheme, seed=s) for s in (31, 32, 33, 34)]
+        results = run_many(reqs, **options)
+        assert sizes() == [1, 1, 1, 1]
+        for req, result in zip(reqs, results):
+            assert_results_identical(result, run_one(req))
+
+    @pytest.mark.parametrize(
+        ("jobs", "expected"), [(1, [4]), (2, [2, 2])], ids=["in-process", "pool"]
+    )
+    def test_unsupervised_sweep_runs_fleets(
+        self, jobs, expected, monkeypatch, tmp_path
+    ):
+        sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
+        reqs = [request(NoManagementScheme, seed=s) for s in (31, 32, 33, 34)]
+        results = run_many(reqs, jobs=jobs)
+        assert sizes() == expected
+        for req, result in zip(reqs, results):
+            assert_results_identical(result, run_one(req))
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
+    def test_raising_member_aborts_the_sweep_with_its_own_exception(
+        self, jobs, monkeypatch, tmp_path
+    ):
+        sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
+        reqs = [
+            request(NoManagementScheme, seed=41),
+            request(RaisingUnmanagedScheme, seed=42),
+            request(NoManagementScheme, seed=43),
+            request(NoManagementScheme, seed=44),
+        ]
+        with pytest.raises(ValueError, match="^boom$"):
+            run_many(reqs, jobs=jobs)
+        # The raising run shared its fleet with a healthy one.
+        assert min(sizes()) > 1
 
 
 class TestCacheDurability:
