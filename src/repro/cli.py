@@ -135,7 +135,7 @@ def _jobs_value(raw: str) -> int | None:
 def _add_platform_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=8, help="core count")
     parser.add_argument("--islands", type=int, default=4, help="island count")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=_count, default=DEFAULT_SEED)
 
 
 def _request(args: argparse.Namespace, scheme_factory, budget: float) -> RunRequest:
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="experiment module name, or 'all'")
     exp.add_argument("--quick", action="store_true",
                      help="shortened horizons")
-    exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    exp.add_argument("--seed", type=_count, default=DEFAULT_SEED)
     exp.add_argument("--jobs", type=_jobs_value, default=1,
                      help="worker processes (a count, or 'all')")
     exp.set_defaults(func=cmd_experiment)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--quick", action="store_true",
                        help="shortened fault grid")
-    chaos.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    chaos.add_argument("--seed", type=_count, default=DEFAULT_SEED)
     chaos.add_argument("--out", help="write the report as JSON")
     chaos.set_defaults(func=cmd_chaos)
     return parser

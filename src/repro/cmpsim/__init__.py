@@ -8,11 +8,11 @@ same state into watts; and a lumped-RC model advances temperatures.  A
 pluggable :class:`~repro.cmpsim.simulator.PowerScheme` receives callbacks
 at PIC and GPM cadence and actuates island frequencies — the paper's CPM
 architecture and the MaxBIPS/no-management baselines are all schemes.
+Caches are not simulated: the CPI stack reads each workload phase's
+L1/L2 MPKI constants, which are set by hand to its Table III class.
 
 * :mod:`repro.cmpsim.dvfs` — the 8-point Pentium-M V/F table, voltage
   interpolation, quantization.
-* :mod:`repro.cmpsim.cache` — set-associative LRU caches used for
-  trace-driven miss-rate calibration.
 * :mod:`repro.cmpsim.core` — the analytic CPI stack.
 * :mod:`repro.cmpsim.chip` — vectorized per-interval evaluation of all
   cores, islands and the chip, plus the max-power normalization.
@@ -20,24 +20,19 @@ architecture and the MaxBIPS/no-management baselines are all schemes.
 * :mod:`repro.cmpsim.simulator` — the simulation driver and scheme hooks.
 """
 
-from .cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from .chip import Chip, IntervalResult
-from .core import cpi_stack, utilization_reference
+from .core import cpi_stack
 from .dvfs import DVFSTable
 from .simulator import PowerScheme, Simulation, SimulationResult
 from .telemetry import Telemetry
 
 __all__ = [
-    "CacheHierarchy",
-    "CacheStats",
     "Chip",
     "DVFSTable",
     "IntervalResult",
     "PowerScheme",
-    "SetAssociativeCache",
     "Simulation",
     "SimulationResult",
     "Telemetry",
     "cpi_stack",
-    "utilization_reference",
 ]

@@ -13,17 +13,15 @@ at higher frequency.  A memory-bound workload (large L2 MPKI) therefore
 gains little throughput from frequency — the effect every performance
 result in the paper turns on.
 
-Throughput and the two power-relevant fractions are derived from the same
-stack::
+Throughput and the busy fraction are derived from the same stack::
 
     IPS        = alpha * f / CPI(f)                  # instructions/second
     busy       = (CPI_base + L1 term) / CPI(f)       # unstalled cycles
-    utilization= IPS / IPS_peak                      # counter-style "CPU %"
 
 ``alpha`` is the phase's architectural activity (issue occupancy and
-synchronization idling folded together); ``IPS_peak`` is the benchmark's
-retirement capability at maximum frequency, making utilization the
-fraction-of-peak-throughput quantity a perf-counter-based sensor reports.
+synchronization idling folded together).  The chip turns ``busy`` into
+the utilization a perf-counter-based sensor reports
+(:mod:`repro.cmpsim.chip`).
 
 Everything is vectorized over cores — inputs may be scalars or aligned
 arrays (one entry per core).
@@ -38,14 +36,12 @@ import numpy as np
 from .. import units
 from ..config import MemoryConfig
 from ..unit_types import GigaHz, GigaHzLike
-from ..workloads.benchmark import BenchmarkSpec
 
 __all__ = [
     "CPIStackResult",
     "cpi_stack",
     "frequency_speedup",
     "memory_cycles_per_instruction",
-    "utilization_reference",
 ]
 
 
@@ -94,27 +90,6 @@ def cpi_stack(
         busy=np.asarray(busy, dtype=float),
         ips=np.asarray(ips, dtype=float),
     )
-
-
-def utilization_reference(
-    spec: BenchmarkSpec, f_max: GigaHz, memory: MemoryConfig
-) -> float:
-    """The benchmark's peak IPS: full activity at ``f_max``, mean phase.
-
-    Per-core utilization is reported relative to this constant, so a core
-    at maximum frequency with typical activity reads ~``mean alpha``, and
-    memory-bound cores saturate well below 1 — the counter behaviour the
-    transducer of Figure 6 is fitted against.
-    """
-    result = cpi_stack(
-        f_max,
-        alpha=1.0,
-        cpi_base=spec.mean_cpi_base,
-        l1_mpki=float(np.mean([p.l1_mpki for p in spec.phases])),
-        l2_mpki=spec.mean_l2_mpki,
-        memory=memory,
-    )
-    return float(result.ips)
 
 
 def frequency_speedup(

@@ -43,9 +43,11 @@ import dataclasses
 import functools
 import hashlib
 import multiprocessing
+import operator
 import os
 import pathlib
 import pickle
+import platform
 import sys
 import time
 import types
@@ -120,8 +122,19 @@ class RunRequest:
     n_gpm_intervals: int = 25
 
     def __post_init__(self) -> None:
+        # operator.index admits any integer (NumPy's too) and rejects a
+        # float, which the key would otherwise truncate onto the entry
+        # of another request.
+        for name in ("seed", "n_gpm_intervals"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not {value!r}") from None
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_gpm_intervals < 1:
             raise ValueError("need at least one GPM interval")
         if not isinstance(
@@ -198,11 +211,15 @@ def _stable(value: object, where: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def code_fingerprint(root: pathlib.Path = _PACKAGE_ROOT) -> str:
-    """SHA-256 over the relative path and bytes of every ``.py`` file of
-    the package (``root``) outside ``lintkit/``, in path order, once per
-    process: an edit to the code a run may execute (a plan's scheme
-    factory in ``experiments/`` included) is a new cache key."""
+    """SHA-256 over the numeric environment (NumPy's and Python's
+    versions and the machine type) and the relative path and bytes of
+    every ``.py`` file of the package (``root``) outside ``lintkit/``, in
+    path order, once per process: an upgrade that may change a run's
+    bits, or an edit to the code a run may execute (a plan's scheme
+    factory in ``experiments/`` included), is a new cache key."""
     digest = hashlib.sha256()
+    environment = f"{np.__version__}|{sys.version}|{platform.machine()}"
+    digest.update(environment.encode() + b"\0")
     files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
     for relative, path in files:
         if not relative.startswith("lintkit/"):
@@ -210,10 +227,10 @@ def code_fingerprint(root: pathlib.Path = _PACKAGE_ROOT) -> str:
     return digest.hexdigest()
 
 
-def _platform_text(config: CMPConfig, mix: Mix | None) -> str:
-    """The canonical text of a request's config and of its mix as the
-    simulator resolves it (``None`` is the config's default mix)."""
-    return f"{_stable(config, 'config')}|{_stable(mix_for_config(config, mix), 'mix')}"
+def _mix_text(config: CMPConfig, mix: Mix | None) -> str:
+    """The canonical text of a request's mix as the simulator resolves
+    it for ``config`` (``None`` is the config's default mix)."""
+    return _stable(mix_for_config(config, mix), "mix")
 
 
 def cache_key(request: RunRequest) -> str:
@@ -221,20 +238,23 @@ def cache_key(request: RunRequest) -> str:
     the config, the mix as the simulator resolves it (``None`` is the
     default mix), the scheme spec's canonical text, budget, seed and
     horizon, and :func:`code_fingerprint`.  It never calls the factory."""
-    return _keyed(request, _platform_text(request.config, request.mix))
+    config, mix = request.config, request.mix
+    return _keyed(request, _stable(config, "config"), _mix_text(config, mix))
 
 
-def _keyed(request: RunRequest, platform: str) -> str:
-    """:func:`cache_key` of ``request``, given its :func:`_platform_text`."""
+def _keyed(request: RunRequest, config_text: str, mix_text: str) -> str:
+    """:func:`cache_key` of ``request``, given its config's text and
+    its :func:`_mix_text`."""
     payload = "|".join(
         (
             f"v{CACHE_VERSION}",
             code_fingerprint(),
-            platform,
+            config_text,
+            mix_text,
             _stable(request.scheme_factory, "scheme_factory"),
             repr(float(request.budget_fraction)),
-            repr(int(request.seed)),
-            repr(int(request.n_gpm_intervals)),
+            repr(request.seed),
+            repr(request.n_gpm_intervals),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -717,20 +737,28 @@ def run_many(
     keys: list[str] = []
     first: dict[str, int] = {}
     results: dict[int, SimulationResult | None] = {}
-    # Each distinct (config, mix) pair is encoded once per sweep.  The
-    # memo is keyed by identity, not by ``==``: equal configs may encode
-    # differently (an int vs a float field), and each must keep its own
-    # key.  It holds the pair, so neither id can be reused meanwhile.
-    platforms: dict[tuple[int, int], tuple[CMPConfig, Mix | None, str]] = {}
+    # Each distinct config object is encoded once per sweep, and each
+    # mix once per config it is resolved for.  The memos are keyed by
+    # identity, not by ``==``: equal configs may encode differently (an
+    # int vs a float field), and each must keep its own key.  Each holds
+    # what it keyed, so no id can be reused meanwhile.
+    config_texts: dict[int, tuple[CMPConfig, str]] = {}
+    mix_texts: dict[tuple[int, int], tuple[CMPConfig, Mix | None, str]] = {}
+
+    def config_text(config: CMPConfig) -> str:
+        known = config_texts.get(id(config))
+        if known is None:
+            known = config_texts[id(config)] = (config, _stable(config, "config"))
+        return known[1]
 
     def key_of(request: RunRequest) -> str:
         config, mix = request.config, request.mix
-        known = platforms.get((id(config), id(mix)))
+        known = mix_texts.get((id(config), id(mix)))
         if known is None:
-            known = platforms[id(config), id(mix)] = (
-                config, mix, _platform_text(config, mix)
+            known = mix_texts[id(config), id(mix)] = (
+                config, mix, _mix_text(config, mix)
             )
-        return _keyed(request, known[2])
+        return _keyed(request, config_text(config), known[2])
 
     def enlist(batch: Iterable[RunRequest]) -> list[int]:
         """Add ``batch`` to the sweep: key and look up each request.
@@ -756,8 +784,24 @@ def run_many(
         [request_list[i] for i in pending], list(schemes.values())
     )
     point_of = {pending[j]: point for point, js in points.items() for j in js}
-    # The calibration wave: the excitation runs of each point not yet fitted.
-    wave = {p: enlist(calibration_requests(p)) for p in points if p not in FITTED}
+    # The calibration wave: the excitation runs of each point not yet
+    # fitted.  A point that cannot be calibrated (a negative seed makes
+    # invalid requests) is a failure of every run that needs it.
+    wave: dict[CalibrationPoint, list[int]] = {}
+    broken: dict[CalibrationPoint, RunFailure] = {}
+
+    def fails(point: CalibrationPoint, exc: Exception) -> None:
+        if on_error == "raise":
+            raise exc
+        message = f"{type(exc).__name__}: {exc}"
+        broken[point] = RunFailure(-1, "error", 1, message)
+
+    for point in points:
+        if point not in FITTED:
+            try:
+                wave[point] = enlist(calibration_requests(point))
+            except ValueError as exc:
+                fails(point, exc)
     excite = list(
         dict.fromkeys(i for ps in wave.values() for i in ps if results[i] is None)
     )
@@ -770,15 +814,9 @@ def run_many(
     # each, of at most ceil(group size / workers) members, so every
     # worker gets work.  A supervised sweep runs one run per task: a
     # deadline, a retry and a quarantine each belong to one run.
-    config_texts: dict[int, str] = {}  # by identity; request_list holds each
-
     def group_of(i: int) -> tuple[str, int]:
         request = request_list[i]
-        text = config_texts.get(id(request.config))
-        if text is None:
-            text = _stable(request.config, "config")
-            config_texts[id(request.config)] = text
-        return text, request.n_gpm_intervals
+        return config_text(request.config), request.n_gpm_intervals
 
     def width_of(size: int) -> int:
         return 1 if supervised else -(-size // n_jobs)
@@ -827,7 +865,6 @@ def run_many(
     try:
         run_fleets_of({f[0]: task(f) for f in wave_fleets}, "calibration run")
         lost = {f.index: f for f in failed}
-        broken: dict[CalibrationPoint, RunFailure] = {}
         for point, positions in wave.items():
             cause = next((lost[i] for i in positions if i in lost), None)
             if cause is not None:
@@ -836,10 +873,7 @@ def run_many(
             try:
                 fit_once(point, [results[i] for i in positions])  # type: ignore[misc]
             except Exception as exc:  # noqa: BLE001 - the failure policy decides
-                if on_error == "raise":
-                    raise
-                message = f"{type(exc).__name__}: {exc}"
-                broken[point] = RunFailure(-1, "error", 1, message)
+                fails(point, exc)
         # The fits hold what the runs need; free the excitation results.
         for i in range(len(primary), len(keys)):
             results.pop(i, None)

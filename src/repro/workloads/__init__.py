@@ -5,7 +5,9 @@ BIPS responds to frequency (CPU- vs memory-bound), utilization noise, and
 phase changes over time — not on the actual computation.  This package
 models the eight PARSEC applications of Table II (plus the four SPEC
 applications used in the thermal study) as phase-driven synthetic
-benchmarks with those properties:
+benchmarks with those properties.  Each phase's base CPI, activity and
+L1/L2 MPKI are constants set by hand to place the benchmark in its
+CPU-/memory-bound class; no cache or address trace derives them.
 
 * :mod:`repro.workloads.phases` — a Markov phase machine with AR(1)
   activity noise producing per-interval workload state.
@@ -16,28 +18,23 @@ benchmarks with those properties:
   memory-intensive, as the paper observed).
 * :mod:`repro.workloads.spec` — mesa/bzip2/gcc/sixtrack CPU-bound models
   for the thermal-aware policy study.
-* :mod:`repro.workloads.trace` — synthetic address-trace generation used
-  to calibrate miss rates through the cache simulator.
 * :mod:`repro.workloads.mixes` — the island assignments of Table III
   (Mix-1, Mix-2, Mix-3).
 """
 
-from .benchmark import BenchmarkInstance, BenchmarkSpec, MemoryBehavior, WorkloadSample
+from .benchmark import BenchmarkInstance, BenchmarkSpec, WorkloadSample
 from .mixes import MIX1, MIX2, MIX3, Mix, mix_for_config, thermal_mix
 from .parsec import PARSEC_BENCHMARKS, parsec_benchmark
 from .phases import Phase, PhaseMachine
 from .recorded import RecordedWorkload, ReplayInstance, record
 from .spec import SPEC_BENCHMARKS, spec_benchmark
-from .trace import AddressTraceGenerator, calibrate_miss_rates
 
 __all__ = [
     "MIX1",
     "MIX2",
     "MIX3",
-    "AddressTraceGenerator",
     "BenchmarkInstance",
     "BenchmarkSpec",
-    "MemoryBehavior",
     "Mix",
     "PARSEC_BENCHMARKS",
     "Phase",
@@ -46,7 +43,6 @@ __all__ = [
     "ReplayInstance",
     "SPEC_BENCHMARKS",
     "WorkloadSample",
-    "calibrate_miss_rates",
     "mix_for_config",
     "parsec_benchmark",
     "record",

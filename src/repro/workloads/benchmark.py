@@ -1,9 +1,8 @@
 """Benchmark specifications and stateful per-core instances.
 
 A :class:`BenchmarkSpec` is the static description of one application:
-its phase set, dwell/noise parameters, its memory-reference behaviour
-(used by the trace-driven cache calibration), and a classification used by
-the mix tables.  A :class:`BenchmarkInstance` binds a spec to a core with
+its phase set, dwell/noise parameters, and a classification used by the
+mix tables.  A :class:`BenchmarkInstance` binds a spec to a core with
 its own random stream and produces one :class:`WorkloadSample` per
 simulation interval.
 """
@@ -22,52 +21,12 @@ __all__ = [
     "BenchmarkSpec",
     "CPU_BOUND",
     "MEMORY_BOUND",
-    "MemoryBehavior",
     "WorkloadSample",
 ]
 
 #: Classification letters used by Table III ("C" cpu-bound, "M" memory-bound).
 CPU_BOUND = "C"
 MEMORY_BOUND = "M"
-
-
-@dataclass(frozen=True)
-class MemoryBehavior:
-    """Parameters of the synthetic address stream for cache calibration.
-
-    The address generator mixes three reference patterns whose proportions
-    set where accesses land in the hierarchy:
-
-    * sequential streaming through a large footprint (compulsory misses),
-    * reuse within a hot working set (hits),
-    * scattered references over the full footprint (conflict/capacity
-      misses in L1 that may still hit L2).
-    """
-
-    #: Hot working-set size in bytes (fits L1 for CPU-bound apps).
-    working_set_bytes: int
-    #: Total memory footprint in bytes.
-    footprint_bytes: int
-    #: Fraction of references that stream sequentially.
-    streaming_fraction: float
-    #: Fraction of references scattered uniformly over the footprint.
-    scatter_fraction: float
-    #: Memory references per instruction (loads+stores).
-    refs_per_instruction: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.working_set_bytes <= 0 or self.footprint_bytes <= 0:
-            raise ValueError("working set and footprint must be positive")
-        if self.working_set_bytes > self.footprint_bytes:
-            raise ValueError("working set cannot exceed the footprint")
-        if not 0.0 <= self.streaming_fraction <= 1.0:
-            raise ValueError("streaming_fraction must be in [0, 1]")
-        if not 0.0 <= self.scatter_fraction <= 1.0:
-            raise ValueError("scatter_fraction must be in [0, 1]")
-        if self.streaming_fraction + self.scatter_fraction > 1.0:
-            raise ValueError("pattern fractions must sum to at most 1")
-        if self.refs_per_instruction <= 0:
-            raise ValueError("refs_per_instruction must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,7 +39,6 @@ class BenchmarkSpec:
     suite: str  # "parsec" or "spec"
     description: str
     phases: Tuple[Phase, ...]
-    memory: MemoryBehavior
     #: Expected intervals between phase transitions (PIC intervals).
     mean_dwell_intervals: float = 40.0
     noise_sigma: float = 0.015
@@ -101,16 +59,12 @@ class BenchmarkSpec:
         """Average off-chip miss rate across phases (boundness indicator)."""
         return float(np.mean([p.l2_mpki for p in self.phases]))
 
-    @property
-    def mean_cpi_base(self) -> float:
-        return float(np.mean([p.cpi_base for p in self.phases]))
-
     def with_input_set(self, input_set: str) -> "BenchmarkSpec":
         """Derive the other input-set variant.
 
         The paper found native inputs make the benchmarks memory-intensive;
         the native variant scales every phase's miss rates up (working sets
-        blow out of the caches) and the footprint along with them.
+        blow out of the caches).
         """
         if input_set == self.input_set:
             return self
@@ -124,12 +78,7 @@ class BenchmarkSpec:
             replace(p, l1_mpki=p.l1_mpki * factor, l2_mpki=p.l2_mpki * factor)
             for p in self.phases
         )
-        memory = replace(
-            self.memory,
-            footprint_bytes=int(self.memory.footprint_bytes * factor),
-            working_set_bytes=int(self.memory.working_set_bytes * min(factor, 4.0)),
-        )
-        return replace(self, phases=phases, memory=memory, input_set=input_set)
+        return replace(self, phases=phases, input_set=input_set)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .benchmark import CPU_BOUND, MEMORY_BOUND, BenchmarkSpec, MemoryBehavior
+from .benchmark import CPU_BOUND, MEMORY_BOUND, BenchmarkSpec
 from .phases import Phase
 
-__all__ = ["KB", "MB", "PARSEC_BENCHMARKS", "SHORT_NAMES", "parsec_benchmark"]
-
-KB = 1024
-MB = 1024 * 1024
+__all__ = ["PARSEC_BENCHMARKS", "SHORT_NAMES", "parsec_benchmark"]
 
 
 def _spec(
@@ -33,7 +30,6 @@ def _spec(
     kind: str,
     description: str,
     phases: Tuple[Phase, ...],
-    memory: MemoryBehavior,
     **kwargs,
 ) -> BenchmarkSpec:
     return BenchmarkSpec(
@@ -42,7 +38,6 @@ def _spec(
         suite="parsec",
         description=description,
         phases=phases,
-        memory=memory,
         **kwargs,
     )
 
@@ -56,12 +51,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.96, cpi_base=0.80, l1_mpki=3.0, l2_mpki=0.20),
             Phase(alpha=0.90, cpi_base=0.90, l1_mpki=4.5, l2_mpki=0.35),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=8 * KB,
-            footprint_bytes=2 * MB,
-            streaming_fraction=0.15,
-            scatter_fraction=0.02,
-        ),
         noise_sigma=0.010,
     ),
     "bodytrack": _spec(
@@ -73,12 +62,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.84, cpi_base=1.05, l1_mpki=9.0, l2_mpki=0.80),
             Phase(alpha=0.89, cpi_base=0.95, l1_mpki=7.0, l2_mpki=0.55),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=12 * KB,
-            footprint_bytes=8 * MB,
-            streaming_fraction=0.25,
-            scatter_fraction=0.05,
-        ),
         mean_dwell_intervals=30.0,
     ),
     "freqmine": _spec(
@@ -88,12 +71,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
         phases=(
             Phase(alpha=0.88, cpi_base=0.95, l1_mpki=8.0, l2_mpki=0.60),
             Phase(alpha=0.80, cpi_base=1.10, l1_mpki=12.0, l2_mpki=1.20),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=14 * KB,
-            footprint_bytes=16 * MB,
-            streaming_fraction=0.10,
-            scatter_fraction=0.10,
         ),
         mean_dwell_intervals=50.0,
     ),
@@ -106,12 +83,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.86, cpi_base=1.00, l1_mpki=8.0, l2_mpki=0.70),
             Phase(alpha=0.76, cpi_base=1.05, l1_mpki=10.0, l2_mpki=1.00),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=16 * KB,
-            footprint_bytes=24 * MB,
-            streaming_fraction=0.35,
-            scatter_fraction=0.05,
-        ),
         mean_dwell_intervals=20.0,
         noise_sigma=0.025,
     ),
@@ -122,12 +93,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
         phases=(
             Phase(alpha=0.75, cpi_base=1.00, l1_mpki=28.0, l2_mpki=6.0),
             Phase(alpha=0.77, cpi_base=1.10, l1_mpki=34.0, l2_mpki=9.0),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=256 * KB,
-            footprint_bytes=96 * MB,
-            streaming_fraction=0.70,
-            scatter_fraction=0.10,
         ),
         mean_dwell_intervals=60.0,
     ),
@@ -140,12 +105,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.71, cpi_base=1.20, l1_mpki=28.0, l2_mpki=7.0),
             Phase(alpha=0.80, cpi_base=1.05, l1_mpki=18.0, l2_mpki=3.5),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=192 * KB,
-            footprint_bytes=128 * MB,
-            streaming_fraction=0.40,
-            scatter_fraction=0.25,
-        ),
         mean_dwell_intervals=45.0,
     ),
     "canneal": _spec(
@@ -155,12 +114,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
         phases=(
             Phase(alpha=0.68, cpi_base=1.25, l1_mpki=36.0, l2_mpki=9.0),
             Phase(alpha=0.63, cpi_base=1.35, l1_mpki=42.0, l2_mpki=12.0),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=512 * KB,
-            footprint_bytes=256 * MB,
-            streaming_fraction=0.05,
-            scatter_fraction=0.75,
         ),
         mean_dwell_intervals=80.0,
         noise_sigma=0.020,
@@ -173,12 +126,6 @@ PARSEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.79, cpi_base=1.00, l1_mpki=24.0, l2_mpki=5.0),
             Phase(alpha=0.73, cpi_base=1.10, l1_mpki=30.0, l2_mpki=8.0),
             Phase(alpha=0.84, cpi_base=0.95, l1_mpki=20.0, l2_mpki=4.0),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=160 * KB,
-            footprint_bytes=80 * MB,
-            streaming_fraction=0.60,
-            scatter_fraction=0.10,
         ),
         mean_dwell_intervals=25.0,
         noise_sigma=0.025,

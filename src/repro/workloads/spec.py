@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from .benchmark import CPU_BOUND, BenchmarkSpec, MemoryBehavior
+from .benchmark import CPU_BOUND, BenchmarkSpec
 from .phases import Phase
 
-__all__ = ["KB", "MB", "SPEC_BENCHMARKS", "spec_benchmark"]
-
-KB = 1024
-MB = 1024 * 1024
+__all__ = ["SPEC_BENCHMARKS", "spec_benchmark"]
 
 SPEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
     "mesa": BenchmarkSpec(
@@ -30,12 +27,6 @@ SPEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.94, cpi_base=0.85, l1_mpki=5.0, l2_mpki=0.30),
             Phase(alpha=0.89, cpi_base=0.95, l1_mpki=7.0, l2_mpki=0.50),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=12 * KB,
-            footprint_bytes=8 * MB,
-            streaming_fraction=0.30,
-            scatter_fraction=0.05,
-        ),
         mean_dwell_intervals=40.0,
     ),
     "bzip2": BenchmarkSpec(
@@ -46,12 +37,6 @@ SPEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
         phases=(
             Phase(alpha=0.91, cpi_base=0.95, l1_mpki=9.0, l2_mpki=0.80),
             Phase(alpha=0.82, cpi_base=1.10, l1_mpki=13.0, l2_mpki=1.40),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=14 * KB,
-            footprint_bytes=16 * MB,
-            streaming_fraction=0.45,
-            scatter_fraction=0.05,
         ),
         mean_dwell_intervals=25.0,
         noise_sigma=0.020,
@@ -66,12 +51,6 @@ SPEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
             Phase(alpha=0.78, cpi_base=1.20, l1_mpki=15.0, l2_mpki=1.80),
             Phase(alpha=0.92, cpi_base=0.95, l1_mpki=8.0, l2_mpki=0.60),
         ),
-        memory=MemoryBehavior(
-            working_set_bytes=16 * KB,
-            footprint_bytes=24 * MB,
-            streaming_fraction=0.10,
-            scatter_fraction=0.20,
-        ),
         mean_dwell_intervals=15.0,
         noise_sigma=0.030,
     ),
@@ -82,12 +61,6 @@ SPEC_BENCHMARKS: Dict[str, BenchmarkSpec] = {
         description="particle tracking; dense FP loops, very steady",
         phases=(
             Phase(alpha=0.96, cpi_base=0.80, l1_mpki=4.0, l2_mpki=0.25),
-        ),
-        memory=MemoryBehavior(
-            working_set_bytes=10 * KB,
-            footprint_bytes=4 * MB,
-            streaming_fraction=0.20,
-            scatter_fraction=0.02,
         ),
         mean_dwell_intervals=100.0,
         noise_sigma=0.008,

@@ -129,6 +129,12 @@ class TestExperimentCommand:
         ["sweep", "--budgets", "1.0:0.75:0.05"],
         ["sweep", "--budgets", "0.75:1.2:0.1"],
         ["experiment", "fig11_budget_curves", "--jobs", "-1"],
+        ["run", "--seed", "-1"],
+        ["calibrate", "--seed", "-1"],
+        ["compare", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["experiment", "fig11_budget_curves", "--seed", "-1"],
+        ["chaos", "--seed", "-1"],
     ],
     ids=" ".join,
 )

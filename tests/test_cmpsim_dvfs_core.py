@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cmpsim.core import cpi_stack, frequency_speedup, utilization_reference
+from repro.cmpsim.core import cpi_stack, frequency_speedup
 from repro.cmpsim.dvfs import DVFSTable
 from repro.config import MemoryConfig
-from repro.workloads.parsec import parsec_benchmark
 
 
 class TestDVFSTable:
@@ -122,10 +121,3 @@ class TestSpeedupAndReference:
             frequency_speedup(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             frequency_speedup(1.0, 2.0, 0.0, 0.0)
-
-    def test_utilization_reference_ordering(self):
-        """CPU-bound peak throughput far exceeds memory-bound."""
-        mem = MemoryConfig()
-        cpu_ref = utilization_reference(parsec_benchmark("blackscholes"), 2.0, mem)
-        mem_ref = utilization_reference(parsec_benchmark("canneal"), 2.0, mem)
-        assert cpu_ref > 2 * mem_ref

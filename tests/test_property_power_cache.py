@@ -1,11 +1,9 @@
-"""Property-based tests on the power models and cache simulator."""
+"""Property-based tests on the power models and the CPI stack."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cmpsim.cache import SetAssociativeCache
 from repro.cmpsim.core import cpi_stack
 from repro.config import MemoryConfig
 from repro.power.clock_gating import LinearClockGating
@@ -114,45 +112,3 @@ class TestCPIStackProperties:
         assert r_hi.ips >= r_lo.ips
         # Strictly sublinear whenever there is any off-chip traffic.
         assert r_hi.ips < r_lo.ips * (hi / lo) + 1e-6
-
-
-class TestCacheProperties:
-    @given(
-        addresses=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_counter_consistency(self, addresses):
-        cache = SetAssociativeCache(4096, 2, 64)
-        for a in addresses:
-            cache.access(a)
-        assert cache.accesses == len(addresses)
-        assert 0 <= cache.misses <= cache.accesses
-        # Distinct blocks touched lower-bounds misses (compulsory misses).
-        blocks = {a >> 6 for a in addresses}
-        assert cache.misses >= min(len(blocks), 1)
-
-    @given(
-        addresses=st.lists(st.integers(0, 4095), min_size=1, max_size=200),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_working_set_within_capacity_all_hits_second_pass(self, addresses):
-        """Any reference stream fitting entirely in the cache hits on
-        replay (LRU never evicts a line that still fits)."""
-        cache = SetAssociativeCache(64 * 1024, 16, 64)  # 4 KB fits easily
-        for a in addresses:
-            cache.access(a)
-        cache.reset_stats()
-        for a in addresses:
-            assert cache.access(a) is True
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=20, deadline=None)
-    def test_miss_rate_monotone_in_cache_size(self, seed):
-        rng = np.random.default_rng(seed)
-        addresses = rng.integers(0, 1 << 16, size=600)
-        small = SetAssociativeCache(2048, 2, 64)
-        large = SetAssociativeCache(32 * 1024, 2, 64)
-        for a in addresses:
-            small.access(int(a))
-            large.access(int(a))
-        assert large.misses <= small.misses

@@ -102,6 +102,26 @@ class TestRunRequest:
         with pytest.raises(ValueError):
             request(n_gpm_intervals=0)
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_fractional_horizon_fails_at_construction(self, cached, tmp_path):
+        """A 2.5-interval request must not be keyed, and so served, as
+        the 2-interval run."""
+        cache_dir = tmp_path if cached else None
+        unmanaged = partial(request, scheme_factory=NoManagementScheme)
+        if cached:
+            run_one(unmanaged(n_gpm_intervals=2), cache_dir=cache_dir)
+        with pytest.raises(TypeError, match="n_gpm_intervals"):
+            run_one(unmanaged(n_gpm_intervals=2.5), cache_dir=cache_dir)
+
+    def test_seed_is_a_non_negative_integer(self):
+        with pytest.raises(TypeError, match="seed"):
+            request(seed=7.5)
+        with pytest.raises(ValueError, match="seed"):
+            request(seed=-1)
+        numpy_ints = request(seed=np.int64(7), n_gpm_intervals=np.int32(N_GPM))
+        assert type(numpy_ints.seed) is type(numpy_ints.n_gpm_intervals) is int
+        assert cache_key(numpy_ints) == cache_key(request())
+
     def test_requests_pickle(self):
         restored = pickle.loads(pickle.dumps(request()))
         assert restored.budget_fraction == 0.8
@@ -404,6 +424,17 @@ class TestCodeFingerprint:
         assert code_fingerprint(trees["cmpsim"]) != copy
         assert code_fingerprint(trees["lintkit"]) == copy
 
+    def test_numeric_environment_enters_the_key(self, monkeypatch):
+        before = cache_key(request())
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        code_fingerprint.cache_clear()
+        try:
+            assert cache_key(request()) != before
+        finally:
+            monkeypatch.undo()
+            code_fingerprint.cache_clear()
+        assert cache_key(request()) == before
+
     def test_fingerprint_enters_the_key(self, monkeypatch):
         before = cache_key(request())
         monkeypatch.setattr(runner, "code_fingerprint", lambda: "other code")
@@ -491,6 +522,33 @@ class TestKeyMemo:
             key = cache_key(r)
             with open(tmp_path / key[:2] / f"{key}.pkl", "rb") as fh:
                 assert pickle.load(fh)["key"] == key
+
+
+    def test_each_config_object_is_encoded_once(self, tmp_path, monkeypatch):
+        """Equal but distinct configs, each with several mix objects:
+        one encoding per config object, and the stored keys are
+        :func:`cache_key`'s."""
+        configs = [dataclasses.replace(DEFAULT_CONFIG) for _ in range(2)]
+        mixes = [None, MIX1, dataclasses.replace(MIX1), MIX2]
+        requests = [
+            request(config=c, mix=m, scheme_factory=NoManagementScheme)
+            for c in configs
+            for m in mixes
+        ]
+        encoded = []
+        stable = runner._stable
+
+        def counting(value, where):
+            if where == "config":
+                encoded.append(value)
+            return stable(value, where)
+
+        monkeypatch.setattr(runner, "_stable", counting)
+        run_many(requests, cache_dir=tmp_path)
+        monkeypatch.undo()
+        assert [id(c) for c in encoded] == [id(c) for c in configs]
+        keys = {cache_key(r) for r in requests}
+        assert sorted(p.stem for p in tmp_path.rglob("*.pkl")) == sorted(keys)
 
 
 class TestSeedStream:

@@ -8,7 +8,6 @@ from repro.workloads.benchmark import (
     BenchmarkSpec,
     CPU_BOUND,
     MEMORY_BOUND,
-    MemoryBehavior,
 )
 from repro.workloads.parsec import PARSEC_BENCHMARKS, SHORT_NAMES, parsec_benchmark
 from repro.workloads.spec import SPEC_BENCHMARKS, spec_benchmark
@@ -55,7 +54,6 @@ class TestInputSets:
         sim = parsec_benchmark("canneal", input_set="simlarge")
         native = parsec_benchmark("canneal", input_set="native")
         assert native.mean_l2_mpki > sim.mean_l2_mpki
-        assert native.memory.footprint_bytes > sim.memory.footprint_bytes
 
     def test_input_set_roundtrip(self):
         base = PARSEC_BENCHMARKS["vips"]
@@ -69,16 +67,6 @@ class TestInputSets:
     def test_unknown_input_set(self):
         with pytest.raises(ValueError):
             PARSEC_BENCHMARKS["vips"].with_input_set("huge")
-
-
-class TestMemoryBehavior:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MemoryBehavior(0, 100, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            MemoryBehavior(200, 100, 0.1, 0.1)  # WS > footprint
-        with pytest.raises(ValueError):
-            MemoryBehavior(50, 100, 0.8, 0.5)  # fractions > 1
 
 
 class TestInstances:
@@ -108,7 +96,6 @@ class TestInstances:
                 suite="parsec",
                 description="",
                 phases=PARSEC_BENCHMARKS["vips"].phases,
-                memory=PARSEC_BENCHMARKS["vips"].memory,
             )
         with pytest.raises(ValueError):
             BenchmarkSpec(
@@ -117,5 +104,4 @@ class TestInstances:
                 suite="parsec",
                 description="",
                 phases=(),
-                memory=PARSEC_BENCHMARKS["vips"].memory,
             )
