@@ -7,9 +7,9 @@ MaxBIPS and no-management baselines at 32c8i, the runs per second of
 CPM fleets of 1, 8 and 64 members at 32c8i (one process, one
 chip-kernel call per tick for the whole fleet), and times a
 4-point budget sweep through ``repro.runner.run_many`` — serial, cold
-parallel (fresh cache), cold parallel with a per-run deadline
-(``timeout_s``, which should cost no more than without), and warm
-parallel (cache hits).  The warm sweep's read path is also split by
+parallel (fresh cache), cold parallel under ``on_error="quarantine"``
+(which should cost no more than without), and warm parallel (cache
+hits).  The warm sweep's read path is also split by
 layer (``warm_hit``): ms per hit for the cache key, the entry's file
 read and its unpickle, and the numpy arrays one entry holds.
 
@@ -235,9 +235,9 @@ def bench_sweep(n_gpm: int, jobs: int, repeats: int) -> dict:
         warm_s = _time(lambda: run_many(requests, jobs=jobs, cache_dir=cache), 1)
         warm_hit = bench_warm_hits(requests, cache, repeats)
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache:
-        supervised_s = _time(
+        quarantine_s = _time(
             lambda: run_many(
-                requests, jobs=jobs, cache_dir=cache, timeout_s=600.0
+                requests, jobs=jobs, cache_dir=cache, on_error="quarantine"
             ),
             1,
         )
@@ -248,7 +248,7 @@ def bench_sweep(n_gpm: int, jobs: int, repeats: int) -> dict:
         "jobs": jobs,
         "runner_serial_s": round(serial_s, 4),
         f"runner_jobs{jobs}_cold_s": round(cold_s, 4),
-        f"runner_jobs{jobs}_supervised_cold_s": round(supervised_s, 4),
+        f"runner_jobs{jobs}_quarantine_cold_s": round(quarantine_s, 4),
         f"runner_jobs{jobs}_warm_s": round(warm_s, 4),
         f"speedup_jobs{jobs}_cold_vs_serial": round(serial_s / cold_s, 2),
         f"speedup_jobs{jobs}_warm_vs_serial": round(serial_s / warm_s, 2),
@@ -257,7 +257,7 @@ def bench_sweep(n_gpm: int, jobs: int, repeats: int) -> dict:
     print(
         f"sweep ({len(SWEEP_BUDGETS)} budgets): serial {serial_s:.3f}s, "
         f"jobs={jobs} cold {cold_s:.3f}s ({serial_s / cold_s:.2f}x), "
-        f"supervised cold {supervised_s:.3f}s, "
+        f"quarantine cold {quarantine_s:.3f}s, "
         f"warm {warm_s:.3f}s ({serial_s / warm_s:.2f}x)"
     )
     return out
@@ -302,9 +302,10 @@ def main(argv=None) -> int:
             "sweep speedups are wall-clock ratios vs run_many(jobs=1) on "
             "this host; with cpu_count=1 the pool adds no parallelism and "
             "the warm gain comes from the result cache.",
-            "runner_jobsN_supervised_cold_s is the cold sweep with "
-            "timeout_s=600: a deadline only changes the failure policy on "
-            "the same worker pool, so it should read like the cold line.",
+            "runner_jobsN_quarantine_cold_s is the cold sweep with "
+            "on_error='quarantine': quarantine only changes what a failed "
+            "run does, on the same fleets and worker pool, so it should "
+            "read like the cold line.",
             "sweep.warm_hit splits one warm hit into layers, each the best "
             "of repeats over every request: cache_key_ms is cache_key() "
             "alone (one full config encoding), read_ms and unpickle_ms the "

@@ -223,9 +223,13 @@ class Simulation:
     def run(self, n_gpm_intervals: int) -> SimulationResult:
         """Simulate ``n_gpm_intervals`` GPM windows; returns the result.
 
-        The run is a fleet of one: see :meth:`Fleet.run`.
+        The run is a fleet of one (see :meth:`Fleet.run`) whose failure
+        raises here.
         """
-        return Fleet([self]).run(n_gpm_intervals)[0]
+        outcome = Fleet([self]).run(n_gpm_intervals)[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 class Fleet:
@@ -249,34 +253,58 @@ class Fleet:
             raise ValueError("a simulation can be in a fleet only once")
         self.members = list(members)
 
-    def run(self, n_gpm_intervals: int) -> list[SimulationResult]:
+    def run(self, n_gpm_intervals: int) -> list[SimulationResult | Exception]:
         """Simulate ``n_gpm_intervals`` GPM windows of every member;
-        returns their results in member order.
+        returns, in member order, each member's result or the exception
+        that retired it.
 
         Each member binds its scheme, then the whole run's workload is
         drawn up front (exact: workload evolution never observes the
         control loop) and turned into the chip kernel's workload terms
-        once; each tick then evaluates row ``t`` for every member.  A
-        scheme raising aborts the fleet with its exception.
+        once; each tick then evaluates row ``t`` for every member.
         Instructions are retired once per instance at the end, summed
         with the same per-tick IEEE adds as one ``retire()`` per tick.
+        Every member must be fresh (tick 0): a simulation runs once.
+
+        A member fails alone.  One whose ``bind``, ``on_gpm`` or
+        ``on_pic`` raises, or whose own row fails the ladder check
+        (re-checked alone, so the message is its solo run's), is retired
+        with that exception: its frequencies go back to the previous
+        tick's (or pre-``bind``) ones, the tick is recomputed, and it
+        records nothing more; the others run on bit-identical.  When no
+        member is left the run stops as the last ones raised.
         """
         if n_gpm_intervals < 1:
             raise ValueError("need at least one GPM interval")
         sims = self.members
+        if any(sim.tick for sim in sims):
+            raise ValueError("a simulation runs only once; build a new one")
         cfg = sims[0].config
         dt = cfg.control.pic_interval_s
         pics_per_gpm = cfg.control.pics_per_gpm
         n_runs = len(sims)
+        # Each member's result, or the exception that retired it.
+        outcomes: dict[int, SimulationResult | Exception] = {}
 
         chip = Chip.stack([sim.chip for sim in sims])
+        # Member k's frequencies are row k, a view of the fleet's state.
+        freq_rows = chip.island_frequency.reshape(n_runs, -1)
+        unbound_freq = freq_rows.copy()
         # Every member's window sums, flat over runs like the kernel's
         # window terms; each member keeps its islands' columns.
         window_sums = np.hstack([sim._window_sums for sim in sims])
         n_islands = cfg.n_islands
         for k, sim in enumerate(sims):
             sim._window_sums = window_sums[:, k * n_islands : (k + 1) * n_islands]
-            sim.scheme.bind(sim)
+            try:
+                sim.scheme.bind(sim)
+            except Exception as exc:
+                outcomes[k] = exc
+        live = [k for k in range(n_runs) if k not in outcomes]
+        if not live:
+            return [outcomes[k] for k in range(n_runs)]
+        for k in outcomes:
+            freq_rows[k] = unbound_freq[k]
 
         total_ticks = n_gpm_intervals * pics_per_gpm
         # Row t of the fleet's terms holds every member's cores, member by
@@ -290,27 +318,47 @@ class Fleet:
                 column[:, k * n_cores : (k + 1) * n_cores] = getattr(own, name)
         terms = WorkloadTerms(*stacked)
         instruction_totals = np.zeros(n_runs * n_cores)
-        frequency = chip.island_frequency
 
         for t in range(total_ticks):
             # Taken before either tier runs: a V/F change made in on_gpm
             # pays the transition overhead like one made in on_pic.
-            previous_freq = frequency.copy()
-            gpm_ticks = []
-            for sim in sims:
-                is_gpm_tick = sim.tick % pics_per_gpm == 0
-                if is_gpm_tick:
-                    sim._complete_window()
-                    sim.scheme.on_gpm(sim)
-                sim.scheme.on_pic(sim)
-                gpm_ticks.append(is_gpm_tick)
-            transitioned = np.abs(frequency - previous_freq) > units.EPS
-
-            result = chip.compute_interval(terms, t, dt, transitioned)
+            previous_freq = freq_rows.copy()
+            is_gpm_tick = t % pics_per_gpm == 0
+            for k in live:
+                sim = sims[k]
+                try:
+                    if is_gpm_tick:
+                        sim._complete_window()
+                        sim.scheme.on_gpm(sim)
+                    sim.scheme.on_pic(sim)
+                except Exception as exc:
+                    outcomes[k] = exc
+            while True:
+                retiring = [k for k in live if k in outcomes]
+                if retiring:
+                    if len(retiring) == len(live):
+                        return [outcomes[k] for k in range(n_runs)]
+                    for k in retiring:
+                        freq_rows[k] = previous_freq[k]
+                    live = [k for k in live if k not in retiring]
+                transitioned = np.abs(freq_rows - previous_freq) > units.EPS
+                try:
+                    result = chip.compute_interval(terms, t, dt, transitioned)
+                    break
+                except ValueError:
+                    for k in live:
+                        try:
+                            chip.dvfs.voltage_at(freq_rows[k])
+                        except ValueError as exc:
+                            outcomes[k] = exc
+                    if not any(k in outcomes for k in live):
+                        raise  # not a member's ladder fault
             instruction_totals += result.core_instructions
             window_sums += result.window_terms
 
-            for sim, row, is_gpm_tick in zip(sims, result.rows(), gpm_ticks):
+            rows = result.rows()
+            for k in live:
+                sim, row = sims[k], rows[k]
                 sim._window_ticks += 1
                 sim.telemetry.record(
                     sim.time_s, row, sim.setpoints, sim.sensed_power, is_gpm_tick
@@ -319,10 +367,10 @@ class Fleet:
                 sim.tick += 1
                 sim.time_s += dt
 
-        for sim, totals in zip(
-            sims, instruction_totals.reshape(n_runs, -1).tolist()
-        ):
-            for instance, total in zip(sim.instances, totals):
+        totals = instruction_totals.reshape(n_runs, -1).tolist()
+        for k in live:
+            for instance, total in zip(sims[k].instances, totals[k]):
                 instance.retire(total)
-            sim._complete_window()
-        return [sim._result() for sim in sims]
+            sims[k]._complete_window()
+            outcomes[k] = sims[k]._result()
+        return [outcomes[k] for k in range(n_runs)]

@@ -313,7 +313,8 @@ def calibrate(
 ) -> Calibration:
     """Run the full calibration pipeline for a platform + mix: its
     :func:`calibration_requests` in this process as one fleet, with no
-    result cache, then :func:`fit`.
+    result cache, then :func:`fit`.  An excitation run that fails
+    raises its own exception (the first, in run order).
 
     Deterministic for a given (config, mix, seed); see
     :func:`default_calibration` for the memoized variant experiments use.
@@ -332,7 +333,12 @@ def calibrate(
             for r in requests
         ]
     )
-    return fit(point, fleet.run(requests[0].n_gpm_intervals))
+    results = []
+    for outcome in fleet.run(requests[0].n_gpm_intervals):
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return fit(point, results)
 
 
 #: This process's fitted default calibrations.  A memo of a pure

@@ -196,10 +196,11 @@ def run_cases(seed: int = DEFAULT_SEED, quick: bool = False) -> List[ChaosOutcom
     """Execute the full scenario grid; the data behind :func:`run`.
 
     The clean run and every faulty run are requests to one
-    :func:`~repro.runner.run_many` call with the ``"auto"`` result cache.
-    An unguarded dropout is expected to crash, so the call quarantines
-    failures: a quarantined request is the crashed outcome, and, as
-    failures are not cached, the only run a warm cache re-simulates.
+    :func:`~repro.runner.run_many` call with the ``"auto"`` result cache,
+    which runs them as one fleet.  An unguarded dropout is expected to
+    crash, so the call quarantines failures (the fleet retires the run
+    alone): a quarantined request is the crashed outcome, and, as failures
+    are not cached, the only run a warm cache re-simulates.
     The grid stays out of :func:`~repro.experiments.common.run_plans`,
     whose sweep raises on the first failure: the expected crash must
     not abort ``repro experiment all``.

@@ -8,8 +8,8 @@ serial loops it replaces did not have:
 * :func:`run_many` — run a list of :class:`RunRequest`\\ s on a pool of
   long-lived worker processes (or in this process), with results
   returned **in request order** regardless of worker scheduling, under
-  one failure policy: per-run deadlines, retry of crashed runs, and
-  quarantine of failed ones.  Determinism is unchanged: every run's
+  one failure policy: abort on the first failed run, or quarantine each
+  failed run and keep going.  Determinism is unchanged: every run's
   randomness is fixed by its request's seed, so ``jobs=4`` returns
   bit-identical results to ``jobs=1``.
 * a calibration wave — before the runs, the excitation runs of every
@@ -20,7 +20,7 @@ serial loops it replaces did not have:
 * deduplication — requests with the same cache key are simulated once.
 * fleets — misses that share a config and a horizon run as
   :class:`~repro.cmpsim.simulator.Fleet`\\ s, one task each, advanced by
-  one chip-kernel call per tick (one run per task under supervision).
+  one chip-kernel call per tick; a member that fails is retired alone.
 * an on-disk result cache under ``.repro-cache/`` keyed by a content hash
   of everything that determines a run's outcome (config, mix, scheme
   spec, budget, seed, horizon) and of the simulator's own source
@@ -49,9 +49,7 @@ import pathlib
 import pickle
 import platform
 import sys
-import time
 import types
-import warnings
 from collections import deque
 from dataclasses import dataclass, is_dataclass
 from multiprocessing import connection as mp_connection
@@ -362,10 +360,11 @@ _Member = tuple[RunRequest, str, "Calibration | None", "PowerScheme | None"]
 
 def _execute(
     members: Sequence[_Member], directory: pathlib.Path | None
-) -> list[SimulationResult]:
+) -> list[SimulationResult | Exception]:
     """Run ``members`` as one fleet and store each result under its key
     (worker-side entry point; :func:`run_many` has already looked the
-    keys up and grouped requests that share a config and a horizon).
+    keys up and grouped requests that share a config and a horizon);
+    a member that failed returns its exception instead (:func:`_portable`).
 
     A member's calibration is its request's default calibration, fitted
     by the sweep's calibration wave; without it the scheme calibrates
@@ -389,27 +388,26 @@ def _execute(
                 seed=request.seed,
             )
         )
-    results = Fleet(sims).run(members[0][0].n_gpm_intervals)
-    if directory is not None:
-        for (_, key, _, _), result in zip(members, results):
-            _cache_store(directory, key, result)
-    return results
+    outcomes = Fleet(sims).run(members[0][0].n_gpm_intervals)
+    for (_, key, _, _), outcome in zip(members, outcomes):
+        if directory is not None and not isinstance(outcome, Exception):
+            _cache_store(directory, key, outcome)
+    return [_portable(o) if isinstance(o, Exception) else o for o in outcomes]
 
 
 def _fleets(
-    positions: Sequence[int],
-    group_of: Callable[[int], Any],
-    width_of: Callable[[int], int],
+    positions: Sequence[int], group_of: Callable[[int], Any], jobs: int
 ) -> list[list[int]]:
     """Split ``positions`` into fleets: each group of positions that
     share ``group_of`` (config text and horizon) is cut, in order, into
-    fleets of at most ``width_of(group size)`` members."""
+    fleets of at most ``ceil(group size / jobs)`` members, so every
+    worker gets work."""
     groups: dict[Any, list[int]] = {}
     for i in positions:
         groups.setdefault(group_of(i), []).append(i)
     fleets = []
     for group in groups.values():
-        width = width_of(len(group))
+        width = -(-len(group) // jobs)
         fleets += [group[j : j + width] for j in range(0, len(group), width)]
     return fleets
 
@@ -471,32 +469,38 @@ def resolve_jobs(jobs: int | None) -> int:
 class RunFailure:
     """Why one request produced no result.
 
-    ``kind`` is ``"crash"`` (the worker process died), ``"timeout"``
-    (it exceeded ``timeout_s`` and was terminated) or ``"error"`` (the
-    simulation raised).  ``attempts`` counts executions including
-    retries.
+    ``kind`` is ``"error"`` (the simulation raised) or ``"crash"`` (the
+    worker process running it died).
     """
 
     index: int
     kind: str
-    attempts: int
-    message: str = ""
+    message: str
 
 
-def _retry_backoff_s(attempt: int) -> float:
-    """Bounded exponential backoff before relaunching a crashed worker."""
-    return min(0.05 * (2.0 ** attempt), 0.5)
+def _message(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip (so it can leave a
+    worker), else a RuntimeError carrying its message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # lint: ignore[ROB001] - sent as its message
+        return RuntimeError(_message(exc))
+    return exc
 
 
 #: One finished task, as an executor reports it: (task index, kind,
-#: value, message).  ``kind`` is ``"ok"`` (value: the result), ``"error"``
-#: (value: the exception raised), ``"crash"`` or ``"timeout"``.
-_Outcome = tuple[int, str, Any, str]
+#: value).  ``kind`` is ``"ok"`` (value: the task's return), ``"error"``
+#: (value: the exception it raised) or ``"crash"`` (value: a message).
+_Outcome = tuple[int, str, Any]
 
 
 class _InProcess:
     """Runs each task in this process as it is submitted: the executor
-    for ``jobs=1`` and for a lone unsupervised miss."""
+    for ``jobs=1`` and for a lone task under ``on_error="raise"``."""
 
     slots = 1
 
@@ -505,9 +509,9 @@ class _InProcess:
 
     def submit(self, index: int, task: Callable, args: tuple) -> None:
         try:
-            outcome = (index, "ok", task(*args), "")
+            outcome = (index, "ok", task(*args))
         except Exception as exc:  # noqa: BLE001 - the failure policy decides
-            outcome = (index, "error", exc, f"{type(exc).__name__}: {exc}")
+            outcome = (index, "error", exc)
         self._done.append(outcome)
 
     def collect(self) -> list[_Outcome]:
@@ -520,19 +524,14 @@ class _InProcess:
 
 def _worker_loop(conn) -> None:
     """Entry point of one pool worker: run ``(task, args)`` messages from
-    ``conn`` until the stop message (None), replying ``(kind, value,
-    message)`` to each."""
+    ``conn`` until the stop message (None), replying ``(kind, value)``
+    to each."""
     with conn, contextlib.suppress(EOFError):  # EOF: the parent is gone
         for task, args in iter(conn.recv, None):
             try:
-                reply = ("ok", task(*args), "")
+                reply = ("ok", task(*args))
             except Exception as exc:  # noqa: BLE001 - the parent decides
-                message = f"{type(exc).__name__}: {exc}"
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:  # lint: ignore[ROB001] - sent as its message
-                    exc = RuntimeError(message)
-                reply = ("error", exc, message)
+                reply = ("error", _portable(exc))
             conn.send(reply)
 
 
@@ -540,18 +539,16 @@ class _Pool:
     """Up to ``slots`` long-lived worker processes, started on demand and
     fed one task at a time by pipe.
 
-    The parent watches every busy worker with one ``wait``: a crash
-    reads as end-of-file, an overdue task gets its worker terminated.
-    Only such a worker is replaced.  :meth:`close` has healthy workers
-    return from :func:`_worker_loop`, so their exit handlers run.
+    The parent watches every busy worker with one ``wait``; a crash
+    reads as end-of-file, and only a crashed worker is replaced.
+    :meth:`close` has healthy workers return from :func:`_worker_loop`,
+    so their exit handlers run.
     """
 
-    def __init__(self, slots: int, timeout_s: float | None) -> None:
+    def __init__(self, slots: int) -> None:
         self.slots = slots
-        self._timeout_s = timeout_s
         self._idle: list[tuple[Any, Any]] = []  # (process, connection)
-        #: connection -> (process, task index, deadline or None)
-        self._busy: dict[Any, tuple[Any, int, float | None]] = {}
+        self._busy: dict[Any, tuple[Any, int]] = {}  # conn -> (process, index)
 
     def submit(self, index: int, task: Callable, args: tuple) -> None:
         if self._idle:
@@ -563,43 +560,26 @@ class _Pool:
             )
             proc.start()
             child.close()
-        deadline = None
-        if self._timeout_s is not None:
-            deadline = time.monotonic() + self._timeout_s  # lint: ignore[DET003]
         with contextlib.suppress(OSError):  # died idle: reads as a crash
             conn.send((task, args))
-        self._busy[conn] = (proc, index, deadline)
+        self._busy[conn] = (proc, index)
 
     def collect(self) -> list[_Outcome]:
-        """Wait for finished or overdue tasks and report each one."""
-        wait_s = None
-        if self._timeout_s is not None:
-            soonest = min(d for _, _, d in self._busy.values())
-            wait_s = max(0.0, soonest - time.monotonic())  # lint: ignore[DET003]
+        """Wait for finished tasks and report each one."""
         done: list[_Outcome] = []
-        for conn in mp_connection.wait(list(self._busy), wait_s):
-            proc, index, _ = self._busy.pop(conn)
+        for conn in mp_connection.wait(list(self._busy)):
+            proc, index = self._busy.pop(conn)
             try:
                 done.append((index, *conn.recv()))
                 self._idle.append((proc, conn))
             except (EOFError, OSError):
                 _reap(proc, conn)
-                message = f"worker exited with {proc.exitcode}"
-                done.append((index, "crash", None, message))
-        if self._timeout_s is not None:
-            now = time.monotonic()  # lint: ignore[DET003]
-            for conn, (proc, index, deadline) in list(self._busy.items()):
-                if now >= deadline:
-                    del self._busy[conn]
-                    proc.terminate()
-                    _reap(proc, conn)
-                    message = f"exceeded {self._timeout_s:g}s deadline"
-                    done.append((index, "timeout", None, message))
+                done.append((index, "crash", f"worker exited with {proc.exitcode}"))
         return done
 
     def close(self) -> None:
         """Terminate workers whose tasks were abandoned; stop the rest."""
-        for conn, (proc, _, _) in self._busy.items():
+        for conn, (proc, _) in self._busy.items():
             proc.terminate()
             _reap(proc, conn)
         for _, conn in self._idle:
@@ -618,52 +598,57 @@ def _reap(proc, conn) -> None:
     conn.close()
 
 
-def _run_tasks(
+def _run_fleets(
     executor: _InProcess | _Pool,
-    tasks: dict[int, tuple[Callable, tuple]],
-    retries: int,
+    fleets: list[list[int]],
+    task_of: Callable[[list[int]], tuple[Callable, tuple]],
     on_error: str,
     failures: list[RunFailure],
     label: str,
-) -> dict[int, Any]:
-    """Run ``tasks`` (index -> (function, args)) on ``executor`` under the
-    one failure policy; return the results by index.
+) -> dict[int, SimulationResult]:
+    """Run ``fleets`` (lists of positions), one task each
+    (``task_of(fleet)``), on ``executor`` under the failure policy;
+    return the results by position.
 
-    A crashed or timed-out task goes back in the queue, after a backoff,
-    until it has had ``retries`` retries.  A task given up on appends a
-    :class:`RunFailure` to ``failures`` under ``on_error="quarantine"``.
-    Under ``"raise"`` a task that raised re-raises its own exception,
-    and a crash or timeout raises a RuntimeError naming the ``label``,
-    index, kind and attempts.
+    A failed member, or each member of a failed task, is a failure of
+    its position: under ``"raise"`` its exception is re-raised (a crash
+    raises a RuntimeError naming the ``label`` and position), under
+    ``"quarantine"`` it appends a :class:`RunFailure` to ``failures``.
+    A task of several members that failed as a whole under quarantine is
+    first re-queued once, as one task per member, so it costs only the
+    run that caused it.
     """
-    queue = deque(tasks)
-    attempts = dict.fromkeys(tasks, 0)
-    results: dict[int, Any] = {}
-    running = 0
+
+    def fail(i: int, kind: str, value: Any) -> None:
+        if on_error == "quarantine":
+            message = _message(value) if kind == "error" else value
+            failures.append(RunFailure(i, kind, message))
+        elif kind == "error":
+            raise value
+        else:
+            raise RuntimeError(f"run_many: {label} {i} crashed: {value}")
+
+    queue = deque(fleets)
+    running: dict[int, list[int]] = {}
+    results: dict[int, SimulationResult] = {}
     while queue or running:
-        while queue and running < executor.slots:
-            index = queue.popleft()
-            attempts[index] += 1
-            executor.submit(index, *tasks[index])
-            running += 1
-        for index, kind, value, message in executor.collect():
-            running -= 1
+        while queue and len(running) < executor.slots:
+            fleet = queue.popleft()
+            running[fleet[0]] = fleet
+            executor.submit(fleet[0], *task_of(fleet))
+        for index, kind, value in executor.collect():
+            fleet = running.pop(index)
             if kind == "ok":
-                results[index] = value
-            elif kind != "error" and attempts[index] <= retries:
-                time.sleep(_retry_backoff_s(attempts[index] - 1))
-                queue.append(index)
-            elif on_error == "quarantine":
-                failures.append(
-                    RunFailure(index, kind, attempts[index], message)
-                )
-            elif kind == "error":
-                raise value
+                for i, outcome in zip(fleet, value):
+                    if isinstance(outcome, Exception):
+                        fail(i, "error", outcome)
+                    else:
+                        results[i] = outcome
+            elif len(fleet) > 1 and on_error == "quarantine":
+                queue.extend([i] for i in fleet)
             else:
-                raise RuntimeError(
-                    f"run_many: {label} {index} failed ({kind}) after "
-                    f"{attempts[index]} attempt(s): {message}"
-                )
+                for i in fleet:
+                    fail(i, kind, value)
     return results
 
 
@@ -672,8 +657,6 @@ def run_many(
     jobs: int | None = 1,
     cache_dir: str | pathlib.Path | None = None,
     *,
-    timeout_s: float | None = None,
-    retries: int = 0,
     on_error: str = "raise",
     failures: list[RunFailure] | None = None,
 ) -> list[SimulationResult]:
@@ -701,35 +684,24 @@ def run_many(
     (keyed, deduplicated, cached and executed like the misses), fits
     them here and memoizes the fit; each run is handed its calibration.
 
-    One failure policy covers both executors.  A deadline, a retry or
-    quarantine sends even a single miss to a worker when ``jobs > 1``,
-    and makes every task one run, since each belongs to one run:
-
-    * ``timeout_s`` — per-run wall-clock deadline; a run past it is
-      terminated.  Needs worker processes, so it is not enforced in
-      this process (a warning is emitted if it would be ignored).  Each
-      excitation run of the wave gets the same deadline.
-    * ``retries`` — how many times a crashed or timed-out run is
-      relaunched (with bounded exponential backoff) before being given
-      up on.  Runs that merely *raise* are not retried: the simulator is
-      deterministic, so a clean exception would only repeat.
-    * ``on_error`` — ``"raise"`` (default) aborts the sweep on the first
-      abandoned request with the run's own exception, a fleet member's
-      included (a RuntimeError
-      with its message if it cannot be pickled), or a RuntimeError for
-      a crash or timeout; ``"quarantine"`` records a :class:`RunFailure`
-      in ``failures``, leaves ``None`` in that result slot, and keeps
-      going.  A calibration whose excitation run was given up on, or
-      whose fit raised, is a failure of every request that needed it,
-      and a failed request is a failure at every position that asked
-      for it.
+    One failure policy covers both executors, and it acts per run: a
+    fleet member that raises is retired alone (see
+    :meth:`~repro.cmpsim.simulator.Fleet.run`), and the others run on.
+    ``on_error`` is ``"raise"`` (default), which aborts the sweep on the
+    first failed request with the run's own exception (a RuntimeError
+    with its message if it cannot be pickled), or a RuntimeError for a
+    worker crash; or ``"quarantine"``, which records a
+    :class:`RunFailure` in ``failures``, leaves ``None`` in that result
+    slot, and keeps going.  Under quarantine even a single task runs in
+    a worker when ``jobs > 1``, so that a crash takes only its worker,
+    and a crashed task of several members runs again once as one task
+    per member, so that the crash fails only the run that caused it.  A
+    calibration whose excitation run failed, or whose fit raised, is a
+    failure of every request that needed it, and a failed request is a
+    failure at every position that asked for it.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive")
     if failures is None:
         failures = []
     directory = resolve_cache_dir(cache_dir)
@@ -793,8 +765,7 @@ def run_many(
     def fails(point: CalibrationPoint, exc: Exception) -> None:
         if on_error == "raise":
             raise exc
-        message = f"{type(exc).__name__}: {exc}"
-        broken[point] = RunFailure(-1, "error", 1, message)
+        broken[point] = RunFailure(-1, "error", _message(exc))
 
     for point in points:
         if point not in FITTED:
@@ -808,62 +779,39 @@ def run_many(
     excited = set(excite)
     runs = [i for i in pending if i not in excited]
     n_jobs = resolve_jobs(jobs)
-    supervised = timeout_s is not None or retries > 0 or on_error == "quarantine"
 
-    # Misses that share a config and a horizon run as fleets, one task
-    # each, of at most ceil(group size / workers) members, so every
-    # worker gets work.  A supervised sweep runs one run per task: a
-    # deadline, a retry and a quarantine each belong to one run.
+    # Misses that share a config and a horizon run as fleets, one task each.
     def group_of(i: int) -> tuple[str, int]:
         request = request_list[i]
         return config_text(request.config), request.n_gpm_intervals
 
-    def width_of(size: int) -> int:
-        return 1 if supervised else -(-size // n_jobs)
-
-    wave_fleets = _fleets(excite, group_of, width_of)
-    run_fleets = _fleets(runs, group_of, width_of)
-    in_process = n_jobs <= 1 or (
-        len(wave_fleets) + len(run_fleets) <= 1 and not supervised
-    )
-    if in_process and timeout_s is not None:
-        warnings.warn(
-            "run_many: timeout_s requires jobs > 1; running serially "
-            "without a deadline",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    fleet_of: dict[int, list[int]] = {}
+    n_tasks = len(_fleets(excite, group_of, n_jobs) + _fleets(runs, group_of, n_jobs))
+    in_process = n_jobs <= 1 or (n_tasks <= 1 and on_error == "raise")
 
     def task(fleet: list[int]) -> tuple[Callable, tuple]:
-        # A task is keyed by its first member.  A run gets its point's
-        # fit (the wave's runs need none); a worker builds its own
-        # schemes from the pickled specs.
-        fleet_of[fleet[0]] = fleet
+        # A run gets its point's fit (the wave's runs need none), and in
+        # this process its scheme if built (once: a re-queued run builds
+        # its own, as a worker does).
         members = [
             (
                 request_list[i],
                 keys[i],
                 FITTED[point_of[i]] if i in point_of else None,
-                schemes.get(i) if in_process else None,
+                schemes.pop(i, None) if in_process else None,
             )
             for i in fleet
         ]
         return _execute, (members, directory)
 
-    def run_fleets_of(tasks: dict[int, tuple[Callable, tuple]], label: str) -> None:
-        done = _run_tasks(executor, tasks, retries, on_error, failed, label)
-        for first, fleet_results in done.items():
-            results.update(zip(fleet_of[first], fleet_results))
-
-    n_tasks = max(len(wave_fleets), len(run_fleets))
-    executor = (
-        _InProcess() if in_process else _Pool(min(n_jobs, n_tasks), timeout_s)
-    )
+    executor = _InProcess() if in_process else _Pool(n_jobs)
     failed: list[RunFailure] = []
+
+    def run_fleets_of(positions: Sequence[int], label: str) -> None:
+        fleets = _fleets(positions, group_of, n_jobs)
+        results.update(_run_fleets(executor, fleets, task, on_error, failed, label))
+
     try:
-        run_fleets_of({f[0]: task(f) for f in wave_fleets}, "calibration run")
+        run_fleets_of(excite, "calibration run")
         lost = {f.index: f for f in failed}
         for point, positions in wave.items():
             cause = next((lost[i] for i in positions if i in lost), None)
@@ -877,24 +825,20 @@ def run_many(
         # The fits hold what the runs need; free the excitation results.
         for i in range(len(primary), len(keys)):
             results.pop(i, None)
-        tasks: dict[int, tuple[Callable, tuple]] = {}
-        for fleet in run_fleets:
-            healthy = []
-            for i in fleet:
-                point = point_of.get(i)
-                if point in broken:
-                    failed.append(
-                        dataclasses.replace(
-                            broken[point],
-                            index=i,
-                            message=f"calibration failed: {broken[point].message}",
-                        )
+        healthy = []
+        for i in runs:
+            point = point_of.get(i)
+            if point in broken:
+                failed.append(
+                    dataclasses.replace(
+                        broken[point],
+                        index=i,
+                        message=f"calibration failed: {broken[point].message}",
                     )
-                else:
-                    healthy.append(i)
-            if healthy:
-                tasks[healthy[0]] = task(healthy)
-        run_fleets_of(tasks, "request")
+                )
+            else:
+                healthy.append(i)
+        run_fleets_of(healthy, "request")
     finally:
         executor.close()
     for failure in failed:

@@ -14,12 +14,17 @@ stacked evaluation could round differently from a single one:
 * the per-island ``bincount``: each run's island ids are offset, so a
   slot sums only that run's cores, in core order;
 * each run's chip totals: summed over its own row of islands.
+
+A member fails alone: the chaos cases, run as one fleet, retire the
+members that raise and leave every survivor equal to its solo run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from repro.cmpsim.chip import Chip
 from repro.cmpsim.simulator import Fleet, Simulation
 from repro.config import DEFAULT_CONFIG, DVFSConfig
 from repro.core.cpm import CPMScheme
+from repro.experiments.chaos import BUDGET_FRACTION, SCENARIOS, _chaos_scheme
 from repro.runner import RunRequest, run_many
 from repro.thermal.floorplan import grid_floorplan
 from repro.thermal.rc_model import RCThermalModel
@@ -187,3 +193,78 @@ def test_fleet_rejects_mixed_configs_and_repeated_members():
         Fleet([a, b]).run(1)
     with pytest.raises(ValueError, match="only once"):
         Fleet([a, a])
+
+
+class BindRaisingScheme(NoManagementScheme):
+    """Leaves its frequencies off the ladder and raises while binding,
+    before its run has drawn a tick."""
+
+    name = "bind-raising"
+
+    def bind(self, sim):
+        sim.chip.island_frequency = np.nan
+        raise RuntimeError("cannot bind")
+
+
+#: ``repro chaos --quick``'s platform, horizon and fault window.
+CHAOS_CONFIG = DEFAULT_CONFIG.with_islands(4, 2)
+CHAOS_GPM = 12
+#: The chaos cases: the clean run, each scenario unguarded and guarded,
+#: and a member that raises in ``bind``.
+CHAOS_FACTORIES = (
+    [CPMScheme]
+    + [
+        functools.partial(_chaos_scheme, scenario, 40, 80, guarded)
+        for scenario in SCENARIOS
+        for guarded in (False, True)
+    ]
+    + [BindRaisingScheme]
+)
+
+
+def _chaos_run(schemes):
+    """Run one chaos simulation per scheme as one fleet; return the
+    fleet's outcomes."""
+    return Fleet(
+        [
+            Simulation(CHAOS_CONFIG, scheme, budget_fraction=BUDGET_FRACTION)
+            for scheme in schemes
+        ]
+    ).run(CHAOS_GPM)
+
+
+def test_chaos_cases_fail_alone_in_one_fleet():
+    schemes = [factory() for factory in CHAOS_FACTORIES]
+    outcomes = _chaos_run(schemes)
+    retired = []
+    for factory, scheme, outcome in zip(CHAOS_FACTORIES, schemes, outcomes):
+        solo_scheme = factory()
+        (solo,) = _chaos_run([solo_scheme])
+        if isinstance(solo, Exception):
+            assert type(outcome) is type(solo)
+            assert str(outcome) == str(solo)
+            retired.append(str(outcome))
+            continue
+        assert result_digests(outcome, scheme) == result_digests(solo, solo_scheme)
+        assert outcome.log.counts == solo.log.counts
+    # The unguarded dropout turns its NaN reading into a NaN frequency,
+    # and its own row fails the ladder check; bind's raise is its own.
+    assert len(retired) == 2
+    assert re.fullmatch(r"frequency \[ *nan [0-9.]+\] outside ladder .*", retired[0])
+    assert retired[1] == "cannot bind"
+
+
+def test_simulation_runs_only_once():
+    sim = Simulation(CHAOS_CONFIG, NoManagementScheme())
+    first = sim.run(1)
+    n_ticks = len(first.telemetry.finalize()["chip_power_frac"])
+    with pytest.raises(ValueError, match="runs only once"):
+        sim.run(1)
+    assert len(first.telemetry.finalize()["chip_power_frac"]) == n_ticks
+    assert len(first.telemetry.windows) == 1
+    # A fleet checks every member before it binds any.
+    fresh = Simulation(CHAOS_CONFIG, BindRaisingScheme())
+    with pytest.raises(ValueError, match="runs only once"):
+        Fleet([fresh, sim]).run(1)
+    assert np.isfinite(fresh.chip.island_frequency).all()  # not bound
+    assert Fleet([fresh]).run(1)[0].args == ("cannot bind",)

@@ -1,14 +1,13 @@
-"""Hardened runner: timeouts, retry, quarantine, and cache durability.
+"""Hardened runner: crash isolation, quarantine, and cache durability.
 
 The misbehaving schemes live at module level so their factories pickle
 into worker processes.  Each is pathological in a different way: one
-kills its process outright (crash), one never returns (timeout), one
-raises a deterministic exception (error — never retried).
+kills its process outright (crash), one raises a deterministic
+exception (error).
 """
 
 import os
 import pickle
-import time
 from functools import partial
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.runner import (
     run_many,
     run_one,
 )
-from repro.runner import _cache_load, _cache_store, _retry_backoff_s
+from repro.runner import _cache_load, _cache_store
 
 SMALL = DEFAULT_CONFIG.with_islands(4, 2)
 N_GPM = 2
@@ -42,19 +41,8 @@ class CrashingScheme(CPMScheme):
         super().on_gpm(sim)
 
 
-class HangingScheme(CPMScheme):
-    """Never finishes; only a supervisor deadline can stop it."""
-
-    name = "hanging"
-
-    def on_gpm(self, sim):
-        if sim.tick > 0:
-            time.sleep(600)
-        super().on_gpm(sim)
-
-
 class RaisingScheme(CPMScheme):
-    """Raises a deterministic exception (retrying would only repeat it)."""
+    """Raises a deterministic exception."""
 
     name = "raising"
 
@@ -123,27 +111,6 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             run_many([request()], on_error="ignore")
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            run_many([request()], retries=-1)
-
-    def test_non_positive_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            run_many([request()], timeout_s=0.0)
-
-    def test_serial_timeout_warns_and_runs(self):
-        with pytest.warns(RuntimeWarning, match="timeout_s requires"):
-            results = run_many([request()], jobs=1, timeout_s=5.0)
-        assert len(results) == 1 and results[0] is not None
-
-
-class TestBackoff:
-    def test_bounded_exponential(self):
-        delays = [_retry_backoff_s(a) for a in range(8)]
-        assert delays == sorted(delays)
-        assert delays[0] > 0
-        assert max(delays) <= 0.5
-
 
 @pytest.mark.slow
 class TestQuarantine:
@@ -153,42 +120,27 @@ class TestQuarantine:
             request(RaisingScheme, seed=2),
             request(seed=3),
             request(CrashingScheme, seed=4),
-            request(HangingScheme, seed=5),
         ]
         failures: list[RunFailure] = []
         results = run_many(
-            reqs, jobs=3, timeout_s=3.0, on_error="quarantine",
-            failures=failures,
+            reqs, jobs=3, on_error="quarantine", failures=failures
         )
-        assert [r is not None for r in results] == [
-            True, False, True, False, False
-        ]
+        assert [r is not None for r in results] == [True, False, True, False]
         # Healthy slots are bit-identical to running them alone.
         assert_results_identical(results[0], run_one(reqs[0]))
         assert_results_identical(results[2], run_one(reqs[2]))
         kinds = {f.index: f.kind for f in failures}
-        assert kinds == {1: "error", 3: "crash", 4: "timeout"}
+        assert kinds == {1: "error", 3: "crash"}
         crash = next(f for f in failures if f.kind == "crash")
         assert "17" in crash.message  # exit code surfaced
         error = next(f for f in failures if f.kind == "error")
         assert "boom" in error.message
 
-    def test_crash_and_timeout_retried_error_not(self):
-        failures: list[RunFailure] = []
-        run_many(
-            [request(CrashingScheme), request(RaisingScheme)],
-            jobs=2, timeout_s=5.0, retries=1, on_error="quarantine",
-            failures=failures,
-        )
-        attempts = {f.kind: f.attempts for f in failures}
-        assert attempts["crash"] == 2  # retried once
-        assert attempts["error"] == 1  # deterministic raise: no retry
-
     def test_on_error_raise_aborts(self):
         with pytest.raises(RuntimeError, match="crash"):
             run_many(
                 [request(CrashingScheme), request(seed=8)],
-                jobs=2, timeout_s=10.0, on_error="raise",
+                jobs=2, on_error="raise",
             )
 
     def test_serial_quarantine(self):
@@ -219,16 +171,11 @@ class TestQuarantine:
         assert results[1] is not None
         assert [(f.index, f.kind) for f in failures] == [(0, "error"), (2, "error")]
 
-    @pytest.mark.parametrize(
-        "options",
-        [dict(jobs=1), dict(jobs=2), dict(jobs=2, timeout_s=30.0)],
-        ids=["in-process", "pool", "pool-with-deadline"],
-    )
-    def test_raising_run_surfaces_its_own_exception(self, options):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
+    def test_raising_run_surfaces_its_own_exception(self, jobs):
         with pytest.raises(ValueError, match="^boom$"):
             run_many(
-                [request(RaisingScheme), request()], on_error="raise",
-                **options,
+                [request(RaisingScheme), request()], jobs=jobs, on_error="raise"
             )
 
     def test_unpicklable_exception_becomes_runtime_error(self):
@@ -238,13 +185,24 @@ class TestQuarantine:
                 on_error="raise",
             )
 
+    def test_unpicklable_member_exception_quarantined_by_its_message(self):
+        failures: list[RunFailure] = []
+        results = run_many(
+            [request(UnpicklableRaisingScheme), request()], jobs=2,
+            on_error="quarantine", failures=failures,
+        )
+        assert results[0] is None and results[1] is not None
+        assert failures == [
+            RunFailure(0, "error", "RuntimeError: UnpicklableError: bad (code 3)")
+        ]
+
     def test_pool_reuses_its_workers(self, tmp_path):
         log = tmp_path / "pids"
         reqs = [
             request(partial(PidRecordingScheme, str(log)), budget_fraction=b)
             for b in (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
         ]
-        results = run_many(reqs, jobs=2, timeout_s=60.0)
+        results = run_many(reqs, jobs=2)
         assert all(r is not None for r in results)
         pids = log.read_text().split()
         assert len(pids) == 6
@@ -257,8 +215,7 @@ class TestQuarantine:
         ]
         failures: list[RunFailure] = []
         results = run_many(
-            reqs, jobs=2, timeout_s=60.0, on_error="quarantine",
-            failures=failures,
+            reqs, jobs=2, on_error="quarantine", failures=failures
         )
         assert [(f.index, f.kind) for f in failures] == [(0, "crash")]
         assert results[0] is None
@@ -268,9 +225,20 @@ class TestQuarantine:
     def test_supervised_healthy_sweep_bit_identical_to_serial(self):
         reqs = [request(seed=s) for s in (21, 22, 23)]
         serial = run_many(reqs, jobs=1)
-        supervised = run_many(reqs, jobs=2, timeout_s=60.0)
+        supervised = run_many(reqs, jobs=2, on_error="quarantine")
         for a, b in zip(serial, supervised):
             assert_results_identical(a, b)
+
+
+class CrashingUnmanagedScheme(NoManagementScheme):
+    """Kills its worker mid-run; needs no calibration."""
+
+    name = "crashing-unmanaged"
+
+    def on_pic(self, sim):
+        if sim.tick > 0:
+            os._exit(17)
+        super().on_pic(sim)
 
 
 class RaisingUnmanagedScheme(NoManagementScheme):
@@ -299,28 +267,57 @@ def _record_fleet_sizes(monkeypatch, log_path):
 
 
 class TestFleetsUnderTheFailurePolicy:
-    """Unsupervised misses that share a config and a horizon run as
-    fleets; a supervised sweep runs one run per task, because a deadline,
-    a retry and a quarantine each belong to one run."""
+    """Misses that share a config and a horizon run as fleets of
+    ceil(group size / jobs) members under either failure policy; a
+    member that fails is a failure of its own request only."""
 
     @pytest.mark.parametrize(
-        "options",
-        [
-            dict(jobs=1, on_error="quarantine"),
-            dict(jobs=1, retries=1),
-            dict(jobs=2, timeout_s=60.0),
-            dict(jobs=2, on_error="quarantine"),
-        ],
-        ids=["quarantine", "retries", "pool-with-deadline", "pool-quarantine"],
+        ("jobs", "expected"), [(1, [4]), (2, [2, 2])], ids=["in-process", "pool"]
     )
-    def test_supervised_sweep_runs_one_run_per_task(
-        self, options, monkeypatch, tmp_path
+    def test_quarantined_sweep_runs_fleets(
+        self, jobs, expected, monkeypatch, tmp_path
     ):
         sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
         reqs = [request(NoManagementScheme, seed=s) for s in (31, 32, 33, 34)]
-        results = run_many(reqs, **options)
-        assert sizes() == [1, 1, 1, 1]
+        results = run_many(reqs, jobs=jobs, on_error="quarantine")
+        assert sizes() == expected
         for req, result in zip(reqs, results):
+            assert_results_identical(result, run_one(req))
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
+    def test_quarantined_member_fails_alone(self, jobs, monkeypatch, tmp_path):
+        sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
+        reqs = [
+            request(NoManagementScheme, seed=41),
+            request(RaisingUnmanagedScheme, seed=42),
+            request(NoManagementScheme, seed=43),
+            request(NoManagementScheme, seed=44),
+        ]
+        failures: list[RunFailure] = []
+        results = run_many(
+            reqs, jobs=jobs, on_error="quarantine", failures=failures
+        )
+        assert sizes() == ([4] if jobs == 1 else [2, 2])
+        assert failures == [RunFailure(1, "error", "ValueError: boom")]
+        assert results[1] is None
+        for i in (0, 2, 3):
+            assert_results_identical(results[i], run_one(reqs[i]))
+
+    def test_crash_fails_only_the_run_that_caused_it(self, monkeypatch, tmp_path):
+        sizes = _record_fleet_sizes(monkeypatch, tmp_path / "sizes")
+        reqs = [
+            request(CrashingUnmanagedScheme, seed=51),
+            request(NoManagementScheme, seed=52),
+            request(NoManagementScheme, seed=53),
+            request(NoManagementScheme, seed=54),
+        ]
+        failures: list[RunFailure] = []
+        results = run_many(reqs, jobs=2, on_error="quarantine", failures=failures)
+        # The crashed task of two runs again as one task per member.
+        assert sizes() == [1, 1, 2, 2]
+        assert failures == [RunFailure(0, "crash", "worker exited with 17")]
+        assert results[0] is None
+        for req, result in zip(reqs[1:], results[1:]):
             assert_results_identical(result, run_one(req))
 
     @pytest.mark.parametrize(
