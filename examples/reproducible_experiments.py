@@ -39,7 +39,7 @@ def main() -> None:
     capture_path = capture.save(workdir / "workload.npz")
     original = Simulation(
         DEFAULT_CONFIG, CPMScheme(), budget_fraction=BUDGET,
-        instances=capture.instances(),
+        workload=capture,
     ).run(N_GPM)
     paths = save_run(original, workdir, stem="original")
     print(f"Archived bundle in {workdir}:")
@@ -50,7 +50,7 @@ def main() -> None:
     reloaded = RecordedWorkload.load(capture_path)
     replay = Simulation(
         DEFAULT_CONFIG, CPMScheme(), budget_fraction=BUDGET,
-        instances=reloaded.instances(),
+        workload=reloaded,
     ).run(N_GPM)
     drift = np.abs(
         replay.telemetry["chip_power_frac"]
@@ -65,7 +65,7 @@ def main() -> None:
     )
     quantized = Simulation(
         quantized_cfg, CPMScheme(), budget_fraction=BUDGET,
-        instances=reloaded.instances(),
+        workload=reloaded,
     ).run(N_GPM)
 
     def stats(result):

@@ -76,8 +76,7 @@ class MaxBIPSScheme:
     def bind(self, sim: Simulation) -> None:
         # MaxBIPS uses quantized knobs regardless of the platform's
         # actuation mode; it starts from the top operating point.
-        for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, sim.chip.dvfs.f_max)
+        sim.chip.set_island_frequencies([sim.chip.dvfs.f_max] * sim.config.n_islands)
         sim.setpoints = np.zeros(sim.config.n_islands)
         self._peak_table = self._build_peak_table(sim)
         # Static BIPS column: uniform per-core throughput, linear in f.
@@ -243,7 +242,5 @@ class MaxBIPSScheme:
             if tables is None:
                 return
             knobs, setpoints = self._select(sim, *tables)
-        freqs = sim.chip.dvfs.frequencies
-        for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, float(freqs[knobs[island]]))
+        sim.chip.set_island_frequencies(sim.chip.dvfs.frequencies[knobs])
         sim.setpoints = setpoints.copy()

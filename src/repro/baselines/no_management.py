@@ -20,8 +20,7 @@ class NoManagementScheme:
     name = "no-management"
 
     def bind(self, sim: Simulation) -> None:
-        for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, sim.chip.dvfs.f_max)
+        sim.chip.set_island_frequencies([sim.chip.dvfs.f_max] * sim.config.n_islands)
         # For telemetry, "set-point" is the physical per-island maximum.
         _, island_max = sim.chip.island_power_bounds()
         sim.setpoints = island_max

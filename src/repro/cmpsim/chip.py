@@ -36,7 +36,6 @@ from ..unit_types import (
     Bips,
     BipsArray,
     CelsiusArray,
-    GigaHz,
     GigaHzArray,
     PowerFraction,
     PowerFractionArray,
@@ -341,25 +340,21 @@ class Chip:
     # ------------------------------------------------------------------
     # Actuation
     # ------------------------------------------------------------------
-    def set_island_frequency(self, island: int, frequency_ghz: GigaHz) -> GigaHz:
-        """Apply a frequency request to an island; returns what was applied.
+    def set_island_frequencies(
+        self, frequencies: Sequence[float] | GigaHzArray
+    ) -> None:
+        """Apply one frequency request per island.
 
-        The request is clamped to the ladder's range and, in quantized
+        Each request is clamped to the ladder's range and, in quantized
         mode, snapped to the nearest table point — the actuator semantics
         of the paper's architecture.
         """
-        if not 0 <= island < self.config.n_islands:
-            raise IndexError(f"island {island} out of range")
-        f = self.dvfs.clamp(frequency_ghz)
-        if self.config.dvfs.mode == "quantized":
-            f = self.dvfs.quantize(f)
-        self.island_frequency[island] = f
-        return float(f)
-
-    def set_island_frequencies(self, frequencies: Sequence[float]) -> None:
-        """Apply one frequency request per island at once, with
-        :meth:`set_island_frequency`'s clamp and quantize semantics."""
         f = self.dvfs.clamp(np.asarray(frequencies, dtype=float))
+        if f.shape != self.island_frequency.shape:
+            raise ValueError(
+                f"need one frequency per island ({len(self.island_frequency)}), "
+                f"got shape {f.shape}"
+            )
         if self.config.dvfs.mode == "quantized":
             f = self.dvfs.quantize(f)
         self.island_frequency[:] = f

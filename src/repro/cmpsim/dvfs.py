@@ -64,8 +64,9 @@ class DVFSTable:
     def clamp(self, frequency: GigaHzLike) -> GigaHzLike:
         """Restrict a requested frequency to the ladder's range."""
         if isinstance(frequency, (float, int)):
-            # Hot path: the PIC clamps one scalar per island per interval,
-            # and np.clip is ~30x slower than two comparisons there.
+            # A scalar stays a Python float: np.clip is ~30x slower than
+            # two comparisons.  (The PIC bank's per-tick clamp is inlined
+            # in PICBank, not a call here.)
             return min(max(float(frequency), self._f_min), self._f_max)
         return np.clip(frequency, self._f_min, self._f_max)
 

@@ -27,8 +27,8 @@ from .. import units
 from ..config import CMPConfig
 from ..rng import DEFAULT_SEED, SeedSequenceFactory
 from ..unit_types import PowerFraction, Seconds
-from ..workloads.benchmark import BenchmarkInstance
 from ..workloads.mixes import Mix, mix_for_config
+from ..workloads.recorded import RecordedWorkload, record
 from .chip import Chip, IntervalResult, WorkloadTerms
 from .telemetry import ResilienceLog, Telemetry, WindowStats
 
@@ -89,13 +89,12 @@ class Simulation:
         mix: Mix | None = None,
         budget_fraction: PowerFraction = 0.8,
         seed: int = DEFAULT_SEED,
-        instances: list | None = None,
+        workload: RecordedWorkload | None = None,
     ) -> None:
-        """``instances`` overrides the default per-core workload
-        construction with pre-built ones (e.g. a
-        :class:`~repro.workloads.recorded.RecordedWorkload` replay); one
-        entry per core, each exposing ``advance()`` (or ``advance_block``)
-        and ``retire()``."""
+        """``workload`` replays a capture instead of drawing the mix's
+        streams live (see :func:`~repro.workloads.recorded.record`): it
+        needs one column per core, and a run longer than the capture
+        cycles it, tick ``t`` reading row ``t % workload.n_ticks``."""
         if not 0.0 < budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
         self.config = config
@@ -110,22 +109,13 @@ class Simulation:
         self.budget_fraction = budget_fraction
         self.seeds = SeedSequenceFactory(seed)
 
-        specs = self.mix.specs()
-        self.chip = Chip(config, specs)
-        if instances is not None:
-            if len(instances) != config.n_cores:
-                raise ValueError(
-                    f"need one workload instance per core "
-                    f"({config.n_cores}), got {len(instances)}"
-                )
-            self.instances = list(instances)
-        else:
-            self.instances = [
-                BenchmarkInstance(
-                    spec, self.seeds.generator(f"workload/core{i}/{spec.name}")
-                )
-                for i, spec in enumerate(specs)
-            ]
+        self.chip = Chip(config, self.mix.specs())
+        if workload is not None and workload.n_cores != config.n_cores:
+            raise ValueError(
+                f"need one workload column per core ({config.n_cores}), "
+                f"got {workload.n_cores}"
+            )
+        self.workload = workload
         self.telemetry = Telemetry(
             n_islands=config.n_islands, n_cores=config.n_cores
         )
@@ -186,27 +176,19 @@ class Simulation:
     # Main loop
     # ------------------------------------------------------------------
     def _workload_terms(self, n_ticks: int) -> WorkloadTerms:
-        """Draw ``n_ticks`` of every core's workload and derive the chip
-        kernel's terms; the raw block is dropped once they exist.
+        """The chip kernel's terms for ``n_ticks`` of the run's workload:
+        the replayed capture, cycled to the horizon, or the mix's streams
+        drawn live by :func:`~repro.workloads.recorded.record`."""
+        capture = self.workload
+        if capture is None:
+            capture = record(self.config, n_ticks, self.mix, self.seeds.root_seed)
+        columns = [getattr(capture, name) for name in _WORKLOAD_FIELDS]
+        if capture.n_ticks != n_ticks:
+            rows = np.arange(n_ticks) % capture.n_ticks
+            columns = [column[rows] for column in columns]
+        return self.chip.workload_terms(*columns)
 
-        An instance with ``advance_block`` yields its samples in one
-        vectorized pass; any other gets them from ``n_ticks`` calls to
-        ``advance()``.
-        """
-        # One buffer per field, so none outlives the terms derived from it.
-        raw = [np.empty((n_ticks, self.config.n_cores)) for _ in _WORKLOAD_FIELDS]
-        for core, instance in enumerate(self.instances):
-            if hasattr(instance, "advance_block"):
-                block = instance.advance_block(n_ticks)
-                for field, column in zip(_WORKLOAD_FIELDS, raw):
-                    column[:, core] = getattr(block, field)
-            else:
-                samples = [instance.advance() for _ in range(n_ticks)]
-                for field, column in zip(_WORKLOAD_FIELDS, raw):
-                    column[:, core] = [getattr(s, field) for s in samples]
-        return self.chip.workload_terms(*raw)
-
-    def _result(self) -> SimulationResult:
+    def _result(self, total_instructions: float) -> SimulationResult:
         return SimulationResult(
             telemetry=self.telemetry,
             config=self.config,
@@ -214,9 +196,7 @@ class Simulation:
             scheme_name=self.scheme.name,
             budget_fraction=self.budget_fraction,
             duration_s=self.time_s,
-            total_instructions=float(
-                sum(inst.instructions_retired for inst in self.instances)
-            ),
+            total_instructions=total_instructions,
             log=self.log,
         )
 
@@ -258,13 +238,15 @@ class Fleet:
         returns, in member order, each member's result or the exception
         that retired it.
 
-        Each member binds its scheme, then the whole run's workload is
-        drawn up front (exact: workload evolution never observes the
-        control loop) and turned into the chip kernel's workload terms
-        once; each tick then evaluates row ``t`` for every member.
-        Instructions are retired once per instance at the end, summed
-        with the same per-tick IEEE adds as one ``retire()`` per tick.
-        Every member must be fresh (tick 0): a simulation runs once.
+        Each member binds its scheme and sizes its telemetry for the
+        horizon, then its whole workload is taken up front as one block
+        (exact: workload evolution never observes the control loop) --
+        drawn live by :func:`~repro.workloads.recorded.record`, or its
+        capture replayed -- and turned into the chip kernel's workload
+        terms once; each tick then evaluates row ``t`` for every member.
+        A member's ``total_instructions`` sums its cores' totals, each
+        accumulated with one IEEE add per tick.  Every member must be
+        fresh (tick 0): a simulation runs once.
 
         A member fails alone.  One whose ``bind``, ``on_gpm`` or
         ``on_pic`` raises, or whose own row fails the ladder check
@@ -369,8 +351,6 @@ class Fleet:
 
         totals = instruction_totals.reshape(n_runs, -1).tolist()
         for k in live:
-            for instance, total in zip(sims[k].instances, totals[k]):
-                instance.retire(total)
             sims[k]._complete_window()
-            outcomes[k] = sims[k]._result()
+            outcomes[k] = sims[k]._result(float(sum(totals[k])))
         return [outcomes[k] for k in range(n_runs)]

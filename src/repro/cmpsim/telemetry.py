@@ -103,11 +103,12 @@ class Telemetry:
 
     Each series is a preallocated column whose row ``i`` is interval
     ``i``: ``(T,)`` for chip-level and scalar series, ``(T, n_islands)``
-    or ``(T, n_cores)`` for per-island and per-core ones.  ``record``
-    writes a row in place; :meth:`reserve` sizes the columns up front
-    (the simulator reserves the whole run), and other callers grow them
-    by doubling.  :meth:`finalize` trims the columns to the recorded
-    rows; after it, and in any unpickled copy, ``record`` raises.
+    or ``(T, n_cores)`` for per-island and per-core ones.  :meth:`reserve`
+    allocates the columns once, before the first row (the simulator
+    reserves the whole run), and ``record`` writes a row in place;
+    recording past the reserved size raises.  :meth:`finalize` trims the
+    columns to the recorded rows; after it, and in any unpickled copy,
+    ``record`` raises.
 
     GPM windows are kept as the list of :class:`WindowStats` the
     simulator pushes.  A pickle stores them column-wise instead: one
@@ -146,23 +147,20 @@ class Telemetry:
         self._columns = self._allocate(0)
 
     def _allocate(self, capacity: int) -> Dict[str, np.ndarray]:
-        """Fresh columns with room for ``capacity`` rows, the recorded
-        rows copied over."""
+        """Empty columns with room for ``capacity`` rows."""
         columns: Dict[str, np.ndarray] = {}
         for key, (width, dtype) in self._LAYOUT.items():
             shape: tuple[int, ...] = (
                 (capacity,) if width is None else (capacity, getattr(self, width))
             )
-            column = np.empty(shape, dtype=dtype)
-            if self._rows:
-                column[: self._rows] = self._columns[key][: self._rows]
-            columns[key] = column
+            columns[key] = np.empty(shape, dtype=dtype)
         return columns
 
     def reserve(self, n_rows: int) -> None:
-        """Make room for ``n_rows`` more intervals without regrowing."""
-        if self._rows + n_rows > len(self._columns["time_s"]):
-            self._columns = self._allocate(self._rows + n_rows)
+        """Allocate the columns for ``n_rows`` intervals, before the first."""
+        if self._rows or self._finalized:
+            raise RuntimeError("telemetry is reserved before the first row")
+        self._columns = self._allocate(n_rows)
 
     def record(
         self,
@@ -177,7 +175,7 @@ class Telemetry:
             raise RuntimeError("telemetry already finalized")
         i = self._rows
         if i == len(self._columns["time_s"]):
-            self._columns = self._allocate(max(16, 2 * i))
+            raise RuntimeError(f"telemetry reserved for {i} rows is full")
         col = self._columns
         col["time_s"][i] = time_s
         col["island_setpoint_frac"][i] = setpoints

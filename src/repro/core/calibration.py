@@ -101,8 +101,7 @@ class WhiteNoiseDVFSScheme:
         # Envelope center: upper part of the ladder, where
         # 75–100%-of-max-power budgets land.
         self._center_ghz = 0.15 * sim.chip.dvfs.f_min + 0.85 * sim.chip.dvfs.f_max
-        for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, self._center_ghz)
+        sim.chip.set_island_frequencies([self._center_ghz] * sim.config.n_islands)
 
     def on_gpm(self, sim) -> None:
         """No provisioning tier during excitation."""

@@ -11,8 +11,8 @@ CPU-/memory-bound class; no cache or address trace derives them.
 
 * :mod:`repro.workloads.phases` — a Markov phase machine with AR(1)
   activity noise producing per-interval workload state.
-* :mod:`repro.workloads.benchmark` — benchmark specifications and stateful
-  per-core instances.
+* :mod:`repro.workloads.benchmark` — benchmark specifications and their
+  per-core phase machines.
 * :mod:`repro.workloads.parsec` — the eight PARSEC models with
   ``simlarge`` and ``native`` input-set variants (native is more
   memory-intensive, as the paper observed).
@@ -20,13 +20,17 @@ CPU-/memory-bound class; no cache or address trace derives them.
   for the thermal-aware policy study.
 * :mod:`repro.workloads.mixes` — the island assignments of Table III
   (Mix-1, Mix-2, Mix-3).
+* :mod:`repro.workloads.recorded` — a run's workload as one block:
+  :func:`~repro.workloads.recorded.record` draws it (every live
+  simulation does), and a saved
+  :class:`~repro.workloads.recorded.RecordedWorkload` replays it.
 """
 
-from .benchmark import BenchmarkInstance, BenchmarkSpec, WorkloadSample
+from .benchmark import BenchmarkInstance, BenchmarkSpec
 from .mixes import MIX1, MIX2, MIX3, Mix, mix_for_config, thermal_mix
 from .parsec import PARSEC_BENCHMARKS, parsec_benchmark
 from .phases import Phase, PhaseMachine
-from .recorded import RecordedWorkload, ReplayInstance, record
+from .recorded import RecordedWorkload, record
 from .spec import SPEC_BENCHMARKS, spec_benchmark
 
 __all__ = [
@@ -40,9 +44,7 @@ __all__ = [
     "Phase",
     "PhaseMachine",
     "RecordedWorkload",
-    "ReplayInstance",
     "SPEC_BENCHMARKS",
-    "WorkloadSample",
     "mix_for_config",
     "parsec_benchmark",
     "record",

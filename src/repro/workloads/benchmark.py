@@ -1,10 +1,10 @@
-"""Benchmark specifications and stateful per-core instances.
+"""Benchmark specifications and their per-core phase machines.
 
 A :class:`BenchmarkSpec` is the static description of one application:
 its phase set, dwell/noise parameters, and a classification used by the
 mix tables.  A :class:`BenchmarkInstance` binds a spec to a core with
-its own random stream and produces one :class:`WorkloadSample` per
-simulation interval.
+its own random stream and draws that core's workload block
+(:func:`~repro.workloads.recorded.record` draws every core's).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "BenchmarkSpec",
     "CPU_BOUND",
     "MEMORY_BOUND",
-    "WorkloadSample",
 ]
 
 #: Classification letters used by Table III ("C" cpu-bound, "M" memory-bound).
@@ -81,18 +80,8 @@ class BenchmarkSpec:
         return replace(self, phases=phases, input_set=input_set)
 
 
-@dataclass(frozen=True)
-class WorkloadSample:
-    """Per-interval workload state consumed by the core CPI stack."""
-
-    alpha: float
-    cpi_base: float
-    l1_mpki: float
-    l2_mpki: float
-
-
 class BenchmarkInstance:
-    """A benchmark bound to one core: stateful phase machine + counters."""
+    """A benchmark bound to one core: its stateful phase machine."""
 
     def __init__(self, spec: BenchmarkSpec, rng: np.random.Generator) -> None:
         self.spec = spec
@@ -103,34 +92,16 @@ class BenchmarkInstance:
             noise_rho=spec.noise_rho,
             rng=rng,
         )
-        self.instructions_retired = 0.0
 
     @property
     def name(self) -> str:
         return self.spec.name
 
-    def advance(self) -> WorkloadSample:
-        """Produce the workload state for the next simulation interval."""
-        state = self._machine.advance()
-        phase = state.phase
-        return WorkloadSample(
-            alpha=state.alpha,
-            cpi_base=phase.cpi_base,
-            l1_mpki=phase.l1_mpki,
-            l2_mpki=phase.l2_mpki,
-        )
-
     def advance_block(self, n_intervals: int) -> PhaseBlock:
         """Produce ``n_intervals`` consecutive workload states at once.
 
-        Bit-identical to ``n_intervals`` successive :meth:`advance` calls
-        (see :meth:`~repro.workloads.phases.PhaseMachine.advance_block`).
+        Bit-identical to ``n_intervals`` successive
+        :meth:`~repro.workloads.phases.PhaseMachine.advance` calls (see
+        :meth:`~repro.workloads.phases.PhaseMachine.advance_block`).
         """
         return self._machine.advance_block(n_intervals)
-
-    def retire(self, instructions: float) -> None:
-        """Account instructions executed during the last interval."""
-        if instructions < 0:
-            raise ValueError("cannot retire a negative instruction count")
-        self.instructions_retired += instructions
-

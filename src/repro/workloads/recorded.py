@@ -1,20 +1,17 @@
-"""Workload recording and replay.
+"""A run's workload as one block: drawing, saving and replaying it.
 
-Seeded phase machines already make runs reproducible *within* one
-platform, but a saved workload lets you replay the exact same per-tick
-samples against a *different* platform (another V/F ladder, island
-grouping, power model) or from another tool entirely.
+Workload evolution never observes the control loop, so a run's whole
+workload is one ``(n_ticks, n_cores)`` block per signal.  A live
+simulation draws it with :func:`record`; a saved block replays the
+exact same per-tick samples against a *different* platform (another V/F
+ladder, island grouping, power model) or comes from another tool
+entirely.
 
 * :func:`record` — run a mix's phase machines for N ticks and capture
   every core's sample stream.
 * :class:`RecordedWorkload` — the capture; NumPy-backed, save/load as
-  ``.npz``.
-* :class:`ReplayInstance` — a drop-in replacement for
-  :class:`~repro.workloads.benchmark.BenchmarkInstance` that replays one
-  core's stream (cycling if the simulation outlives the recording).
-* Pass ``RecordedWorkload.instances()`` to
-  :class:`~repro.cmpsim.simulator.Simulation` via its ``instances``
-  parameter to drive a run from the capture.
+  ``.npz``.  Pass it as :class:`~repro.cmpsim.simulator.Simulation`'s
+  ``workload`` to drive a run from it (cycled if the run outlives it).
 """
 
 from __future__ import annotations
@@ -26,11 +23,10 @@ import numpy as np
 
 from ..config import CMPConfig
 from ..rng import DEFAULT_SEED, SeedSequenceFactory
-from .benchmark import BenchmarkInstance, WorkloadSample
+from .benchmark import BenchmarkInstance
 from .mixes import Mix, mix_for_config
-from .phases import PhaseBlock
 
-__all__ = ["RecordedWorkload", "ReplayInstance", "record"]
+__all__ = ["RecordedWorkload", "record"]
 
 _FIELDS = ("alpha", "cpi_base", "l1_mpki", "l2_mpki")
 
@@ -69,11 +65,6 @@ class RecordedWorkload:
         return int(self.alpha.shape[1])
 
     # ------------------------------------------------------------------
-    def instances(self) -> list["ReplayInstance"]:
-        """One replay instance per core, for a simulation's ``instances=``."""
-        return [ReplayInstance(self, core) for core in range(self.n_cores)]
-
-    # ------------------------------------------------------------------
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Serialize to ``.npz``; returns the path written."""
         path = pathlib.Path(path)
@@ -96,54 +87,6 @@ class RecordedWorkload:
             )
 
 
-class ReplayInstance:
-    """Replays one core's recorded stream with the
-    :class:`~repro.workloads.benchmark.BenchmarkInstance` interface."""
-
-    def __init__(self, recording: RecordedWorkload, core: int) -> None:
-        if not 0 <= core < recording.n_cores:
-            raise IndexError(f"core {core} outside the recording")
-        self.recording = recording
-        self.core = core
-        self._tick = 0
-        self.instructions_retired = 0.0
-
-    @property
-    def name(self) -> str:
-        return f"replay:{self.recording.benchmarks[self.core]}"
-
-    def advance(self) -> WorkloadSample:
-        r = self.recording
-        t = self._tick % r.n_ticks  # cycle if the run outlives the capture
-        self._tick += 1
-        return WorkloadSample(
-            alpha=float(r.alpha[t, self.core]),
-            cpi_base=float(r.cpi_base[t, self.core]),
-            l1_mpki=float(r.l1_mpki[t, self.core]),
-            l2_mpki=float(r.l2_mpki[t, self.core]),
-        )
-
-    def advance_block(self, n_intervals: int) -> PhaseBlock:
-        """Replay ``n_intervals`` ticks at once (cycling like :meth:`advance`)."""
-        if n_intervals < 1:
-            raise ValueError("need at least one interval")
-        r = self.recording
-        t = (self._tick + np.arange(int(n_intervals))) % r.n_ticks
-        self._tick += int(n_intervals)
-        return PhaseBlock(
-            phase_index=np.zeros(int(n_intervals), dtype=np.int64),
-            alpha=r.alpha[t, self.core],
-            cpi_base=r.cpi_base[t, self.core],
-            l1_mpki=r.l1_mpki[t, self.core],
-            l2_mpki=r.l2_mpki[t, self.core],
-        )
-
-    def retire(self, instructions: float) -> None:
-        if instructions < 0:
-            raise ValueError("cannot retire a negative instruction count")
-        self.instructions_retired += instructions
-
-
 def record(
     config: CMPConfig,
     n_ticks: int,
@@ -152,9 +95,10 @@ def record(
 ) -> RecordedWorkload:
     """Capture ``n_ticks`` of the mix's workload streams.
 
-    Uses the same stream derivation as :class:`~repro.cmpsim.simulator.
-    Simulation`, so a replay of ``record(config, N, seed=s)`` reproduces
-    the exact samples a live run with seed ``s`` would have seen.
+    This is the draw of every live :class:`~repro.cmpsim.simulator.
+    Simulation`: each core's phase machine runs on its own named stream
+    of ``seed``, so a replay of ``record(config, N, seed=s)`` reproduces
+    the exact samples a live run with seed ``s`` sees.
     """
     if n_ticks < 1:
         raise ValueError("n_ticks must be positive")

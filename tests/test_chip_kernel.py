@@ -81,8 +81,7 @@ def test_kernel_equals_public_models(case):
     chip = make_chip(n_cores, n_islands, case["leaky"])
     cfg = chip.config
     dt = cfg.control.pic_interval_s
-    for island, f in enumerate(case["frequencies"]):
-        chip.set_island_frequency(island, f)
+    chip.set_island_frequencies(case["frequencies"])
     chip.thermal.temperatures = case["temperatures"].copy()
     transitioned = case["transitioned"]
     if transitioned is not None:

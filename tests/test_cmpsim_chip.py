@@ -55,29 +55,29 @@ class TestNormalization:
 class TestActuation:
     def test_set_frequency_clamps(self):
         chip = make_chip()
-        applied = chip.set_island_frequency(0, 5.0)
-        assert applied == 2.0
-        applied = chip.set_island_frequency(0, 0.1)
-        assert applied == 0.6
+        chip.set_island_frequencies([5.0, 0.1, 1.3, 2.0])
+        assert chip.island_frequency.tolist() == [2.0, 0.6, 1.3, 2.0]
 
     def test_quantized_mode_snaps(self):
         import dataclasses
 
         cfg = dataclasses.replace(DEFAULT_CONFIG, dvfs=DVFSConfig(mode="quantized"))
         chip = make_chip(cfg)
-        assert chip.set_island_frequency(0, 1.31) == pytest.approx(1.4)
+        chip.set_island_frequencies([1.31, 2.0, 2.0, 2.0])
+        assert chip.island_frequency[0] == pytest.approx(1.4)
 
     def test_core_frequencies_follow_islands(self):
         chip = make_chip()
-        chip.set_island_frequency(2, 1.0)
+        chip.set_island_frequencies([2.0, 2.0, 1.0, 2.0])
         freqs = chip.island_frequency[chip.island_of_core]
         np.testing.assert_allclose(freqs[4:6], 1.0)
         np.testing.assert_allclose(freqs[:4], 2.0)
 
     def test_island_index_validated(self):
         chip = make_chip()
-        with pytest.raises(IndexError):
-            chip.set_island_frequency(4, 1.0)
+        for requests in ([1.0], [1.0] * 5, 1.0):  # one request per island
+            with pytest.raises(ValueError):
+                chip.set_island_frequencies(requests)
 
     @pytest.mark.parametrize("mode", ["continuous", "quantized"])
     def test_vector_set_equals_one_call_per_island(self, mode):
@@ -86,11 +86,15 @@ class TestActuation:
         cfg = dataclasses.replace(DEFAULT_CONFIG, dvfs=DVFSConfig(mode=mode))
         # Out of range both ways, a tie between two rungs, and NaN.
         requests = [5.0, 0.1, 1.3, float("nan")]
-        vector, scalar = make_chip(cfg), make_chip(cfg)
-        vector.set_island_frequencies(requests)
-        for island, f in enumerate(requests):
-            scalar.set_island_frequency(island, f)
-        assert vector.island_frequency.tobytes() == scalar.island_frequency.tobytes()
+        chip = make_chip(cfg)
+        chip.set_island_frequencies(requests)
+        # The scalar clamp and quantize, one island at a time.
+        table = chip.dvfs
+        expected = [
+            table.quantize(f) if mode == "quantized" else table.clamp(f)
+            for f in requests
+        ]
+        assert chip.island_frequency.tobytes() == np.array(expected).tobytes()
 
 
 class TestComputeInterval:
@@ -140,8 +144,7 @@ class TestComputeInterval:
     def test_lower_frequency_lower_power_lower_bips(self):
         chip_hi = make_chip()
         chip_lo = make_chip()
-        for i in range(4):
-            chip_lo.set_island_frequency(i, 1.0)
+        chip_lo.set_island_frequencies([1.0] * 4)
         hi = chip_hi.compute_interval(nominal_terms(chip_hi), 0, dt=5e-4)
         lo = chip_lo.compute_interval(nominal_terms(chip_lo), 0, dt=5e-4)
         assert lo.chip_power_w < hi.chip_power_w
@@ -150,8 +153,7 @@ class TestComputeInterval:
     def test_utilization_monotone_in_frequency(self):
         chip_hi = make_chip()
         chip_lo = make_chip()
-        for i in range(4):
-            chip_lo.set_island_frequency(i, 0.8)
+        chip_lo.set_island_frequencies([0.8] * 4)
         hi = chip_hi.compute_interval(nominal_terms(chip_hi), 0, dt=5e-4)
         lo = chip_lo.compute_interval(nominal_terms(chip_lo), 0, dt=5e-4)
         assert np.all(lo.core_utilization < hi.core_utilization)

@@ -70,8 +70,7 @@ class TestDeterminism:
 
         class HalfSpeed(RecordingScheme):
             def bind(self, sim):
-                for i in range(sim.config.n_islands):
-                    sim.chip.set_island_frequency(i, 1.0)
+                sim.chip.set_island_frequencies([1.0] * sim.config.n_islands)
 
         a = Simulation(DEFAULT_CONFIG, NoManagementScheme(), seed=3)
         ra = a.run(2)
@@ -160,7 +159,9 @@ class RetuneAtSecondWindow(RecordingScheme):
 
     def _retune(self, sim, hook):
         if hook == self.hook and sim.tick == 10:
-            sim.chip.set_island_frequency(0, sim.chip.dvfs.f_min)
+            frequencies = sim.chip.island_frequency.copy()
+            frequencies[0] = sim.chip.dvfs.f_min
+            sim.chip.set_island_frequencies(frequencies)
 
     def on_gpm(self, sim):
         self._retune(sim, "gpm")

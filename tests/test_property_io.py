@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.no_management import NoManagementScheme
+from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.workloads.recorded import RecordedWorkload
 
@@ -44,13 +46,11 @@ class TestRecordingProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_replay_cycles_deterministically(self, n_ticks, seed, n_advances):
-        rec = make_recording(n_ticks, 2, seed)
-        inst = rec.instances()[1]
-        samples = [inst.advance() for _ in range(n_advances)]
-        for t, sample in enumerate(samples):
-            assert sample.alpha == pytest.approx(
-                float(rec.alpha[t % n_ticks, 1])
-            )
+        rec = make_recording(n_ticks, DEFAULT_CONFIG.n_cores, seed)
+        sim = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=rec)
+        alpha = sim._workload_terms(n_advances).alpha
+        for t in range(n_advances):
+            assert alpha[t].tobytes() == rec.alpha[t % n_ticks].tobytes()
 
     def test_shape_validation(self):
         rng = np.random.default_rng(0)

@@ -44,8 +44,7 @@ class TestChipInvariants:
     def test_power_conservation_and_bounds(self, shape, wl, freqs):
         n_cores, n_islands = shape
         chip = get_chip(n_cores, n_islands)
-        for i in range(n_islands):
-            chip.set_island_frequency(i, freqs[i % len(freqs)])
+        chip.set_island_frequencies([freqs[i % len(freqs)] for i in range(n_islands)])
         alpha, cpi, l1, l2 = wl
         terms = chip.workload_terms(
             np.full(n_cores, alpha),
@@ -80,9 +79,8 @@ class TestChipInvariants:
         )
         lo_chip = get_chip(n_cores, n_islands)
         hi_chip = get_chip(n_cores, n_islands)
-        for i in range(n_islands):
-            lo_chip.set_island_frequency(i, 1.0)
-            hi_chip.set_island_frequency(i, 1.8)
+        lo_chip.set_island_frequencies([1.0] * n_islands)
+        hi_chip.set_island_frequencies([1.8] * n_islands)
         lo = lo_chip.compute_interval(lo_chip.workload_terms(*args), 0, dt=5e-4)
         hi = hi_chip.compute_interval(hi_chip.workload_terms(*args), 0, dt=5e-4)
         assert hi.chip_power_w > lo.chip_power_w

@@ -55,7 +55,5 @@ def test_record_replay_snippet(tmp_path):
     capture = record(DEFAULT_CONFIG, n_ticks=20)
     path = capture.save(tmp_path / "wl.npz")
     loaded = RecordedWorkload.load(path)
-    result = Simulation(
-        DEFAULT_CONFIG, NoManagementScheme(), instances=loaded.instances()
-    ).run(2)
+    result = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=loaded).run(2)
     assert result.total_instructions > 0

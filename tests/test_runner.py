@@ -486,6 +486,7 @@ class TestDiskCache:
     def test_resolve_cache_dir(self, tmp_path, monkeypatch):
         assert resolve_cache_dir(None) is None
         assert resolve_cache_dir(tmp_path) == tmp_path
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         assert resolve_cache_dir("auto") == tmp_path / "env"
         monkeypatch.setenv("REPRO_CACHE", "0")

@@ -40,6 +40,13 @@ def fake_interval(n_islands=2, n_cores=4, power=0.1) -> IntervalResult:
     )
 
 
+def sized(n_rows: int) -> Telemetry:
+    """A 2-island, 4-core telemetry reserved for ``n_rows`` intervals."""
+    t = Telemetry(n_islands=2, n_cores=4)
+    t.reserve(n_rows)
+    return t
+
+
 def record_ticks(telemetry: Telemetry, powers, gpm_every=3):
     for t, p in enumerate(powers):
         telemetry.record(
@@ -53,21 +60,21 @@ def record_ticks(telemetry: Telemetry, powers, gpm_every=3):
 
 class TestTelemetry:
     def test_record_and_finalize(self):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(3)
         record_ticks(t, [0.1, 0.11, 0.12])
         arrays = t.finalize()
         assert arrays["island_power_frac"].shape == (3, 2)
         assert t.n_intervals == 3
 
     def test_record_after_finalize_rejected(self):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(2)
         record_ticks(t, [0.1])
         t.finalize()
         with pytest.raises(RuntimeError):
             record_ticks(t, [0.1])
 
     def test_gpm_tick_indices(self):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(7)
         record_ticks(t, [0.1] * 7, gpm_every=3)
         assert t.gpm_tick_indices().tolist() == [0, 3, 6]
 
@@ -182,7 +189,7 @@ class TestColumnarLayout:
     def test_pickled_array_count_does_not_grow_with_windows(self):
         counts = set()
         for n_windows in (0, 1, 40):
-            t = Telemetry(n_islands=2, n_cores=4)
+            t = sized(3)
             record_ticks(t, [0.1] * 3)
             for k in range(n_windows):
                 t.push_window(fake_window(k))
@@ -191,7 +198,7 @@ class TestColumnarLayout:
 
     @pytest.mark.parametrize("n_rows", [0, 3])
     def test_zero_window_telemetry_round_trips(self, n_rows):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(n_rows)
         record_ticks(t, [0.1] * n_rows)
         loaded = pickle.loads(pickle.dumps(t))
         assert loaded.windows == []
@@ -213,7 +220,7 @@ class TestColumnarLayout:
         assert_windows_identical(again.windows, [fake_window(0), fake_window(1)])
 
     def test_record_after_unpickling_rejected(self):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(3)
         record_ticks(t, [0.1, 0.2])
         loaded = pickle.loads(pickle.dumps(t))
         assert loaded.n_intervals == 2
@@ -221,25 +228,27 @@ class TestColumnarLayout:
             record_ticks(loaded, [0.1])
 
     def test_pickling_leaves_the_original_recordable(self):
-        t = Telemetry(n_islands=2, n_cores=4)
+        t = sized(2)
         record_ticks(t, [0.1])
         pickle.dumps(t)
         record_ticks(t, [0.2])
         assert t["island_power_frac"][:, 0].tolist() == [0.1, 0.2]
 
-    def test_direct_records_past_capacity_keep_every_row(self):
-        t = Telemetry(n_islands=2, n_cores=4)
-        powers = [0.001 * k for k in range(100)]
-        record_ticks(t, powers, gpm_every=7)
-        assert t.n_intervals == 100
-        assert t["island_power_frac"][:, 1].tolist() == powers
-        assert t["island_sensed_frac"][:, 0].tolist() == powers
-        assert t["time_s"].tolist() == [k * 5e-4 for k in range(100)]
-        assert t.gpm_tick_indices().tolist() == list(range(0, 100, 7))
+    def test_record_past_reserved_size_raises(self):
+        t = sized(3)
+        record_ticks(t, [0.1, 0.2, 0.3])
+        with pytest.raises(RuntimeError, match="full"):
+            record_ticks(t, [0.4])
+        assert t["island_power_frac"][:, 1].tolist() == [0.1, 0.2, 0.3]
+
+    def test_reserve_only_before_the_first_row(self):
+        t = sized(2)
+        record_ticks(t, [0.1])
+        with pytest.raises(RuntimeError):
+            t.reserve(5)
 
     def test_reserve_sizes_the_run_exactly(self):
-        t = Telemetry(n_islands=2, n_cores=4)
-        t.reserve(5)
+        t = sized(5)
         record_ticks(t, [0.1] * 5)
         assert t._columns["core_utilization"].shape == (5, 4)  # never grown
 

@@ -1,5 +1,6 @@
 """Batched workload advancement is bit-identical to per-tick advancement."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.no_management import NoManagementScheme
+from repro.cmpsim.chip import WorkloadTerms
 from repro.cmpsim.simulator import Simulation
 from repro.config import DEFAULT_CONFIG
 from repro.core.cpm import CPMScheme
 from repro.rng import SeedSequenceFactory
 from repro.workloads.benchmark import BenchmarkInstance
-from repro.workloads.mixes import MIX1
+from repro.workloads.mixes import MIX1, mix_for_config
 from repro.workloads.phases import Phase, PhaseMachine
-from repro.workloads.recorded import record
+from repro.workloads.recorded import RecordedWorkload, record
 
 PHASES = (
     Phase(alpha=0.9, cpi_base=0.8, l1_mpki=5.0, l2_mpki=0.5),
@@ -25,12 +27,41 @@ PHASES = (
 )
 
 
-def instances(specs, seeds):
-    """One instance per spec, on the streams the simulator gives them."""
-    return [
-        BenchmarkInstance(spec, seeds.generator(f"workload/core{i}/{spec.name}"))
-        for i, spec in enumerate(specs)
-    ]
+FIELDS = ("alpha", "cpi_base", "l1_mpki", "l2_mpki")
+
+
+def role(core, spec):
+    """The stream a run draws core ``core``'s workload from."""
+    return f"workload/core{core}/{spec.name}"
+
+
+def serial_columns(spec, rng, n_ticks):
+    """``n_ticks`` of a benchmark's workload, one ``PhaseMachine.advance``
+    call per tick: the per-tick reference every block draw is held to."""
+    m = PhaseMachine(
+        spec.phases,
+        mean_dwell_intervals=spec.mean_dwell_intervals,
+        noise_sigma=spec.noise_sigma,
+        noise_rho=spec.noise_rho,
+        rng=rng,
+    )
+    states = [m.advance() for _ in range(n_ticks)]
+    columns = {"alpha": [s.alpha for s in states]}
+    for name in FIELDS[1:]:
+        columns[name] = [getattr(s.phase, name) for s in states]
+    return columns
+
+
+def serial_capture(n_ticks, seed, config=DEFAULT_CONFIG) -> RecordedWorkload:
+    """A run's workload drawn per tick, on the streams a live run uses."""
+    specs = mix_for_config(config).specs()
+    seeds = SeedSequenceFactory(seed)
+    arrays = {name: np.empty((n_ticks, len(specs))) for name in FIELDS}
+    for core, spec in enumerate(specs):
+        columns = serial_columns(spec, seeds.generator(role(core, spec)), n_ticks)
+        for name in FIELDS:
+            arrays[name][:, core] = columns[name]
+    return RecordedWorkload(benchmarks=tuple(s.name for s in specs), **arrays)
 
 
 def machine(seed, phases=PHASES):
@@ -96,91 +127,49 @@ class TestPhaseMachineBlock:
 
 class TestBenchmarkInstanceBlock:
     def test_delegates_to_machine(self):
-        serial = instances(MIX1.specs(), SeedSequenceFactory(4))
-        batched = instances(MIX1.specs(), SeedSequenceFactory(4))
-        for s, b in zip(serial, batched):
-            samples = [s.advance() for _ in range(60)]
-            block = b.advance_block(60)
-            for name in ("alpha", "cpi_base", "l1_mpki", "l2_mpki"):
-                np.testing.assert_array_equal(
-                    getattr(block, name),
-                    [getattr(sample, name) for sample in samples],
-                )
+        seeds = SeedSequenceFactory(4)
+        for core, spec in enumerate(MIX1.specs()):
+            instance = BenchmarkInstance(spec, seeds.generator(role(core, spec)))
+            block = instance.advance_block(60)
+            columns = serial_columns(spec, seeds.generator(role(core, spec)), 60)
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(block, name), columns[name])
 
 
 class TestReplayBlock:
     def test_wraps_like_serial(self):
         rec = record(DEFAULT_CONFIG, n_ticks=10, seed=2)
-        for s, b in zip(rec.instances(), rec.instances()):
-            samples = [s.advance() for _ in range(25)]  # wraps past n_ticks
-            block = b.advance_block(25)
-            np.testing.assert_array_equal(
-                block.alpha, [sample.alpha for sample in samples]
-            )
-            np.testing.assert_array_equal(
-                block.l2_mpki, [sample.l2_mpki for sample in samples]
-            )
-
-
-class PerTickOnly:
-    """A workload instance without ``advance_block``: the simulator must
-    build its block from one ``advance()`` call per tick."""
-
-    def __init__(self, instance) -> None:
-        self._instance = instance
-
-    def advance(self):
-        return self._instance.advance()
-
-    def retire(self, instructions: float) -> None:
-        self._instance.retire(instructions)
-
-    @property
-    def instructions_retired(self) -> float:
-        return self._instance.instructions_retired
-
-
-def per_tick_sim(scheme, cores=None, **kwargs) -> Simulation:
-    """A simulation whose instances (all, or the listed cores) only
-    support per-tick ``advance()``."""
-    sim = Simulation(DEFAULT_CONFIG, scheme, **kwargs)
-    sim.instances = [
-        PerTickOnly(inst) if cores is None or i in cores else inst
-        for i, inst in enumerate(sim.instances)
-    ]
-    return sim
+        serial = serial_capture(10, seed=2)
+        for name in FIELDS:
+            assert getattr(rec, name).tobytes() == getattr(serial, name).tobytes()
+        # A 25-tick run replays the 10-tick capture cyclically.
+        sim = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=rec)
+        terms = sim._workload_terms(25)
+        rows = [t % 10 for t in range(25)]
+        want = sim.chip.workload_terms(*(getattr(serial, n)[rows] for n in FIELDS))
+        for field in dataclasses.fields(WorkloadTerms):
+            got = getattr(terms, field.name)
+            assert got.tobytes() == getattr(want, field.name).tobytes(), field.name
 
 
 class TestSimulationBatching:
     @pytest.mark.parametrize("scheme_factory", [CPMScheme, NoManagementScheme])
     def test_batched_run_bit_identical(self, scheme_factory):
-        serial = per_tick_sim(scheme_factory(), budget_fraction=0.8, seed=13).run(6)
+        """A live run, whose workload is drawn in blocks, equals the run
+        fed the same workload drawn one tick at a time."""
+        ticks = 6 * DEFAULT_CONFIG.control.pics_per_gpm
+        serial = Simulation(
+            DEFAULT_CONFIG, scheme_factory(), budget_fraction=0.8, seed=13,
+            workload=serial_capture(ticks, seed=13),
+        ).run(6)
         batched = Simulation(
             DEFAULT_CONFIG, scheme_factory(), budget_fraction=0.8, seed=13
         ).run(6)
         for name in serial.telemetry._SERIES:
-            np.testing.assert_array_equal(
-                serial.telemetry[name],
-                batched.telemetry[name],
-                err_msg=f"series {name!r} differs",
-            )
-        assert serial.total_instructions == batched.total_instructions
-
-    def test_batched_retires_identical_instruction_counts(self):
-        serial = per_tick_sim(CPMScheme(), seed=13)
-        batched = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=13)
-        serial.run(4)
-        batched.run(4)
-        for s, b in zip(serial.instances, batched.instances):
-            assert s.instructions_retired == b.instructions_retired
-
-    def test_mixed_instances_match_batched(self):
-        mixed = per_tick_sim(CPMScheme(), cores={0, 3, 5}, seed=1).run(4)
-        batched = Simulation(DEFAULT_CONFIG, CPMScheme(), seed=1).run(4)
-        np.testing.assert_array_equal(
-            mixed.telemetry["chip_power_frac"],
-            batched.telemetry["chip_power_frac"],
-        )
+            assert (
+                serial.telemetry[name].tobytes() == batched.telemetry[name].tobytes()
+            ), f"series {name!r} differs"
+        assert serial.total_instructions.hex() == batched.total_instructions.hex()
 
 
 def test_cpm_run_imports_no_scipy():

@@ -73,20 +73,10 @@ class TestInstances:
     def test_advance_produces_spec_values(self):
         spec = parsec_benchmark("blackscholes")
         inst = BenchmarkInstance(spec, np.random.default_rng(0))
-        sample = inst.advance()
+        block = inst.advance_block(50)
         cpi_values = {p.cpi_base for p in spec.phases}
-        assert sample.cpi_base in cpi_values
-        assert 0.05 <= sample.alpha <= 1.0
-
-    def test_retire_accounting(self):
-        inst = BenchmarkInstance(
-            parsec_benchmark("x264"), np.random.default_rng(0)
-        )
-        inst.retire(1e6)
-        inst.retire(2e6)
-        assert inst.instructions_retired == pytest.approx(3e6)
-        with pytest.raises(ValueError):
-            inst.retire(-1.0)
+        assert set(block.cpi_base.tolist()) <= cpi_values
+        assert np.all((0.05 <= block.alpha) & (block.alpha <= 1.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,20 @@
 """Workload recording and replay."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.no_management import NoManagementScheme
+from repro.cmpsim.chip import WorkloadTerms
 from repro.cmpsim.simulator import Simulation
+from repro.cmpsim.telemetry import Telemetry, WindowStats
 from repro.config import DEFAULT_CONFIG
-from repro.workloads.recorded import RecordedWorkload, ReplayInstance, record
+from repro.core.calibration import calibrate
+from repro.core.cpm import CPMScheme
+from repro.workloads.recorded import RecordedWorkload, record
+
+FIELDS = ("alpha", "cpi_base", "l1_mpki", "l2_mpki")
 
 
 class TestRecord:
@@ -19,16 +27,14 @@ class TestRecord:
 
     def test_matches_live_streams(self):
         """record(seed=s) captures exactly what a live run with seed s
-        would have consumed."""
+        consumes."""
         rec = record(DEFAULT_CONFIG, n_ticks=20, seed=11)
         sim = Simulation(DEFAULT_CONFIG, NoManagementScheme(), seed=11)
-        live = [inst.advance() for inst in sim.instances]
-        np.testing.assert_allclose(
-            [s.alpha for s in live], rec.alpha[0], rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            [s.l2_mpki for s in live], rec.l2_mpki[0], rtol=1e-12
-        )
+        live = sim._workload_terms(20)
+        want = sim.chip.workload_terms(*(getattr(rec, name) for name in FIELDS))
+        for field in dataclasses.fields(WorkloadTerms):
+            got = getattr(live, field.name)
+            assert got.tobytes() == getattr(want, field.name).tobytes(), field.name
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,27 +51,24 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.l1_mpki, rec.l1_mpki)
 
 
-class TestReplayInstance:
-    def test_replays_in_order_then_cycles(self):
-        rec = record(DEFAULT_CONFIG, n_ticks=5)
-        inst = ReplayInstance(rec, core=3)
-        first_pass = [inst.advance().alpha for _ in range(5)]
-        second_pass = [inst.advance().alpha for _ in range(5)]
-        np.testing.assert_allclose(first_pass, rec.alpha[:, 3])
-        np.testing.assert_allclose(second_pass, first_pass)
+def cpm_pinned_to(seed):
+    """A CPM factory whose calibration is the one a run at ``seed`` fits,
+    so runs at other seeds control identically."""
+    calibration = calibrate(DEFAULT_CONFIG, seed=seed)
+    return lambda: CPMScheme(calibration=calibration)
 
-    def test_core_bounds(self):
-        rec = record(DEFAULT_CONFIG, n_ticks=3)
-        with pytest.raises(IndexError):
-            ReplayInstance(rec, core=8)
 
-    def test_retirement_accounting(self):
-        rec = record(DEFAULT_CONFIG, n_ticks=3)
-        inst = ReplayInstance(rec, core=0)
-        inst.retire(5.0)
-        assert inst.instructions_retired == 5.0
-        with pytest.raises(ValueError):
-            inst.retire(-1.0)
+def assert_runs_identical(got, want):
+    """Every telemetry series, GPM window and the instruction total,
+    byte for byte."""
+    for name in Telemetry._SERIES:
+        assert got.telemetry[name].tobytes() == want.telemetry[name].tobytes(), name
+    assert len(got.telemetry.windows) == len(want.telemetry.windows)
+    for a, b in zip(got.telemetry.windows, want.telemetry.windows):
+        for field in dataclasses.fields(WindowStats):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+    assert got.total_instructions.hex() == want.total_instructions.hex()
 
 
 @pytest.mark.slow
@@ -76,26 +79,33 @@ class TestReplayThroughSimulation:
         n_gpm = 4
         ticks = n_gpm * DEFAULT_CONFIG.control.pics_per_gpm
         rec = record(DEFAULT_CONFIG, n_ticks=ticks, seed=7)
-        live = Simulation(DEFAULT_CONFIG, NoManagementScheme(), seed=7).run(n_gpm)
-        replayed = Simulation(
-            DEFAULT_CONFIG,
-            NoManagementScheme(),
-            seed=999,  # seed is irrelevant once instances are supplied
-            instances=rec.instances(),
-        ).run(n_gpm)
-        np.testing.assert_allclose(
-            replayed.telemetry["chip_power_frac"],
-            live.telemetry["chip_power_frac"],
-            rtol=1e-12,
+        for make in (cpm_pinned_to(7), NoManagementScheme):
+            live = Simulation(DEFAULT_CONFIG, make(), seed=7).run(n_gpm)
+            replayed = Simulation(
+                DEFAULT_CONFIG,
+                make(),
+                seed=999,  # the workload comes from the capture, not the seed
+                workload=rec,
+            ).run(n_gpm)
+            assert_runs_identical(replayed, live)
+
+    def test_short_capture_replays_cyclically(self):
+        """A run longer than its capture reads row ``t % n_ticks`` at
+        tick ``t``."""
+        n_gpm = 3
+        ticks = n_gpm * DEFAULT_CONFIG.control.pics_per_gpm
+        rec = record(DEFAULT_CONFIG, n_ticks=7, seed=5)
+        rows = np.arange(ticks) % rec.n_ticks
+        tiled = RecordedWorkload(
+            benchmarks=rec.benchmarks,
+            **{name: getattr(rec, name)[rows] for name in FIELDS},
         )
-        assert replayed.total_instructions == pytest.approx(
-            live.total_instructions, rel=1e-12
-        )
+        short = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=rec)
+        full = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=tiled)
+        assert_runs_identical(short.run(n_gpm), full.run(n_gpm))
 
     def test_same_workload_different_platform(self):
         """The point of replay: identical samples, different chip."""
-        import dataclasses
-
         from repro.config import DVFSConfig
 
         ticks = 3 * DEFAULT_CONFIG.control.pics_per_gpm
@@ -103,12 +113,8 @@ class TestReplayThroughSimulation:
         quantized = dataclasses.replace(
             DEFAULT_CONFIG, dvfs=DVFSConfig(mode="quantized")
         )
-        a = Simulation(
-            DEFAULT_CONFIG, NoManagementScheme(), instances=rec.instances()
-        ).run(3)
-        b = Simulation(
-            quantized, NoManagementScheme(), instances=rec.instances()
-        ).run(3)
+        a = Simulation(DEFAULT_CONFIG, NoManagementScheme(), workload=rec).run(3)
+        b = Simulation(quantized, NoManagementScheme(), workload=rec).run(3)
         # Same workload; platform difference is irrelevant at f_max, so
         # throughput matches — demonstrating the workloads really were
         # identical across configs.
@@ -116,11 +122,12 @@ class TestReplayThroughSimulation:
             a.total_instructions, rel=1e-9
         )
 
-    def test_instance_count_validated(self):
-        rec = record(DEFAULT_CONFIG, n_ticks=5)
-        with pytest.raises(ValueError):
-            Simulation(
-                DEFAULT_CONFIG.with_islands(16, 4),
-                NoManagementScheme(),
-                instances=rec.instances(),  # 8 instances, 16 cores
-            )
+    def test_capture_core_count_validated(self):
+        rec = record(DEFAULT_CONFIG, n_ticks=5)  # 8 core columns
+        for n_cores, n_islands in ((16, 4), (4, 2)):
+            with pytest.raises(ValueError, match="one workload column per core"):
+                Simulation(
+                    DEFAULT_CONFIG.with_islands(n_cores, n_islands),
+                    NoManagementScheme(),
+                    workload=rec,
+                )
